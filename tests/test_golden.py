@@ -1,0 +1,71 @@
+"""Golden CLI corpus: exit code and stdout of the run-analysis and decider
+commands on every fixture, in text and JSON, diffed byte for byte.
+
+Regenerate (only when a change of output is intended) from the repository
+root with `PYTHONPATH=src python -m tests.test_golden`.
+"""
+import contextlib
+import io
+import pathlib
+
+import pytest
+
+from untwist.cli import run_cli
+
+from .conftest import FIXTURE_DIR, FIXTURE_NAMES
+
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+
+# Two small inputs per fixture; the second one is longer and, where the
+# machine allows it, has more inversions or a block piece.
+INPUTS = {
+    "T_ID": ("ab", "abba"),
+    "T_COPY_ABC": ("abcabc", "abcabcabc"),
+    "T_COPY_AB": ("ab", "abab"),
+    "T_MIRROR": ("ab", "abb"),
+    "T_RUNNING": ("abc#ab", "abcabc#ab"),
+    "T_ZIGZAG": ("mm", "mmmm"),
+    "T_THREECOMP": ("m", "mmm"),
+}
+
+
+def _cases() -> list[tuple[str, list[str]]]:
+    cases = []
+    for name in FIXTURE_NAMES:
+        path = str(FIXTURE_DIR / f"{name}.tdx")
+        for word in INPUTS[name]:
+            for cmd in ("analyze", "decompose", "simulate-oneway"):
+                argv = [cmd, path, "--input", word]
+                if cmd == "simulate-oneway":
+                    argv.append("--transcript")
+                cases.append((f"{name}.{cmd}.{word.replace('#', '+')}", argv))
+        cases.append((f"{name}.decide-oneway.5",
+                      ["decide", "oneway", path, "--max-len", "5"]))
+        cases.append((f"{name}.decide-sweeping.2.4",
+                      ["decide", "sweeping", path, "--passes", "2",
+                       "--max-len", "4"]))
+    return [(f"{key}.{fmt}", ["--format", fmt] + argv)
+            for key, argv in cases for fmt in ("text", "json")]
+
+
+CASES = _cases()
+
+
+def _record(argv: list[str]) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = run_cli(argv)
+    return f"exit: {code}\n{buf.getvalue()}"
+
+
+@pytest.mark.parametrize("key,argv", CASES, ids=[k for k, _ in CASES])
+def test_golden(key, argv):
+    expected = (GOLDEN_DIR / key).read_text(encoding="utf-8")
+    assert _record(argv) == expected
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for key, argv in CASES:
+        (GOLDEN_DIR / key).write_text(_record(argv), encoding="utf-8")
+    print(f"wrote {len(CASES)} files to {GOLDEN_DIR}")
