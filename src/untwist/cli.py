@@ -38,6 +38,9 @@ def _load(path: str):
 
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
+        if args.stats:
+            payload["details"]["stats"] = {
+                "elapsed_s": round(time.monotonic() - args.started, 3)}
         print(json.dumps(payload, sort_keys=True))
     else:
         print(text, end="" if text.endswith("\n") else "\n")
@@ -252,7 +255,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                 description=__doc__.split("\n")[0])
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--stats", action="store_true",
-                   help="append wall-clock timing to text output")
+                   help="report wall-clock timing (text: a trailing "
+                        "line; json: details.stats.elapsed_s)")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, input_arg=False):
@@ -307,7 +311,7 @@ def run_cli(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EX_USAGE if exc.code not in (0, None) else 0
-    started = time.monotonic()
+    args.started = time.monotonic()
     try:
         code = _DISPATCH[args.command](args)
     except (ParseError, FunctionalityError, ValueError, OSError) as exc:
@@ -317,7 +321,7 @@ def run_cli(argv=None) -> int:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EX_CAP
     if args.stats and args.format == "text":
-        print(f"elapsed: {time.monotonic() - started:.3f}s")
+        print(f"elapsed: {time.monotonic() - args.started:.3f}s")
     return code
 
 

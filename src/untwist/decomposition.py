@@ -9,12 +9,14 @@ desk scale; a finite override exercises their failure paths.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .bounds import PeriodBound, bound_admits
 from .inversions import (INVERSION, Inversion, PeriodReport,
-                         enumerate_inversions, smallest_period)
+                         enumerate_inversions, first_unsafe_inversion,
+                         smallest_period)
 from .runs import Location, LocationSet, Run
 
 DIAGONAL = "diagonal"
@@ -77,10 +79,14 @@ class BuildOutcome:
     unsafe: Optional[tuple[Inversion, PeriodReport]] = None
 
 
-def coverage_classes(run: Run) -> list[CoverageClass]:
+def coverage_classes(run: Run, inversions: Optional[list[Inversion]] = None
+                     ) -> list[CoverageClass]:
     """Non-singleton classes of the covered-by-overlapping-inversions
-    equivalence, as maximal location-index intervals with covering chains."""
-    inversions = enumerate_inversions(run, INVERSION)
+    equivalence, as maximal location-index intervals with covering chains.
+
+    `inversions`, when given, is the run's `enumerate_inversions` list."""
+    if inversions is None:
+        inversions = enumerate_inversions(run, INVERSION)
     if not inversions:
         return []
     intervals: dict[tuple[int, int], Inversion] = {}
@@ -88,16 +94,15 @@ def coverage_classes(run: Run) -> list[CoverageClass]:
         key = (run.loc_index[inv.first.anchor], run.loc_index[inv.second.anchor])
         intervals.setdefault(key, inv)
     # Keep only maximal intervals; containment-redundant ones add nothing.
-    items = sorted(intervals.items())
+    # In (start, -end) order an interval is contained in another one exactly
+    # when an earlier interval reaches at least as far.
     maximal: list[tuple[tuple[int, int], Inversion]] = []
-    for (s, e), inv in items:
-        if any(s2 <= s and e <= e2 and (s2, e2) != (s, e)
-               for (s2, e2), _ in items):
-            continue
-        maximal.append(((s, e), inv))
-    anchors_all = sorted({run.loc_index[inv.first.anchor] for inv in inversions}
-                         | {run.loc_index[inv.second.anchor]
-                            for inv in inversions})
+    reach = -1
+    for s, e in sorted(intervals, key=lambda iv: (iv[0], -iv[1])):
+        if e > reach:
+            maximal.append(((s, e), intervals[(s, e)]))
+            reach = e
+    anchors_all = sorted({s for s, _ in intervals} | {e for _, e in intervals})
     classes = []
     i = 0
     while i < len(maximal):
@@ -113,8 +118,8 @@ def coverage_classes(run: Run) -> list[CoverageClass]:
                 chain.append(inv2)
                 e = e2
             j += 1
-        anchor_locs = tuple(run.locations[a] for a in anchors_all
-                            if s <= a <= e)
+        anchor_locs = tuple(run.locations[a] for a in anchors_all[
+            bisect_left(anchors_all, s):bisect_right(anchors_all, e)])
         classes.append(CoverageClass(s, e, tuple(chain), anchor_locs))
         i = j
     return classes
@@ -223,13 +228,13 @@ def build_decomposition(run: Run, bound: PeriodBound) -> BuildOutcome:
     fails the periodicity condition.  A gap that fails the diagonal
     predicate after the condition held contradicts the theory and raises.
     """
-    from .inversions import first_unsafe_inversion
-    unsafe = first_unsafe_inversion(run, bound)
+    inversions = enumerate_inversions(run, INVERSION)
+    unsafe = first_unsafe_inversion(run, bound, inversions)
     if unsafe is not None:
         return BuildOutcome(None, unsafe)
 
     blocks: list[tuple[Location, Location]] = []
-    for cls in coverage_classes(run):
+    for cls in coverage_classes(run, inversions):
         xs = cls.anchor_positions
         if xs[0] == xs[-1]:
             continue    # positionally flat; its locations live in a diagonal

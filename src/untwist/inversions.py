@@ -22,6 +22,7 @@ admitting them would make refutations unsound.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -105,14 +106,58 @@ def _pair_matches(run: Run, kind: str, a: AnchoredComponent,
 def enumerate_inversions(run: Run, kind: str = INVERSION,
                          anchored: Optional[list[AnchoredComponent]] = None
                          ) -> list[Inversion]:
+    """All inversions (or co-inversions) of the run.
+
+    Order contract: the pairs `(a, b)` satisfying `_pair_matches`, ordered
+    by the position of `a` in `anchored`, then by the position of `b` --
+    exactly the all-pairs filter over `anchored[i:]`.  The order decides
+    which unsafe inversion a certificate records and which inversion a
+    coverage class keeps for each interval.
+
+    Cost: O(A log A + I log I) comparisons for A anchored components and I
+    results, plus the list shifts `insort` does in C.  `anchored` must be in
+    anchor run order, as `anchored_components` returns it.  A right-to-left
+    sweep keeps the components anchored strictly later in the run sorted by
+    their loop's right end (co-inversions: by minus its left end), so the
+    separated partners of `a` form a prefix; partners on the same loop come
+    from a per-loop index.  Anchors sit on a border of their loop, so
+    separated loops already order the anchor positions as the predicate
+    requires.
+    """
     if anchored is None:
         anchored = anchored_components(run)
-    out = []
-    for i, a in enumerate(anchored):
-        for b in anchored[i:]:
-            if _pair_matches(run, kind, a, b):
-                out.append(Inversion(kind, a, b))
-    return out
+    co = kind == CO_INVERSION
+    n = len(anchored)
+    order = [run.loc_index[a.anchor] for a in anchored]
+    by_loop: dict[Loop, list[int]] = {}
+    for pos, a in enumerate(anchored):
+        by_loop.setdefault(a.loop, []).append(pos)
+    later: list[tuple[int, int]] = []   # (sort key, position)
+    partners: list[list[int]] = [[] for _ in range(n)]
+    end = n
+    while end > 0:
+        # [start, end) share one anchor; only strictly later ones pair.
+        start = end - 1
+        while start > 0 and order[start - 1] == order[end - 1]:
+            start -= 1
+        for i in range(start, end):
+            a = anchored[i]
+            xa = a.anchor[0]
+            limit = -a.loop.x2 if co else a.loop.x1
+            found = [pos for _, pos in later[:bisect_right(later, (limit, n))]]
+            same = by_loop[a.loop]
+            for j in same[bisect_left(same, end):]:
+                xb = anchored[j].anchor[0]
+                if (xa <= xb) if co else (xb <= xa):
+                    found.append(j)
+            found.sort()
+            partners[i] = found
+        for i in range(start, end):
+            loop = anchored[i].loop
+            insort(later, (-loop.x1 if co else loop.x2, i))
+        end = start
+    return [Inversion(kind, a, anchored[j])
+            for a, js in zip(anchored, partners) for j in js]
 
 
 def inversion_word(run: Run, inv: Inversion) -> str:
@@ -173,18 +218,18 @@ def check_p2(run: Run, bound: PeriodBound
             for inv in enumerate_inversions(run, INVERSION)]
 
 
-def first_unsafe_inversion(run: Run, bound: PeriodBound
+def first_unsafe_inversion(run: Run, bound: PeriodBound,
+                           inversions: Optional[list[Inversion]] = None
                            ) -> Optional[tuple[Inversion, PeriodReport]]:
-    """First unsafe inversion in canonical (anchor pair) order, or None."""
-    anchored = anchored_components(run)
-    for i, a in enumerate(anchored):
-        for b in anchored[i:]:
-            if not _pair_matches(run, INVERSION, a, b):
-                continue
-            inv = Inversion(INVERSION, a, b)
-            rep = period_report(run, inv, bound)
-            if not rep.safe:
-                return inv, rep
+    """First unsafe inversion in canonical (anchor pair) order, or None.
+
+    `inversions`, when given, is the run's `enumerate_inversions` list."""
+    if inversions is None:
+        inversions = enumerate_inversions(run, INVERSION)
+    for inv in inversions:
+        rep = period_report(run, inv, bound)
+        if not rep.safe:
+            return inv, rep
     return None
 
 

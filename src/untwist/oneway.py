@@ -21,7 +21,7 @@ from .bounds import PeriodBound, bound_admits
 from .decomposition import BLOCK, DIAGONAL, Decomposition, build_decomposition
 from .inversions import (CO_INVERSION, INVERSION, AnchoredComponent,
                          Inversion, _divisors, _pair_matches,
-                         anchored_components, enumerate_k_inversions,
+                         enumerate_inversions, enumerate_k_inversions,
                          inversion_word, k_inversion_safe, period_report)
 from .runs import Run, dump_run, enumerate_runs, parse_run_dump, validate_run
 from .transducer import Transducer, constants, serialize_transducer
@@ -241,6 +241,8 @@ def certificate_text(cert: RefutationCertificate) -> str:
 
 
 def parse_certificate(text: str) -> RefutationCertificate:
+    """Parse `certificate_text` output; malformed or truncated text raises
+    ValueError."""
     lines = text.splitlines()
     if not lines or lines[0] != "untwist-certificate v1":
         raise ValueError("not an untwist certificate")
@@ -250,6 +252,11 @@ def parse_certificate(text: str) -> RefutationCertificate:
         key, val = lines[i].split(": ", 1)
         fields[key] = val
         i += 1
+    if i == len(lines):
+        raise ValueError("certificate has no run block")
+    missing = sorted({"kind", "transducer", "sha256", "input"} - set(fields))
+    if missing:
+        raise ValueError(f"certificate lacks {', '.join(missing)}")
     i += 1
     dump_lines = []
     while i < len(lines) and lines[i].startswith("  "):
@@ -258,9 +265,11 @@ def parse_certificate(text: str) -> RefutationCertificate:
     members = []
     while i < len(lines):
         header = lines[i]
-        if not header.startswith("member "):
+        if not header.startswith("member ") or ": " not in header:
             raise ValueError(f"unexpected line: {header!r}")
-        kind = header.split(": ")[1]
+        if i + 4 >= len(lines):
+            raise ValueError(f"truncated member block: {header!r}")
+        kind = header.split(": ", 1)[1]
         parts = []
         for tag_line in (lines[i + 1], lines[i + 2]):
             body = tag_line.strip()
@@ -273,17 +282,19 @@ def parse_certificate(text: str) -> RefutationCertificate:
             ax, ay = map(int, anchor_txt.split(","))
             parts.append(((x1, x2), tuple(range(lv1, lv2 + 1)), (ax, ay),
                           trace_txt.strip()[1:-1]))
-        word = lines[i + 3].strip().split(": ", 1)[1][1:-1]
-        assert lines[i + 4].strip() == "mismatches:"
+        _, word = lines[i + 3].strip().split(": ", 1)
+        if lines[i + 4].strip() != "mismatches:":
+            raise ValueError(f"expected 'mismatches:', got {lines[i + 4]!r}")
         i += 5
         mism = []
         while i < len(lines) and lines[i].startswith("    p="):
             p_txt, at_txt = lines[i].strip().split(" ")
-            mism.append((int(p_txt[2:]), int(at_txt.split("=")[1])))
+            _, at = at_txt.split("=")
+            mism.append((int(p_txt[2:]), int(at)))
             i += 1
         (l1, n1, a1, t1), (l2, n2, a2, t2) = parts
         members.append(MemberRecord(kind, l1, n1, a1, t1, l2, n2, a2, t2,
-                                    word, tuple(mism)))
+                                    word[1:-1], tuple(mism)))
     return RefutationCertificate(
         fields["kind"], fields["transducer"], fields["sha256"],
         fields["input"][1:-1], "\n".join(dump_lines) + "\n", tuple(members),
@@ -398,20 +409,14 @@ def decide_oneway_bounded(t: Transducer, max_len: int, *,
         stats["inputs"] += 1
         for run in enumerate_runs(t, raw, cap_runs=cap_runs):
             stats["runs"] += 1
-            anchored = anchored_components(run)
-            for i, a in enumerate(anchored):
-                for b in anchored[i:]:
-                    if not _pair_matches(run, INVERSION, a, b):
-                        continue
-                    stats["inversions"] += 1
-                    inv = Inversion(INVERSION, a, b)
-                    rep = period_report(run, inv, bound)
-                    if not rep.safe:
-                        cert = RefutationCertificate(
-                            "oneway", t.name, transducer_digest(t),
-                            t.table.render(raw), dump_run(run),
-                            (_member_record(run, inv, bound),))
-                        return Verdict("refuted", max_len, cert, stats)
+            for inv in enumerate_inversions(run, INVERSION):
+                stats["inversions"] += 1
+                if not period_report(run, inv, bound).safe:
+                    cert = RefutationCertificate(
+                        "oneway", t.name, transducer_digest(t),
+                        t.table.render(raw), dump_run(run),
+                        (_member_record(run, inv, bound),))
+                    return Verdict("refuted", max_len, cert, stats)
     return Verdict("no-counterexample", max_len, None, stats)
 
 

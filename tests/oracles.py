@@ -2,10 +2,14 @@
 
 These deliberately avoid the library's own search and bookkeeping: the run
 oracle walks raw configurations and filters afterwards, the period oracle
-tries every shift, and the subrun oracle filters steps one by one.
+tries every shift, the subrun oracle filters steps one by one, and the
+inversion oracle tests every pair of anchored components.
 """
 from __future__ import annotations
 
+from untwist.decomposition import CoverageClass
+from untwist.inversions import (INVERSION, Inversion, _pair_matches,
+                                anchored_components)
 from untwist.runs import Run
 from untwist.transducer import RIGHT, Transducer
 
@@ -88,3 +92,48 @@ def independent_constants(q: int, c_max: int):
         e *= 2 * q
     bound = c_max * h * (pow(2, 3 * e) + 4) if 3 * e <= 1 << 20 else None
     return h, e, bound
+
+
+def brute_inversions(run: Run, kind: str, anchored=None) -> list[Inversion]:
+    """Every ordered pair of anchored components tested with the pair
+    predicate: the all-pairs filter whose order `enumerate_inversions`
+    must reproduce."""
+    if anchored is None:
+        anchored = anchored_components(run)
+    return [Inversion(kind, a, b)
+            for i, a in enumerate(anchored) for b in anchored[i:]
+            if _pair_matches(run, kind, a, b)]
+
+
+def brute_coverage_classes(run: Run) -> list[CoverageClass]:
+    """Coverage classes with the maximal intervals found by testing every
+    pair of intervals for containment."""
+    inversions = brute_inversions(run, INVERSION)
+    intervals: dict[tuple[int, int], Inversion] = {}
+    for inv in inversions:
+        key = (run.loc_index[inv.first.anchor],
+               run.loc_index[inv.second.anchor])
+        intervals.setdefault(key, inv)
+    items = sorted(intervals.items())
+    maximal = [((s, e), inv) for (s, e), inv in items
+               if not any(s2 <= s and e <= e2 and (s2, e2) != (s, e)
+                          for (s2, e2), _ in items)]
+    anchors = {run.loc_index[inv.first.anchor] for inv in inversions} \
+        | {run.loc_index[inv.second.anchor] for inv in inversions}
+    classes = []
+    i = 0
+    while i < len(maximal):
+        (s, e), inv = maximal[i]
+        chain = [inv]
+        j = i + 1
+        while j < len(maximal) and maximal[j][0][0] <= e:
+            (_, e2), inv2 = maximal[j]
+            if e2 > e:
+                chain.append(inv2)
+                e = e2
+            j += 1
+        classes.append(CoverageClass(
+            s, e, tuple(chain),
+            tuple(run.locations[a] for a in sorted(anchors) if s <= a <= e)))
+        i = j
+    return classes

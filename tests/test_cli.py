@@ -1,4 +1,5 @@
 import json
+import re
 
 import jsonschema
 import pytest
@@ -170,3 +171,47 @@ def test_json_output_schema(capsys, argv):
     assert payload["command"].startswith(argv[0].split("-")[0]) or \
         payload["command"] in ("decide-oneway", "decide-sweeping",
                                "simulate-oneway")
+
+
+@pytest.mark.parametrize("argv", [
+    ("decide", "oneway", "--max-len", "3"),
+    ("decide", "sweeping", "--max-len", "3", "--passes", "2"),
+])
+def test_truncated_certificate_exit_65(tmp_path, capsys, argv):
+    cert_path = tmp_path / "cert.txt"
+    code, _ = invoke(capsys, argv[0], argv[1], fx("T_COPY_AB"), *argv[2:],
+                     "--cert", str(cert_path))
+    assert code == 1
+    lines = cert_path.read_text().splitlines(keepends=True)
+    headers = [i for i, ln in enumerate(lines) if ln.startswith("member ")]
+    assert headers
+    cut_path = tmp_path / "cut.txt"
+    for n in range(len(lines)):
+        cut_path.write_text("".join(lines[:n]))
+        # No exception escapes: a traceback would also exit 1, "invalid".
+        code = run_cli(["verify-cert", fx("T_COPY_AB"),
+                        "--cert", str(cut_path)])
+        err = capsys.readouterr().err
+        assert code in (1, 65), n
+        assert "Traceback" not in err
+        if any(h < n < h + 5 for h in headers):
+            assert code == 65, n
+            assert err.startswith("error: truncated member block")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_stats_reports_elapsed(capsys, fmt):
+    argv = ["--format", fmt, "decompose", fx("T_ID"), "--input", "ab"]
+    code, plain = invoke(capsys, *argv)
+    code_stats, out = invoke(capsys, "--stats", *argv)
+    assert code == code_stats == 0
+    if fmt == "text":
+        head, last = out.rstrip("\n").rsplit("\n", 1)
+        assert head + "\n" == plain
+        assert re.fullmatch(r"elapsed: \d+\.\d{3}s", last)
+    else:
+        payload = json.loads(out)
+        elapsed = payload["details"].pop("stats")["elapsed_s"]
+        assert isinstance(elapsed, float) and elapsed >= 0
+        assert payload == json.loads(plain)
+        assert "stats" not in plain

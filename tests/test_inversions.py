@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from untwist.bounds import BoundFactored
+from untwist.decomposition import coverage_classes
 from untwist.inversions import (CO_INVERSION, INVERSION, FineWilfPrecondition,
-                                check_p2, enumerate_inversions,
+                                anchored_components, check_p2,
+                                enumerate_inversions,
                                 enumerate_k_inversions, fine_wilf_check,
                                 first_unsafe_inversion, has_dividing_period,
                                 has_period, inversion_word, k_inversion_safe,
@@ -13,8 +15,9 @@ from untwist.inversions import (CO_INVERSION, INVERSION, FineWilfPrecondition,
 from untwist.runs import enumerate_runs
 from untwist.transducer import constants
 
-from .conftest import CORE_NAMES, domain_words
-from .oracles import brute_smallest_period
+from .conftest import CORE_NAMES, FIXTURE_NAMES, domain_words, load_fixture
+from .oracles import (brute_coverage_classes, brute_inversions,
+                      brute_smallest_period)
 
 SYM = BoundFactored(1, 1, 10 ** 6)    # effectively unbounded at desk scale
 
@@ -75,6 +78,44 @@ def test_inversion_word_concatenation(t_copy_ab):
         assert len(w) == len(inv.first.trace_output) \
             + (run.out_prefix[j] - run.out_prefix[i]) \
             + len(inv.second.trace_output)
+
+
+# -- the sweep against the all-pairs filter ------------------------------------
+
+def _assert_matches_brute_force(run):
+    anchored = anchored_components(run)
+    for kind in (INVERSION, CO_INVERSION):
+        assert enumerate_inversions(run, kind, anchored) == \
+            brute_inversions(run, kind, anchored)
+    assert coverage_classes(run) == brute_coverage_classes(run)
+
+
+def test_sweep_matches_brute_force_exhaustive(fixtures):
+    for name in FIXTURE_NAMES:
+        for raw, runs in domain_words(fixtures[name], 5):
+            for run in runs:
+                _assert_matches_brute_force(run)
+
+
+@st.composite
+def fixture_words(draw):
+    name = draw(st.sampled_from(FIXTURE_NAMES))
+    t = load_fixture(name)
+    if name == "T_COPY_ABC":        # its domain is (abc)*
+        word = "abc" * draw(st.integers(0, 8))
+    else:
+        alphabet = sorted(t.table.encode_symbol(s) for s in t.input_symbols)
+        word = "".join(draw(st.lists(st.sampled_from(alphabet),
+                                     max_size=24)))
+    return t, word
+
+
+@given(fixture_words())
+@settings(max_examples=120, deadline=None)
+def test_sweep_matches_brute_force_random(case):
+    t, word = case
+    for run in enumerate_runs(t, word):
+        _assert_matches_brute_force(run)
 
 
 # -- periods -------------------------------------------------------------------
