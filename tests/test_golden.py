@@ -44,6 +44,9 @@ def _cases() -> list[tuple[str, list[str]]]:
         cases.append((f"{name}.decide-sweeping.2.4",
                       ["decide", "sweeping", path, "--passes", "2",
                        "--max-len", "4"]))
+        cases.append((f"{name}.decide-sweeping.3.5",
+                      ["decide", "sweeping", path, "--passes", "3",
+                       "--max-len", "5"]))
     return [(f"{key}.{fmt}", ["--format", fmt] + argv)
             for key, argv in cases for fmt in ("text", "json")]
 
