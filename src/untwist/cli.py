@@ -13,8 +13,8 @@ import sys
 import time
 
 from .decomposition import build_decomposition
-from .inversions import check_p2
-from .loops import components_of, enumerate_loops, pump, trace_of
+from .inversions import anchored_components, check_p2
+from .loops import enumerate_loops, pump
 from .oneway import (FunctionalityError, certificate_text, decide_oneway_bounded,
                      decide_sweeping_bounded, parse_certificate,
                      simulate_oneway, verify_certificate)
@@ -113,16 +113,17 @@ def cmd_analyze(args) -> int:
         loops = enumerate_loops(run)
         idem = [l for l in loops if l.idempotent]
         lines.append(f"  loops: {len(loops)} ({len(idem)} idempotent)")
-        for loop in idem:
-            for comp in components_of(run, loop):
-                tr = trace_of(run, loop, comp)
-                if tr.output:
-                    lines.append(
-                        f"  loop[{loop.x1},{loop.x2}] levels "
-                        f"[{comp.min_node},{comp.max_node}] anchor "
-                        f"({comp.anchor[0]},{comp.anchor[1]}) trace "
-                        f'"{t.table.render(tr.output)}"')
-        reports = check_p2(run, bound)
+        anchored = anchored_components(run, idem)
+        # Listed in loop order; the sort is stable, so a loop's components
+        # keep their anchor run order, which is components_of's order.
+        for a in sorted(anchored, key=lambda a: a.loop.interval):
+            comp = a.component
+            lines.append(
+                f"  loop[{a.loop.x1},{a.loop.x2}] levels "
+                f"[{comp.min_node},{comp.max_node}] anchor "
+                f"({comp.anchor[0]},{comp.anchor[1]}) trace "
+                f'"{t.table.render(a.trace_output)}"')
+        reports = check_p2(run, bound, anchored)
         unsafe = [r for r in reports if not r[1].safe]
         lines.append(f"  inversions: {len(reports)} ({len(unsafe)} unsafe)")
         details.append({"run": i, "loops": len(loops),

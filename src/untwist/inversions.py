@@ -28,7 +28,7 @@ from typing import Iterator, Optional
 
 from .bounds import PeriodBound, bound_admits
 from .loops import Component, Loop, components_of, enumerate_loops, trace_of
-from .runs import Run
+from .runs import CapExceeded, Run
 
 INVERSION = "inversion"
 CO_INVERSION = "co-inversion"
@@ -74,11 +74,16 @@ class KInversion:
     members: tuple[Inversion, ...]
 
 
-def anchored_components(run: Run) -> list[AnchoredComponent]:
+def anchored_components(run: Run, loops: Optional[list[Loop]] = None
+                        ) -> list[AnchoredComponent]:
     """All (idempotent loop, component) pairs with non-empty trace output,
-    sorted by anchor run order then loop interval."""
+    sorted by anchor run order then loop interval.
+
+    `loops`, when given, are the run's idempotent loops."""
+    if loops is None:
+        loops = enumerate_loops(run, idempotent_only=True)
     out = []
-    for loop in enumerate_loops(run, idempotent_only=True):
+    for loop in loops:
         for comp in components_of(run, loop):
             tr = trace_of(run, loop, comp)
             if tr.output:
@@ -211,11 +216,14 @@ def period_report(run: Run, inv: Inversion, bound: PeriodBound) -> PeriodReport:
                         has_dividing_period(w, l1, l2, bound))
 
 
-def check_p2(run: Run, bound: PeriodBound
+def check_p2(run: Run, bound: PeriodBound,
+             anchored: Optional[list[AnchoredComponent]] = None
              ) -> list[tuple[Inversion, PeriodReport]]:
-    """Periodicity report for every inversion; the run passes when all safe."""
+    """Periodicity report for every inversion; the run passes when all safe.
+
+    `anchored`, when given, is the run's `anchored_components` list."""
     return [(inv, period_report(run, inv, bound))
-            for inv in enumerate_inversions(run, INVERSION)]
+            for inv in enumerate_inversions(run, INVERSION, anchored)]
 
 
 def first_unsafe_inversion(run: Run, bound: PeriodBound,
@@ -280,46 +288,78 @@ def fine_wilf_check(w1, p1: int, w2, p2: int,
 def enumerate_k_inversions(run: Run, k: int, *,
                            cap: int = 10**6) -> Iterator[KInversion]:
     """All alternating inversion/co-inversion chains of length k with
-    non-decreasing anchor order between consecutive members."""
+    non-decreasing anchor order between consecutive members.
+
+    Order contract: member i is an inversion for even i and a co-inversion
+    for odd i, and its first anchor is no earlier in the run than the
+    second anchor of member i-1.  Chains come in the lexicographic order of
+    their members' positions in the `enumerate_inversions` lists, exactly
+    as a depth-first search over those lists yields them.  The (cap+1)-th
+    chain raises CapExceeded instead of being yielded.
+
+    Cost: O(A log A + I log I) to build the member lists of both kinds (see
+    `enumerate_inversions`), O(k I) for a feasibility pass, and O(k log I)
+    per chain yielded.  Each list is sorted by first anchor, so the members
+    that may follow a prefix form a suffix found by bisection.  Working from
+    the last depth back, a member is kept only when its second anchor is no
+    later than the first anchor of some kept member one depth deeper, so
+    every member the search enters completes at least one chain.
+    """
     if k < 1:
         raise ValueError("k must be positive")
     anchored = anchored_components(run)
-    members_by_kind = {
-        INVERSION: enumerate_inversions(run, INVERSION, anchored),
-        CO_INVERSION: enumerate_inversions(run, CO_INVERSION, anchored),
-    }
-    count = 0
-
-    def rec(i: int, chain: list[Inversion]) -> Iterator[KInversion]:
-        nonlocal count
-        if i == k:
-            count += 1
-            if count > cap:
-                from .runs import CapExceeded
-                raise CapExceeded(f"k-inversion cap {cap} exceeded")
-            yield KInversion(tuple(chain))
+    loc = run.loc_index
+    spans = {}      # kind -> [(first anchor index, second anchor index, inv)]
+    for kind in (INVERSION, CO_INVERSION):
+        spans[kind] = [(loc[inv.first.anchor], loc[inv.second.anchor], inv)
+                       for inv in enumerate_inversions(run, kind, anchored)]
+    # firsts/ends/members[i]: the members at depth i that complete a chain.
+    firsts, ends, members = [None] * k, [None] * k, [None] * k
+    reach = math.inf
+    for i in range(k - 1, -1, -1):
+        kept = [s for s in spans[INVERSION if i % 2 == 0 else CO_INVERSION]
+                if s[1] <= reach]
+        if not kept:
             return
-        kind = INVERSION if i % 2 == 0 else CO_INVERSION
-        for inv in members_by_kind[kind]:
-            if chain:
-                prev_end = run.loc_index[chain[-1].second.anchor]
-                if run.loc_index[inv.first.anchor] < prev_end:
-                    continue
-            chain.append(inv)
-            yield from rec(i + 1, chain)
+        firsts[i] = [s[0] for s in kept]
+        ends[i] = [s[1] for s in kept]
+        members[i] = [s[2] for s in kept]
+        reach = firsts[i][-1]
+    count = 0
+    chain: list[Inversion] = []
+
+    def rec(i: int, prev_end: int) -> Iterator[KInversion]:
+        nonlocal count
+        last = i == k - 1
+        depth_ends, depth_members = ends[i], members[i]
+        for j in range(bisect_left(firsts[i], prev_end), len(depth_members)):
+            chain.append(depth_members[j])
+            if last:
+                count += 1
+                if count > cap:
+                    raise CapExceeded(f"k-inversion cap {cap} exceeded")
+                yield KInversion(tuple(chain))
+            else:
+                yield from rec(i + 1, depth_ends[j])
             chain.pop()
 
-    yield from rec(0, [])
+    yield from rec(0, 0)
 
 
-def k_inversion_safe(run: Run, ki: KInversion, bound: PeriodBound) -> bool:
-    """Safe when some member's word admits a dividing period within bound."""
-    return any(period_report(run, inv, bound).safe for inv in ki.members)
+def k_inversion_safe(run: Run, ki: KInversion, bound: PeriodBound,
+                     known: Optional[dict[int, bool]] = None) -> bool:
+    """Safe when some member's word admits a dividing period within bound.
 
+    `known`, when given, memoizes each member's safety by `id(member)`; pass
+    one dict per `enumerate_k_inversions` call, whose chains share their
+    member objects, so each member's period report is computed once."""
+    if known is None:
+        known = {}
+    for inv in ki.members:
+        safe = known.get(id(inv))
+        if safe is None:
+            safe = known[id(inv)] = period_report(run, inv, bound).safe
+        if safe:
+            return True
+    return False
 
-def first_unsafe_k_inversion(run: Run, k: int, bound: PeriodBound, *,
-                             cap: int = 10**6) -> Optional[KInversion]:
-    for ki in enumerate_k_inversions(run, k, cap=cap):
-        if not k_inversion_safe(run, ki, bound):
-            return ki
-    return None

@@ -23,7 +23,8 @@ from .inversions import (CO_INVERSION, INVERSION, AnchoredComponent,
                          Inversion, _divisors, _pair_matches,
                          enumerate_inversions, enumerate_k_inversions,
                          inversion_word, k_inversion_safe, period_report)
-from .runs import Run, dump_run, enumerate_runs, parse_run_dump, validate_run
+from .runs import (Run, dump_run, dump_transitions, enumerate_runs, replay,
+                   validate_run)
 from .transducer import Transducer, constants, serialize_transducer
 from .effects import effect_of_interval, effect_product
 from .loops import components_of, trace_of
@@ -262,6 +263,8 @@ def parse_certificate(text: str) -> RefutationCertificate:
     while i < len(lines) and lines[i].startswith("  "):
         dump_lines.append(lines[i][2:])
         i += 1
+    if not dump_lines or not dump_lines[-1].startswith("output: "):
+        raise ValueError("run block has no closing output line")
     members = []
     while i < len(lines):
         header = lines[i]
@@ -303,15 +306,21 @@ def parse_certificate(text: str) -> RefutationCertificate:
 
 def verify_certificate(t: Transducer, cert: RefutationCertificate, *,
                        bound: PeriodBound = None) -> bool:
-    """Full independent replay of a refutation certificate."""
+    """Full independent replay of a refutation certificate.
+
+    A certificate for another machine, or whose run or members do not check
+    out, is invalid (False); an input word or run dump that does not parse
+    against `t` raises ValueError."""
     if bound is None:
         bound = constants(t).bound_factored
+    if cert.digest != transducer_digest(t):
+        return False
+    raw = t.parse_input_text(cert.input_text) if cert.input_text else ""
+    transitions = dump_transitions(t, cert.run_dump)
     try:
-        if cert.digest != transducer_digest(t):
-            return False
-        raw = t.parse_input_text(cert.input_text) if cert.input_text else ""
-        run = parse_run_dump(t, raw, cert.run_dump)
-        if not validate_run(t, raw, run):
+        run = replay(t, raw, transitions)
+        # The dump's locations and output must be the replayed run's own.
+        if dump_run(run) != cert.run_dump or not validate_run(t, raw, run):
             return False
         table = t.table
         prev_second = None
@@ -451,9 +460,10 @@ def decide_sweeping_bounded(t: Transducer, passes: Optional[int],
         stats["inputs"] += 1
         for run in enumerate_runs(t, raw, cap_runs=cap_runs):
             stats["runs"] += 1
+            known: dict[int, bool] = {}     # member safety, by member id
             for ki in enumerate_k_inversions(run, passes, cap=cap_chains):
                 stats["chains"] += 1
-                if not k_inversion_safe(run, ki, bound):
+                if not k_inversion_safe(run, ki, bound, known):
                     cert = RefutationCertificate(
                         "sweeping", t.name, transducer_digest(t),
                         t.table.render(raw), dump_run(run),

@@ -385,6 +385,14 @@ def dump_run(run: Run) -> str:
 
 def parse_run_dump(t: Transducer, raw: str, text: str) -> Run:
     """Rebuild a run from its dump, resolving transitions against `t`."""
+    return replay(t, raw, dump_transitions(t, text))
+
+
+def dump_transitions(t: Transducer, text: str) -> list[Transition]:
+    """The transitions of `t` named by a run dump's step lines, in order.
+
+    Raises ValueError on a line that does not parse or names no transition
+    of `t`; whether they form a run is left to `replay`."""
     transitions: list[Transition] = []
     by_desc = {}
     for tr in t.transitions:
@@ -410,4 +418,4 @@ def parse_run_dump(t: Transducer, raw: str, text: str) -> Run:
             raise ValueError(f"no transition matches dump line: {line!r}")
         transitions.append(by_desc[key])
         state = state_txt.strip()
-    return replay(t, raw, transitions)
+    return transitions

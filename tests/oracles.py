@@ -2,15 +2,17 @@
 
 These deliberately avoid the library's own search and bookkeeping: the run
 oracle walks raw configurations and filters afterwards, the period oracle
-tries every shift, the subrun oracle filters steps one by one, and the
-inversion oracle tests every pair of anchored components.
+tries every shift, the subrun oracle filters steps one by one, the
+inversion oracle tests every pair of anchored components, and the chain
+oracle tries every member at every depth.
 """
 from __future__ import annotations
 
 from untwist.decomposition import CoverageClass
-from untwist.inversions import (INVERSION, Inversion, _pair_matches,
+from untwist.inversions import (CO_INVERSION, INVERSION, Inversion,
+                                KInversion, _pair_matches,
                                 anchored_components)
-from untwist.runs import Run
+from untwist.runs import CapExceeded, Run
 from untwist.transducer import RIGHT, Transducer
 
 
@@ -137,3 +139,37 @@ def brute_coverage_classes(run: Run) -> list[CoverageClass]:
             tuple(run.locations[a] for a in sorted(anchors) if s <= a <= e)))
         i = j
     return classes
+
+
+def brute_k_inversions(run: Run, k: int, *, cap: int = 10**6):
+    """Alternating chains by depth-first search that tries every member at
+    every depth, over the all-pairs member lists: the order and the cap
+    point `enumerate_k_inversions` must reproduce."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    anchored = anchored_components(run)
+    members_by_kind = {
+        INVERSION: brute_inversions(run, INVERSION, anchored),
+        CO_INVERSION: brute_inversions(run, CO_INVERSION, anchored),
+    }
+    count = 0
+
+    def rec(i: int, chain: list[Inversion]):
+        nonlocal count
+        if i == k:
+            count += 1
+            if count > cap:
+                raise CapExceeded(f"k-inversion cap {cap} exceeded")
+            yield KInversion(tuple(chain))
+            return
+        kind = INVERSION if i % 2 == 0 else CO_INVERSION
+        for inv in members_by_kind[kind]:
+            if chain:
+                prev_end = run.loc_index[chain[-1].second.anchor]
+                if run.loc_index[inv.first.anchor] < prev_end:
+                    continue
+            chain.append(inv)
+            yield from rec(i + 1, chain)
+            chain.pop()
+
+    yield from rec(0, [])

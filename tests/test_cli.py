@@ -1,9 +1,11 @@
 import json
 import re
+import sys
 
 import jsonschema
 import pytest
 
+from untwist import loops
 from untwist.cli import run_cli
 
 from .conftest import FIXTURE_DIR
@@ -185,6 +187,9 @@ def test_truncated_certificate_exit_65(tmp_path, capsys, argv):
     lines = cert_path.read_text().splitlines(keepends=True)
     headers = [i for i, ln in enumerate(lines) if ln.startswith("member ")]
     assert headers
+    run_start = lines.index("run:\n")
+    run_end = next(i for i, ln in enumerate(lines)
+                   if ln.startswith("  output:"))
     cut_path = tmp_path / "cut.txt"
     for n in range(len(lines)):
         cut_path.write_text("".join(lines[:n]))
@@ -197,6 +202,62 @@ def test_truncated_certificate_exit_65(tmp_path, capsys, argv):
         if any(h < n < h + 5 for h in headers):
             assert code == 65, n
             assert err.startswith("error: truncated member block")
+        if run_start < n <= run_end:
+            assert code == 65, n
+            assert err.startswith("error: run block has no closing output")
+
+
+@pytest.mark.parametrize("argv", [
+    ("decide", "oneway", "--max-len", "3"),
+    ("decide", "sweeping", "--max-len", "3", "--passes", "2"),
+])
+def test_edited_run_location_is_invalid(tmp_path, capsys, argv):
+    cert_path = tmp_path / "cert.txt"
+    code, _ = invoke(capsys, argv[0], argv[1], fx("T_COPY_AB"), *argv[2:],
+                     "--cert", str(cert_path))
+    assert code == 1
+    text = cert_path.read_text()
+    assert "  step 3: (3,0) " in text
+    cert_path.write_text(text.replace("  step 3: (3,0) ", "  step 3: (3,1) "))
+    code, out = invoke(capsys, "verify-cert", fx("T_COPY_AB"),
+                       "--cert", str(cert_path))
+    assert code == 1 and out.strip() == "invalid"
+
+
+@pytest.mark.parametrize("old,new,error", [
+    ('-a,R/"a"-> (2,0) state p1', '-a,R/"b"-> (2,0) state p1',
+     "error: no transition matches dump line"),
+    ('input: "ab"', 'input: "az"', "error: symbol 'z' is not in the input"),
+])
+def test_unparsable_run_or_input_exit_65(tmp_path, capsys, old, new, error):
+    cert_path = tmp_path / "cert.txt"
+    code, _ = invoke(capsys, "decide", "oneway", fx("T_COPY_AB"),
+                     "--max-len", "3", "--cert", str(cert_path))
+    assert code == 1
+    text = cert_path.read_text()
+    assert old in text
+    cert_path.write_text(text.replace(old, new))
+    code = run_cli(["verify-cert", fx("T_COPY_AB"), "--cert", str(cert_path)])
+    assert code == 65
+    assert capsys.readouterr().err.startswith(error)
+
+
+def test_analyze_derives_each_loop_once(monkeypatch, capsys):
+    calls = {}
+    for name in ("enumerate_loops", "components_of", "trace_of"):
+        orig = getattr(loops, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _orig(*args, **kwargs)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "untwist" \
+                    and getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, counted)
+    code, _ = invoke(capsys, "analyze", fx("T_COPY_AB"), "--input", "abab")
+    assert code == 0
+    assert calls == {"enumerate_loops": 1, "components_of": 10,
+                     "trace_of": 30}
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -12,12 +12,12 @@ from untwist.inversions import (CO_INVERSION, INVERSION, FineWilfPrecondition,
                                 first_unsafe_inversion, has_dividing_period,
                                 has_period, inversion_word, k_inversion_safe,
                                 smallest_period)
-from untwist.runs import enumerate_runs
+from untwist.runs import CapExceeded, enumerate_runs
 from untwist.transducer import constants
 
 from .conftest import CORE_NAMES, FIXTURE_NAMES, domain_words, load_fixture
 from .oracles import (brute_coverage_classes, brute_inversions,
-                      brute_smallest_period)
+                      brute_k_inversions, brute_smallest_period)
 
 SYM = BoundFactored(1, 1, 10 ** 6)    # effectively unbounded at desk scale
 
@@ -252,3 +252,78 @@ def test_safety_monotone_under_safe_extension(t_copy_abc):
         from untwist.inversions import KInversion
         if k_inversion_safe(run, KInversion(head), bound):
             assert k_inversion_safe(run, ki, bound)
+
+
+# -- the chain search against the exhaustive depth-first search --------------------
+
+def _triples(chains):
+    return [[(m.kind, m.first, m.second) for m in ki.members] for ki in chains]
+
+
+def test_chains_match_brute_force_exhaustive(fixtures):
+    for name in FIXTURE_NAMES:
+        for raw, runs in domain_words(fixtures[name], 5):
+            for run in runs:
+                for k in range(1, 5):
+                    assert _triples(enumerate_k_inversions(run, k)) == \
+                        _triples(brute_k_inversions(run, k)), (name, raw, k)
+
+
+# Longest random word per fixture for k = 2 and k = 3: the oracle tries
+# every member at every depth, so these keep it under about a second.
+CHAIN_WORD_MAX = {"T_ID": (20, 20), "T_COPY_ABC": (15, 12),
+                  "T_COPY_AB": (8, 6), "T_MIRROR": (9, 9),
+                  "T_RUNNING": (20, 20), "T_ZIGZAG": (20, 20),
+                  "T_THREECOMP": (7, 5)}
+
+
+@st.composite
+def chain_cases(draw):
+    name = draw(st.sampled_from(FIXTURE_NAMES))
+    k = draw(st.sampled_from((2, 3)))
+    t = load_fixture(name)
+    longest = CHAIN_WORD_MAX[name][k - 2]
+    if name == "T_COPY_ABC":        # its domain is (abc)*
+        word = "abc" * draw(st.integers(0, longest // 3))
+    else:
+        alphabet = sorted(t.table.encode_symbol(s) for s in t.input_symbols)
+        word = "".join(draw(st.lists(st.sampled_from(alphabet),
+                                     max_size=longest)))
+    return t, word, k
+
+
+@given(chain_cases())
+@settings(max_examples=60, deadline=None)
+def test_chains_match_brute_force_random(case):
+    t, word, k = case
+    for run in enumerate_runs(t, word):
+        assert _triples(enumerate_k_inversions(run, k)) == \
+            _triples(brute_k_inversions(run, k))
+
+
+def _until_cap(chains):
+    got = []
+    with pytest.raises(CapExceeded):
+        for ki in chains:
+            got.append(ki)
+    return _triples(got)
+
+
+@pytest.mark.parametrize("k,cap", [(1, 0), (1, 5), (2, 7), (2, 100)])
+def test_chain_cap_raises_at_the_same_chain(t_copy_ab, k, cap):
+    run = enumerate_runs(t_copy_ab, t_copy_ab.parse_input_text("abab"))[0]
+    assert len(list(brute_k_inversions(run, k))) > cap
+    got = _until_cap(enumerate_k_inversions(run, k, cap=cap))
+    assert len(got) == cap
+    assert got == _until_cap(brute_k_inversions(run, k, cap=cap))
+
+
+def test_chain_safety_memo_agrees(t_copy_ab, t_mirror):
+    for t, word, k in ((t_copy_ab, "abab", 2), (t_mirror, "abb", 2),
+                       (t_copy_ab, "ab", 1)):
+        bound = constants(t).bound_factored
+        for run in enumerate_runs(t, t.parse_input_text(word)):
+            known: dict = {}
+            for ki in enumerate_k_inversions(run, k):
+                assert k_inversion_safe(run, ki, bound, known) == \
+                    k_inversion_safe(run, ki, bound)
