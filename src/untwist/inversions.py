@@ -346,20 +346,6 @@ def enumerate_k_inversions(run: Run, k: int, *,
     yield from rec(0, 0)
 
 
-def k_inversion_safe(run: Run, ki: KInversion, bound: PeriodBound,
-                     known: Optional[dict[int, bool]] = None) -> bool:
-    """Safe when some member's word admits a dividing period within bound.
-
-    `known`, when given, memoizes each member's safety by `id(member)`; pass
-    one dict per `enumerate_k_inversions` call, whose chains share their
-    member objects, so each member's period report is computed once."""
-    if known is None:
-        known = {}
-    for inv in ki.members:
-        safe = known.get(id(inv))
-        if safe is None:
-            safe = known[id(inv)] = period_report(run, inv, bound).safe
-        if safe:
-            return True
-    return False
-
+def k_inversion_safe(run: Run, ki: KInversion, bound: PeriodBound) -> bool:
+    """Safe when some member's word admits a dividing period within bound."""
+    return any(period_report(run, inv, bound).safe for inv in ki.members)

@@ -460,10 +460,9 @@ def decide_sweeping_bounded(t: Transducer, passes: Optional[int],
         stats["inputs"] += 1
         for run in enumerate_runs(t, raw, cap_runs=cap_runs):
             stats["runs"] += 1
-            known: dict[int, bool] = {}     # member safety, by member id
             for ki in enumerate_k_inversions(run, passes, cap=cap_chains):
                 stats["chains"] += 1
-                if not k_inversion_safe(run, ki, bound, known):
+                if not k_inversion_safe(run, ki, bound):
                     cert = RefutationCertificate(
                         "sweeping", t.name, transducer_digest(t),
                         t.table.render(raw), dump_run(run),

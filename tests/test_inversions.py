@@ -316,14 +316,3 @@ def test_chain_cap_raises_at_the_same_chain(t_copy_ab, k, cap):
     got = _until_cap(enumerate_k_inversions(run, k, cap=cap))
     assert len(got) == cap
     assert got == _until_cap(brute_k_inversions(run, k, cap=cap))
-
-
-def test_chain_safety_memo_agrees(t_copy_ab, t_mirror):
-    for t, word, k in ((t_copy_ab, "abab", 2), (t_mirror, "abb", 2),
-                       (t_copy_ab, "ab", 1)):
-        bound = constants(t).bound_factored
-        for run in enumerate_runs(t, t.parse_input_text(word)):
-            known: dict = {}
-            for ki in enumerate_k_inversions(run, k):
-                assert k_inversion_safe(run, ki, bound, known) == \
-                    k_inversion_safe(run, ki, bound)
