@@ -128,9 +128,20 @@ def enumerate_inversions(run: Run, kind: str = INVERSION,
     from a per-loop index.  Anchors sit on a border of their loop, so
     separated loops already order the anchor positions as the predicate
     requires.
+
+    Single-pass lemma: a loop [x1,x2] whose border crossing sequence has
+    length 1 has one component, anchored at (x1, 0) on a cut the run crosses
+    once.  The head moves one cut per step, so every earlier location lies
+    left of x1 and every later one right of it: no anchor comes later at a
+    position <= x1 or earlier at a position >= x1, and the component is in
+    no inversion.  Without `anchored`, inversions are therefore looked for
+    among the loops crossed at least twice only, which keeps the same
+    members in the same order; co-inversions use every loop.
     """
     if anchored is None:
-        anchored = anchored_components(run)
+        loops = enumerate_loops(run, idempotent_only=True,
+                                skip_single_pass=kind == INVERSION)
+        anchored = anchored_components(run, loops)
     co = kind == CO_INVERSION
     n = len(anchored)
     order = [run.loc_index[a.anchor] for a in anchored]

@@ -59,14 +59,20 @@ class Trace:
     output: str
 
 
-def enumerate_loops(run: Run, *, idempotent_only: bool = False) -> list[Loop]:
-    """All intervals [x1,x2], 1 <= x1 < x2 <= omega-1, with equal crossings."""
+def enumerate_loops(run: Run, *, idempotent_only: bool = False,
+                    skip_single_pass: bool = False) -> list[Loop]:
+    """All intervals [x1,x2], 1 <= x1 < x2 <= omega-1, with equal crossings.
+
+    `skip_single_pass` leaves out the loops whose border crossing sequence
+    has length 1, before their effects are computed."""
     omega = run.word.omega
     by_crossing: dict[tuple, list[int]] = {}
     for x in range(1, omega):
         by_crossing.setdefault(run.crossing(x), []).append(x)
     loops = []
-    for group in by_crossing.values():
+    for crossing, group in by_crossing.items():
+        if skip_single_pass and len(crossing) < 2:
+            continue
         for i, x1 in enumerate(group):
             for x2 in group[i + 1:]:
                 e = effect_of_interval(run, x1, x2)

@@ -1,8 +1,10 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from untwist import effects, loops
 from untwist.bounds import BoundFactored
 from untwist.decomposition import coverage_classes
 from untwist.inversions import (CO_INVERSION, INVERSION, FineWilfPrecondition,
@@ -12,6 +14,8 @@ from untwist.inversions import (CO_INVERSION, INVERSION, FineWilfPrecondition,
                                 first_unsafe_inversion, has_dividing_period,
                                 has_period, inversion_word, k_inversion_safe,
                                 smallest_period)
+from untwist.loops import enumerate_loops
+from untwist.oneway import decide_oneway_bounded
 from untwist.runs import CapExceeded, enumerate_runs
 from untwist.transducer import constants
 
@@ -116,6 +120,97 @@ def test_sweep_matches_brute_force_random(case):
     t, word = case
     for run in enumerate_runs(t, word):
         _assert_matches_brute_force(run)
+
+
+# -- single-pass loops are in no inversion -------------------------------------
+
+def _assert_pruning_keeps_inversions(run):
+    pruned = enumerate_inversions(run, INVERSION)
+    assert pruned == enumerate_inversions(run, INVERSION,
+                                          anchored_components(run))
+    assert pruned == brute_inversions(run, INVERSION)
+
+
+def test_pruned_inversions_match_exhaustive(fixtures):
+    found = 0
+    for name in FIXTURE_NAMES:
+        longest = 5 if name == "T_RUNNING" else 6
+        for raw, runs in domain_words(fixtures[name], longest):
+            for run in runs:
+                _assert_pruning_keeps_inversions(run)
+                found += len(brute_inversions(run, INVERSION))
+    assert found > 0
+
+
+@given(fixture_words())
+@settings(max_examples=120, deadline=None)
+def test_pruned_inversions_match_random(case):
+    t, word = case
+    for run in enumerate_runs(t, word):
+        _assert_pruning_keeps_inversions(run)
+
+
+def test_inversion_members_sit_on_multi_pass_loops(fixtures):
+    # The single-pass lemma, checked against every inversion of the full
+    # anchored list; the filter keeps exactly the loops crossed twice or more.
+    members = 0
+    for name in FIXTURE_NAMES:
+        for raw, runs in domain_words(fixtures[name], 5):
+            for run in runs:
+                full = enumerate_loops(run, idempotent_only=True)
+                kept = enumerate_loops(run, idempotent_only=True,
+                                       skip_single_pass=True)
+                assert kept == [l for l in full
+                                if len(run.crossing(l.x1)) >= 2]
+                for inv in brute_inversions(run, INVERSION):
+                    for side in (inv.first, inv.second):
+                        assert len(run.crossing(side.loop.x1)) >= 2
+                        assert side.loop in kept
+                        members += 1
+    assert members > 0
+
+
+def _count_calls(monkeypatch, *targets):
+    """Count the calls of each (module, function name) in `targets` made
+    through any binding of the function in an untwist module."""
+    calls = {}
+    for module, name in targets:
+        calls[name] = 0
+        orig = getattr(module, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "untwist" \
+                    and getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_decide_oneway_derives_only_multi_pass_loops(fixtures, monkeypatch):
+    # T_ID crosses every cut once, so the decider derives no loop at all;
+    # on T_COPY_ABC it derives each loop crossed twice or more exactly once.
+    t_id, t_abc = fixtures["T_ID"], fixtures["T_COPY_ABC"]
+    expected = {"effect_of_interval": 0, "components_of": 0}
+    for raw, runs in domain_words(t_abc, 6):
+        for run in runs:
+            groups = {}
+            for x in range(1, run.word.omega):
+                groups.setdefault(run.crossing(x), []).append(x)
+            expected["effect_of_interval"] += sum(
+                len(g) * (len(g) - 1) // 2
+                for c, g in groups.items() if len(c) >= 2)
+            expected["components_of"] += sum(
+                1 for l in enumerate_loops(run, idempotent_only=True)
+                if len(run.crossing(l.x1)) >= 2)
+    assert expected["components_of"] > 0
+    calls = _count_calls(monkeypatch, (effects, "effect_of_interval"),
+                         (loops, "components_of"))
+    assert decide_oneway_bounded(t_id, 6).kind == "no-counterexample"
+    assert calls == {"effect_of_interval": 0, "components_of": 0}
+    assert decide_oneway_bounded(t_abc, 6).kind == "no-counterexample"
+    assert calls == expected
 
 
 # -- periods -------------------------------------------------------------------
