@@ -6,34 +6,30 @@ fixture name and a maximum input length.
 """
 import pathlib
 import sys
-from itertools import product
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from untwist.inversions import INVERSION, enumerate_inversions
 from untwist.loops import components_of, enumerate_loops
 from untwist.runs import enumerate_runs
-from untwist.transducer import parse_transducer
+from untwist.transducer import parse_transducer, words_upto
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def main(name: str, max_len: int) -> None:
     t = parse_transducer((FIXTURES / f"{name}.tdx").read_text())
-    alphabet = sorted(t.table.encode_symbol(s) for s in t.input_symbols)
     print(f"{'input':>14} {'steps':>6} {'loops':>6} {'idem':>6} "
           f"{'comps':>6} {'invs':>6}")
-    for n in range(max_len + 1):
-        for tup in product(alphabet, repeat=n):
-            raw = "".join(tup)
-            for run in enumerate_runs(t, raw):
-                loops = enumerate_loops(run)
-                idem = [l for l in loops if l.idempotent]
-                comps = sum(len(components_of(run, l)) for l in idem)
-                invs = len(enumerate_inversions(run, INVERSION))
-                print(f"{t.table.render(raw) or 'ε':>14} "
-                      f"{len(run.steps):>6} {len(loops):>6} "
-                      f"{len(idem):>6} {comps:>6} {invs:>6}")
+    for raw in words_upto(t, max_len):
+        for run in enumerate_runs(t, raw):
+            loops = enumerate_loops(run)
+            idem = [l for l in loops if l.idempotent]
+            comps = sum(len(components_of(run, l)) for l in idem)
+            invs = len(enumerate_inversions(run, INVERSION))
+            print(f"{t.table.render(raw) or 'ε':>14} "
+                  f"{len(run.steps):>6} {len(loops):>6} "
+                  f"{len(idem):>6} {comps:>6} {invs:>6}")
 
 
 if __name__ == "__main__":

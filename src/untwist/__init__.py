@@ -6,7 +6,7 @@ certificates."""
 from .bounds import BoundFactored, PeriodBound, bound_admits
 from .transducer import (Transducer, Transition, ValidationReport, constants,
                          check_functional_bounded, parse_transducer,
-                         serialize_transducer, validate)
+                         serialize_transducer, validate, words_upto)
 from .runs import (CapExceeded, Run, dump_run, enumerate_runs, validate_run,
                    crossing_sequence, intercepted_factors, run_output,
                    subrun_output)

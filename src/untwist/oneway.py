@@ -14,8 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from itertools import product as iproduct
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .bounds import PeriodBound, bound_admits
 from .decomposition import BLOCK, DIAGONAL, Decomposition, build_decomposition
@@ -23,9 +22,10 @@ from .inversions import (CO_INVERSION, INVERSION, AnchoredComponent,
                          Inversion, _divisors, _pair_matches,
                          enumerate_inversions, enumerate_k_inversions,
                          inversion_word, k_inversion_safe, period_report)
-from .runs import (Run, dump_run, dump_transitions, enumerate_runs, replay,
-                   validate_run)
-from .transducer import Transducer, constants, serialize_transducer
+from .runs import (CapExceeded, Run, dump_run, dump_transitions,
+                   enumerate_runs, replay, validate_run)
+from .transducer import (Transducer, constants, serialize_transducer,
+                         words_upto)
 from .effects import effect_of_interval, effect_product
 from .loops import components_of, trace_of
 
@@ -388,52 +388,90 @@ class Verdict:
     note: str = ""
 
 
-def _words_upto(t: Transducer, max_len: int) -> Iterator[str]:
-    alphabet = sorted(t.table.encode_symbol(s) for s in t.input_symbols)
-    for n in range(max_len + 1):
-        for tup in iproduct(alphabet, repeat=n):
-            yield "".join(tup)
+def _functional_runs(t: Transducer, max_len: int, cap_runs: int
+                     ) -> Iterator[tuple[str, list[Run]]]:
+    """Every input up to max_len with its runs, each enumerated once.
+
+    Raises FunctionalityError at the first input whose runs disagree on the
+    output, naming the first two outputs in run order, as
+    `check_functional_bounded` reports them."""
+    render = t.table.render
+    for raw in words_upto(t, max_len):
+        runs = enumerate_runs(t, raw, cap_runs=cap_runs)
+        outputs = list(dict.fromkeys(run.output for run in runs))
+        if len(outputs) > 1:
+            raise FunctionalityError(
+                f"input {render(raw)!r} has outputs {render(outputs[0])!r} "
+                f"and {render(outputs[1])!r}")
+        yield raw, runs
 
 
-def _check_functional(t: Transducer, max_len: int, cap_runs: int) -> None:
-    from .transducer import check_functional_bounded
-    res = check_functional_bounded(t, max_len, cap_runs=cap_runs)
-    if res[0] == "witness":
-        raise FunctionalityError(
-            f"input {res[1]!r} has outputs {res[2]!r} and {res[3]!r}")
+def _first_unsafe_run(t: Transducer, max_len: int, cap_runs: int,
+                      stats: dict, unsafe_members: Callable
+                      ) -> Optional[tuple[str, Run, tuple[Inversion, ...]]]:
+    """The first run, in canonical order, on which `unsafe_members(run)`
+    returns the members of an unsafe witness, with the run's input and those
+    members; None when there is none up to max_len.
+
+    After a witness, or a CapExceeded raised by `unsafe_members`, the scan
+    goes on to max_len checking functionality only: a non-functional input
+    or a run-cap CapExceeded anywhere up to max_len takes precedence."""
+    found = held = None
+    for raw, runs in _functional_runs(t, max_len, cap_runs):
+        if found is not None or held is not None:
+            continue
+        stats["inputs"] += 1
+        for run in runs:
+            stats["runs"] += 1
+            try:
+                members = unsafe_members(run)
+            except CapExceeded as exc:
+                held = exc
+                break
+            if members is not None:
+                found = raw, run, members
+                break
+    if held is not None:
+        raise held
+    return found
+
+
+def _certificate(kind: str, t: Transducer, raw: str, run: Run,
+                 members: tuple[Inversion, ...], bound: PeriodBound,
+                 passes: int = 1) -> RefutationCertificate:
+    return RefutationCertificate(
+        kind, t.name, transducer_digest(t), t.table.render(raw),
+        dump_run(run), tuple(_member_record(run, inv, bound)
+                             for inv in members), passes)
 
 
 def decide_oneway_bounded(t: Transducer, max_len: int, *,
                           bound: PeriodBound = None,
-                          cap_runs: int = 10**5,
-                          skip_functional_check: bool = False) -> Verdict:
+                          cap_runs: int = 10**5) -> Verdict:
     """Refute one-way definability within the bound, or report honestly
     that no counterexample exists up to it (which is not a proof)."""
     if bound is None:
         bound = constants(t).bound_factored
-    if not skip_functional_check:
-        _check_functional(t, max_len, cap_runs)
     stats = {"inputs": 0, "runs": 0, "inversions": 0}
-    for raw in _words_upto(t, max_len):
-        stats["inputs"] += 1
-        for run in enumerate_runs(t, raw, cap_runs=cap_runs):
-            stats["runs"] += 1
-            for inv in enumerate_inversions(run, INVERSION):
-                stats["inversions"] += 1
-                if not period_report(run, inv, bound).safe:
-                    cert = RefutationCertificate(
-                        "oneway", t.name, transducer_digest(t),
-                        t.table.render(raw), dump_run(run),
-                        (_member_record(run, inv, bound),))
-                    return Verdict("refuted", max_len, cert, stats)
-    return Verdict("no-counterexample", max_len, None, stats)
+
+    def unsafe_members(run: Run) -> Optional[tuple[Inversion]]:
+        for inv in enumerate_inversions(run, INVERSION):
+            stats["inversions"] += 1
+            if not period_report(run, inv, bound).safe:
+                return (inv,)
+        return None
+
+    found = _first_unsafe_run(t, max_len, cap_runs, stats, unsafe_members)
+    if found is None:
+        return Verdict("no-counterexample", max_len, None, stats)
+    return Verdict("refuted", max_len,
+                   _certificate("oneway", t, *found, bound), stats)
 
 
 def decide_sweeping_bounded(t: Transducer, passes: Optional[int],
                             max_len: int, *, bound: PeriodBound = None,
                             cap_runs: int = 10**5, cap_passes: int = 8,
-                            cap_chains: int = 10**6,
-                            skip_functional_check: bool = False) -> Verdict:
+                            cap_chains: int = 10**6) -> Verdict:
     """Search for an unsafe k-inversion; passes=None asks about sweeping
     definability for the theoretical pass count, which is far beyond any
     enumerable k, so it reports bound-exceeded after a proxy search."""
@@ -453,27 +491,22 @@ def decide_sweeping_bounded(t: Transducer, passes: Optional[int],
         if passes > cap_passes:
             return Verdict("bound-exceeded", max_len, None, {},
                            f"passes {passes} exceeds cap {cap_passes}")
-    if not skip_functional_check:
-        _check_functional(t, max_len, cap_runs)
     stats = {"inputs": 0, "runs": 0, "chains": 0}
-    for raw in _words_upto(t, max_len):
-        stats["inputs"] += 1
-        for run in enumerate_runs(t, raw, cap_runs=cap_runs):
-            stats["runs"] += 1
-            for ki in enumerate_k_inversions(run, passes, cap=cap_chains):
-                stats["chains"] += 1
-                if not k_inversion_safe(run, ki, bound):
-                    cert = RefutationCertificate(
-                        "sweeping", t.name, transducer_digest(t),
-                        t.table.render(raw), dump_run(run),
-                        tuple(_member_record(run, inv, bound)
-                              for inv in ki.members),
-                        passes=passes)
-                    if symbolic:
-                        return Verdict(
-                            "bound-exceeded", max_len, cert, stats,
-                            note + "; the proxy search refuted "
-                            f"{passes}-pass definability")
-                    return Verdict("refuted", max_len, cert, stats, note)
-    kind = "bound-exceeded" if symbolic else "no-counterexample"
-    return Verdict(kind, max_len, None, stats, note)
+
+    def unsafe_members(run: Run) -> Optional[tuple[Inversion, ...]]:
+        for ki in enumerate_k_inversions(run, passes, cap=cap_chains):
+            stats["chains"] += 1
+            if not k_inversion_safe(run, ki, bound):
+                return ki.members
+        return None
+
+    found = _first_unsafe_run(t, max_len, cap_runs, stats, unsafe_members)
+    if found is None:
+        kind = "bound-exceeded" if symbolic else "no-counterexample"
+        return Verdict(kind, max_len, None, stats, note)
+    cert = _certificate("sweeping", t, *found, bound, passes)
+    if symbolic:
+        return Verdict("bound-exceeded", max_len, cert, stats,
+                       note + "; the proxy search refuted "
+                       f"{passes}-pass definability")
+    return Verdict("refuted", max_len, cert, stats, note)

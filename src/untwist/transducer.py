@@ -8,7 +8,8 @@ characters STX/ETX so they can never collide with user symbols.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from itertools import product
+from typing import Iterable, Iterator, Optional
 
 from .bounds import BoundFactored, DEFAULT_BIT_CAP
 
@@ -394,6 +395,15 @@ def validate(t: Transducer) -> ValidationReport:
     return ValidationReport(tuple(issues))
 
 
+def words_upto(t: Transducer, max_len: int) -> Iterator[str]:
+    """Every encoded input word of length <= max_len: shorter words first,
+    words of one length in lexicographic order of their encoded symbols."""
+    alphabet = sorted(t.table.encode_symbol(s) for s in t.input_symbols)
+    for n in range(max_len + 1):
+        for tup in product(alphabet, repeat=n):
+            yield "".join(tup)
+
+
 def check_functional_bounded(t: Transducer, max_len: int, *,
                              cap_runs: int = 10**5,
                              cap_steps: Optional[int] = None):
@@ -403,18 +413,14 @@ def check_functional_bounded(t: Transducer, max_len: int, *,
     (word, out1, out2) of two distinct outputs for one input.
     """
     from . import runs as _runs  # local import: runs depends on this module
-    from itertools import product
 
-    alphabet = sorted(t.table.encode_symbol(s) for s in t.input_symbols)
-    for n in range(max_len + 1):
-        for tup in product(alphabet, repeat=n):
-            word = "".join(tup)
-            outs = []
-            for run in _runs.enumerate_runs(t, word, cap_runs=cap_runs,
-                                            cap_steps=cap_steps):
-                if run.output not in outs:
-                    outs.append(run.output)
-                if len(outs) > 1:
-                    return ("witness", t.table.render(word),
-                            t.table.render(outs[0]), t.table.render(outs[1]))
+    for word in words_upto(t, max_len):
+        outs = []
+        for run in _runs.enumerate_runs(t, word, cap_runs=cap_runs,
+                                        cap_steps=cap_steps):
+            if run.output not in outs:
+                outs.append(run.output)
+            if len(outs) > 1:
+                return ("witness", t.table.render(word),
+                        t.table.render(outs[0]), t.table.render(outs[1]))
     return ("functional-up-to", max_len)

@@ -2,7 +2,8 @@ import pathlib
 
 import pytest
 
-from untwist.transducer import Transducer, parse_transducer
+from untwist.runs import enumerate_runs
+from untwist.transducer import Transducer, parse_transducer, words_upto
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -59,14 +60,7 @@ def t_threecomp(fixtures):
 
 def domain_words(t: Transducer, max_len: int):
     """All encoded words up to max_len that admit at least one run."""
-    from itertools import product
-
-    from untwist.runs import enumerate_runs
-
-    alphabet = sorted(t.table.encode_symbol(s) for s in t.input_symbols)
-    for n in range(max_len + 1):
-        for tup in product(alphabet, repeat=n):
-            word = "".join(tup)
-            runs = enumerate_runs(t, word)
-            if runs:
-                yield word, runs
+    for word in words_upto(t, max_len):
+        runs = enumerate_runs(t, word)
+        if runs:
+            yield word, runs

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -7,9 +8,12 @@ from untwist.oneway import (FunctionalityError, MemberRecord,
                             decide_oneway_bounded, decide_sweeping_bounded,
                             parse_certificate, simulate_oneway,
                             verify_certificate)
-from untwist.transducer import Transducer, Transition, parse_transducer
+from untwist.runs import CapExceeded, enumerate_runs
+from untwist.transducer import (Transducer, Transition,
+                                check_functional_bounded, parse_transducer,
+                                words_upto)
 
-from .conftest import CORE_NAMES, domain_words
+from .conftest import CORE_NAMES, FIXTURE_DIR, domain_words
 
 
 def test_simulate_copy_abc(t_copy_abc):
@@ -233,3 +237,75 @@ def test_decider_rejects_nonfunctional():
     ])
     with pytest.raises(FunctionalityError):
         decide_oneway_bounded(t, 2)
+
+
+# -- functionality inside the scan ---------------------------------------------
+
+def _copy_ab_nonfunctional_from(n: int) -> Transducer:
+    """T_COPY_AB plus a silent one-way branch that accepts the words of
+    length >= n: refuted at ab, and non-functional only from length n on."""
+    text = (FIXTURE_DIR / "T_COPY_AB.tdx").read_text()
+    text = text.replace("transducer T_COPY_AB", "transducer T_COPY_AB_LATE")
+    states = [f"n{i}" for i in range(n + 1)]
+    text = text.replace("states p1 rw p2 fin",
+                        "states p1 rw p2 fin " + " ".join(states))
+    lines = ['t p1 |- R n0 ""', f't n{n} -| R fin ""']
+    for i in range(n + 1):
+        for letter in "ab":
+            lines.append(f't n{i} {letter} R n{min(i + 1, n)} ""')
+    return parse_transducer(text + "\n".join(lines) + "\n")
+
+
+def _witness_message(t: Transducer, max_len: int) -> str:
+    kind, word, out1, out2 = check_functional_bounded(t, max_len)
+    assert kind == "witness"
+    return f"input {word!r} has outputs {out1!r} and {out2!r}"
+
+
+@pytest.mark.parametrize("decide", [
+    lambda t, n, **kw: decide_oneway_bounded(t, n, **kw),
+    lambda t, n, **kw: decide_sweeping_bounded(t, 2, n, **kw),
+], ids=["oneway", "sweeping"])
+def test_later_nonfunctional_input_beats_refutation(decide):
+    t = _copy_ab_nonfunctional_from(3)
+    v = decide(t, 2)
+    assert v.kind == "refuted"
+    assert v.certificate.input_text == "ab"
+    assert verify_certificate(t, v.certificate)
+    with pytest.raises(FunctionalityError) as exc:
+        decide(t, 4)
+    assert str(exc.value) == _witness_message(t, 4)
+    # A run-cap overflow at a later input beats the refutation too.
+    assert decide(t, 2, cap_runs=1).kind == "refuted"
+    with pytest.raises(CapExceeded, match="run cap 1 exceeded"):
+        decide(t, 3, cap_runs=1)
+
+
+def test_later_nonfunctional_input_beats_chain_cap():
+    t = _copy_ab_nonfunctional_from(3)
+    with pytest.raises(CapExceeded, match="k-inversion cap 0 exceeded"):
+        decide_sweeping_bounded(t, 2, 2, cap_chains=0)
+    with pytest.raises(FunctionalityError) as exc:
+        decide_sweeping_bounded(t, 2, 3, cap_chains=0)
+    assert str(exc.value) == _witness_message(t, 3)
+
+
+def test_deciders_enumerate_each_input_once(t_copy_ab, monkeypatch):
+    calls = []
+    orig = enumerate_runs
+
+    def counted(t, raw, **kwargs):
+        calls.append(raw)
+        return orig(t, raw, **kwargs)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "untwist" \
+                and getattr(mod, "enumerate_runs", None) is orig:
+            monkeypatch.setattr(mod, "enumerate_runs", counted)
+    v = decide_oneway_bounded(t_copy_ab, 9)
+    assert v.kind == "refuted"
+    assert v.searched == {"inputs": 5, "runs": 5, "inversions": 7}
+    assert calls == list(words_upto(t_copy_ab, 9))
+    calls.clear()
+    v = decide_sweeping_bounded(t_copy_ab, 2, 6)
+    assert v.kind == "refuted"
+    assert calls == list(words_upto(t_copy_ab, 6))
