@@ -7,9 +7,7 @@ from .bounds import BoundFactored, PeriodBound, bound_admits
 from .transducer import (Transducer, Transition, ValidationReport, constants,
                          check_functional_bounded, parse_transducer,
                          serialize_transducer, validate, words_upto)
-from .runs import (CapExceeded, Run, dump_run, enumerate_runs, validate_run,
-                   crossing_sequence, intercepted_factors, run_output,
-                   subrun_output)
+from .runs import CapExceeded, Run, dump_run, enumerate_runs, validate_run
 from .effects import (BOTTOM, Effect, Flow, effect_of_interval, effect_product,
                       flow_of_interval, flow_product, is_idempotent)
 from .loops import (Loop, components_of, enumerate_loops, is_output_minimal,

@@ -167,22 +167,6 @@ class Run:
                 f"{len(self.steps)} steps)")
 
 
-def run_output(run: Run) -> str:
-    return run.output
-
-
-def crossing_sequence(run: Run, x: int) -> tuple[str, ...]:
-    return run.crossing(x)
-
-
-def intercepted_factors(run: Run, x1: int, x2: int) -> list[Factor]:
-    return run.intercepted_factors(x1, x2)
-
-
-def subrun_output(run: Run, z: LocationSet) -> str:
-    return run.subrun_output(z)
-
-
 # ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------
