@@ -1,4 +1,5 @@
 import pathlib
+import sys
 
 import pytest
 
@@ -64,3 +65,19 @@ def domain_words(t: Transducer, max_len: int):
         runs = enumerate_runs(t, word)
         if runs:
             yield word, runs
+
+
+def spy(monkeypatch, module, name: str) -> list[tuple]:
+    """Record the positional arguments of every call of `module.name` made
+    through any binding of that function in an untwist module."""
+    calls = []
+    orig = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "untwist" \
+                and getattr(mod, name, None) is orig:
+            monkeypatch.setattr(mod, name, recorded)
+    return calls

@@ -1,5 +1,4 @@
 import math
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +18,8 @@ from untwist.oneway import decide_oneway_bounded
 from untwist.runs import CapExceeded, enumerate_runs
 from untwist.transducer import constants
 
-from .conftest import CORE_NAMES, FIXTURE_NAMES, domain_words, load_fixture
+from .conftest import (CORE_NAMES, FIXTURE_NAMES, domain_words, load_fixture,
+                       spy)
 from .oracles import (brute_coverage_classes, brute_inversions,
                       brute_k_inversions, brute_smallest_period)
 
@@ -170,24 +170,6 @@ def test_inversion_members_sit_on_multi_pass_loops(fixtures):
     assert members > 0
 
 
-def _count_calls(monkeypatch, *targets):
-    """Count the calls of each (module, function name) in `targets` made
-    through any binding of the function in an untwist module."""
-    calls = {}
-    for module, name in targets:
-        calls[name] = 0
-        orig = getattr(module, name)
-
-        def counted(*args, _orig=orig, _name=name, **kwargs):
-            calls[_name] += 1
-            return _orig(*args, **kwargs)
-        for mod_name, mod in list(sys.modules.items()):
-            if mod_name.split(".")[0] == "untwist" \
-                    and getattr(mod, name, None) is orig:
-                monkeypatch.setattr(mod, name, counted)
-    return calls
-
-
 def test_decide_oneway_derives_only_multi_pass_loops(fixtures, monkeypatch):
     # T_ID crosses every cut once, so the decider derives no loop at all;
     # on T_COPY_ABC it derives each loop crossed twice or more exactly once.
@@ -205,12 +187,14 @@ def test_decide_oneway_derives_only_multi_pass_loops(fixtures, monkeypatch):
                 1 for l in enumerate_loops(run, idempotent_only=True)
                 if len(run.crossing(l.x1)) >= 2)
     assert expected["components_of"] > 0
-    calls = _count_calls(monkeypatch, (effects, "effect_of_interval"),
-                         (loops, "components_of"))
+    calls = {"effect_of_interval": spy(monkeypatch, effects,
+                                       "effect_of_interval"),
+             "components_of": spy(monkeypatch, loops, "components_of")}
     assert decide_oneway_bounded(t_id, 6).kind == "no-counterexample"
-    assert calls == {"effect_of_interval": 0, "components_of": 0}
+    assert {name: len(c) for name, c in calls.items()} == \
+        {"effect_of_interval": 0, "components_of": 0}
     assert decide_oneway_bounded(t_abc, 6).kind == "no-counterexample"
-    assert calls == expected
+    assert {name: len(c) for name, c in calls.items()} == expected
 
 
 # -- periods -------------------------------------------------------------------
