@@ -1,5 +1,6 @@
-"""Golden CLI corpus: exit code and stdout of the run-analysis and decider
-commands on every fixture, in text and JSON, diffed byte for byte.
+"""Golden CLI corpus: exit code and stdout of the parse, constants, run,
+run-analysis and decider commands on every fixture, in text and JSON,
+diffed byte for byte.
 
 Regenerate (only when a change of output is intended) from the repository
 root with `PYTHONPATH=src python -m tests.test_golden`.
@@ -33,8 +34,10 @@ def _cases() -> list[tuple[str, list[str]]]:
     cases = []
     for name in FIXTURE_NAMES:
         path = str(FIXTURE_DIR / f"{name}.tdx")
+        for cmd in ("parse", "constants"):
+            cases.append((f"{name}.{cmd}", [cmd, path]))
         for word in INPUTS[name]:
-            for cmd in ("analyze", "decompose", "simulate-oneway"):
+            for cmd in ("run", "analyze", "decompose", "simulate-oneway"):
                 argv = [cmd, path, "--input", word]
                 if cmd == "simulate-oneway":
                     argv.append("--transcript")
