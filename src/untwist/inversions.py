@@ -308,9 +308,9 @@ def enumerate_k_inversions(run: Run, k: int, *,
     as a depth-first search over those lists yields them.  The (cap+1)-th
     chain raises CapExceeded instead of being yielded.
 
-    Cost: O(A log A + I log I) to build the member lists of both kinds (see
-    `enumerate_inversions`), O(k I) for a feasibility pass, and O(k log I)
-    per chain yielded.  Each list is sorted by first anchor, so the members
+    Cost: O(A log A + I log I) to build the member lists of the kinds the
+    depths use (see `enumerate_inversions`), O(k I) for a feasibility pass,
+    and O(k log I) per chain yielded.  Each list is sorted by first anchor, so the members
     that may follow a prefix form a suffix found by bisection.  Working from
     the last depth back, a member is kept only when its second anchor is no
     later than the first anchor of some kept member one depth deeper, so
@@ -318,10 +318,13 @@ def enumerate_k_inversions(run: Run, k: int, *,
     """
     if k < 1:
         raise ValueError("k must be positive")
-    anchored = anchored_components(run)
+    # A chain of one member is one inversion: no co-inversion list is built,
+    # and without a shared `anchored` list the inversions skip the
+    # single-pass loops (see `enumerate_inversions`).
+    anchored = anchored_components(run) if k > 1 else None
     loc = run.loc_index
     spans = {}      # kind -> [(first anchor index, second anchor index, inv)]
-    for kind in (INVERSION, CO_INVERSION):
+    for kind in (INVERSION, CO_INVERSION)[:k]:
         spans[kind] = [(loc[inv.first.anchor], loc[inv.second.anchor], inv)
                        for inv in enumerate_inversions(run, kind, anchored)]
     # firsts/ends/members[i]: the members at depth i that complete a chain.

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from untwist import effects, loops
+from untwist import effects, inversions, loops
 from untwist.bounds import BoundFactored
 from untwist.decomposition import coverage_classes
 from untwist.inversions import (CO_INVERSION, INVERSION, FineWilfPrecondition,
@@ -14,7 +14,7 @@ from untwist.inversions import (CO_INVERSION, INVERSION, FineWilfPrecondition,
                                 has_period, inversion_word, k_inversion_safe,
                                 smallest_period)
 from untwist.loops import enumerate_loops
-from untwist.oneway import decide_oneway_bounded
+from untwist.oneway import decide_oneway_bounded, decide_sweeping_bounded
 from untwist.runs import CapExceeded, enumerate_runs
 from untwist.transducer import constants
 
@@ -195,6 +195,31 @@ def test_decide_oneway_derives_only_multi_pass_loops(fixtures, monkeypatch):
         {"effect_of_interval": 0, "components_of": 0}
     assert decide_oneway_bounded(t_abc, 6).kind == "no-counterexample"
     assert {name: len(c) for name, c in calls.items()} == expected
+
+
+def test_one_pass_sweeping_derives_only_multi_pass_loops(fixtures,
+                                                         monkeypatch):
+    # With k = 1 a chain is one inversion, so the sweeping decider skips
+    # single-pass loops as the one-way decider does, and builds no
+    # co-inversions.
+    calls = {"effect_of_interval": spy(monkeypatch, effects,
+                                       "effect_of_interval"),
+             "co-inversions": []}
+    orig = inversions.enumerate_inversions
+
+    def recorded(run, kind=INVERSION, anchored=None):
+        if kind == CO_INVERSION:
+            calls["co-inversions"].append(run)
+        return orig(run, kind, anchored)
+    monkeypatch.setattr(inversions, "enumerate_inversions", recorded)
+    v = decide_sweeping_bounded(fixtures["T_ID"], 1, 6)
+    assert v.kind == "no-counterexample"
+    assert v.searched == {"inputs": 127, "runs": 127, "chains": 0}
+    assert {name: len(c) for name, c in calls.items()} == \
+        {"effect_of_interval": 0, "co-inversions": 0}
+    assert decide_sweeping_bounded(fixtures["T_COPY_ABC"], 1, 6).kind == \
+        "no-counterexample"
+    assert calls["co-inversions"] == []
 
 
 # -- periods -------------------------------------------------------------------
