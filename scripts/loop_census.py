@@ -11,8 +11,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from untwist.inversions import INVERSION, enumerate_inversions
 from untwist.loops import components_of, enumerate_loops
-from untwist.runs import enumerate_runs
-from untwist.transducer import parse_transducer, words_upto
+from untwist.runs import runs_upto
+from untwist.transducer import parse_transducer
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -21,8 +21,8 @@ def main(name: str, max_len: int) -> None:
     t = parse_transducer((FIXTURES / f"{name}.tdx").read_text())
     print(f"{'input':>14} {'steps':>6} {'loops':>6} {'idem':>6} "
           f"{'comps':>6} {'invs':>6}")
-    for raw in words_upto(t, max_len):
-        for run in enumerate_runs(t, raw):
+    for raw, runs in runs_upto(t, max_len):
+        for run in runs:
             loops = enumerate_loops(run)
             idem = [l for l in loops if l.idempotent]
             comps = sum(len(components_of(run, l)) for l in idem)

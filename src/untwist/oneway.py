@@ -23,9 +23,8 @@ from .inversions import (CO_INVERSION, INVERSION, AnchoredComponent,
                          enumerate_inversions, enumerate_k_inversions,
                          inversion_word, k_inversion_safe, period_report)
 from .runs import (CapExceeded, Run, dump_run, dump_transitions,
-                   enumerate_runs, replay, validate_run)
-from .transducer import (Transducer, constants, serialize_transducer,
-                         words_upto)
+                   enumerate_runs, replay, runs_upto, validate_run)
+from .transducer import Transducer, constants, serialize_transducer
 from .effects import effect_of_interval, effect_product
 from .loops import components_of, trace_of
 
@@ -390,14 +389,14 @@ class Verdict:
 
 def _functional_runs(t: Transducer, max_len: int, cap_runs: int
                      ) -> Iterator[tuple[str, list[Run]]]:
-    """Every input up to max_len with its runs, each enumerated once.
+    """Every input up to max_len with its runs, enumerated once and shared
+    across inputs with a common prefix.
 
     Raises FunctionalityError at the first input whose runs disagree on the
     output, naming the first two outputs in run order, as
     `check_functional_bounded` reports them."""
     render = t.table.render
-    for raw in words_upto(t, max_len):
-        runs = enumerate_runs(t, raw, cap_runs=cap_runs)
+    for raw, runs in runs_upto(t, max_len, cap_runs=cap_runs):
         outputs = list(dict.fromkeys(run.output for run in runs))
         if len(outputs) > 1:
             raise FunctionalityError(

@@ -10,10 +10,11 @@ word; factor interception reduces to a range condition on read indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from itertools import accumulate
+from typing import Iterator, Optional
 
 from .transducer import (LEFT, LEFT_END, RIGHT, RIGHT_END, Transducer,
-                         Transition)
+                         Transition, words_upto)
 
 Location = tuple[int, int]
 
@@ -34,7 +35,7 @@ class DelimitedInput:
         return DelimitedInput(raw, padded, len(padded))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Step:
     source: Location
     target: Location
@@ -74,26 +75,17 @@ class Run:
         self.transducer = transducer
         self.word = word
         self.steps = tuple(steps)
-        locs = [(0, 0)]
-        states = [transducer.initial]
-        for s in self.steps:
-            locs.append(s.target)
-            states.append(s.transition.target)
-        self.locations = tuple(locs)
-        self.states_at = tuple(states)
-        self.loc_index = {loc: i for i, loc in enumerate(self.locations)}
+        self.locations = ((0, 0), *[s.target for s in self.steps])
+        self.states_at = (transducer.initial,
+                          *[s.transition.target for s in self.steps])
+        self.loc_index = dict(zip(self.locations, range(len(self.locations))))
         crossings: list[list[str]] = [[] for _ in range(word.omega + 1)]
-        crossings[0].append(transducer.initial)
-        for s in self.steps:
-            crossings[s.target[0]].append(s.transition.target)
-        self._crossings = tuple(tuple(c) for c in crossings)
-        prefix = [0]
-        chunks = []
-        for s in self.steps:
-            chunks.append(s.output)
-            prefix.append(prefix[-1] + len(s.output))
-        self.output = "".join(chunks)
-        self.out_prefix = tuple(prefix)
+        for (x, _), state in zip(self.locations, self.states_at):
+            crossings[x].append(state)
+        self._crossings = tuple(map(tuple, crossings))
+        outputs = [s.output for s in self.steps]
+        self.output = "".join(outputs)
+        self.out_prefix = (0, *accumulate(map(len, outputs)))
         self._interval_effects = None   # lazy cache, filled by effects module
 
     # -- basic queries ------------------------------------------------------
@@ -184,84 +176,209 @@ def _advance(loc: Location, direction: str) -> int:
     return x if direction == RIGHT else x - 1
 
 
+def _default_cap_steps(t: Transducer, omega: int) -> int:
+    # A normalized run has fewer than 2|Q| levels at each of the omega + 1
+    # cuts, so it never reaches this default.
+    return 10 * (2 * len(t.states) - 1) * (omega + 1)
+
+
+@dataclass(frozen=True, slots=True)
+class _Frontier:
+    """The partial runs on a padded prefix p that have just reached cut |p|
+    for the first time, in canonical DFS order.
+
+    An entry is (state, steps, levels, seen): levels[x] is the next free
+    level at cut x and seen[x] the bitmask of the (state, level parity)
+    pairs there.  `cap` is the message of the CapExceeded the search meets
+    after the last entry, on every extension of p."""
+
+    entries: tuple
+    cap: Optional[str] = None
+
+
+class _PrefixSearch:
+    """The canonical DFS over normalized runs, cut at input prefixes.
+
+    The head crosses one cut per step (Shepherdson's crossing-sequence
+    picture), so until a partial run first reaches cut n it has read only
+    the padded prefix of length n, and its DFS subtree up to there is the
+    same on every word with that prefix.  The DFS on a word visits the
+    frontier entries of each prefix in order and, between two of them, only
+    nodes left of the prefix's cut; the runs of a word are therefore the
+    runs grown from each entry in turn, and a cap met between entries fires
+    after the earlier entries' subtrees, as in a DFS over the whole word.
+    """
+
+    def __init__(self, t: Transducer, cap_runs: int, cap_steps: int):
+        self.t = t
+        self.cap_runs = cap_runs
+        self.cap_steps = cap_steps
+        self.state_cap = 2 * len(t.states)
+        names = sorted({*t.states, t.initial,
+                        *(tr.target for tr in t.transitions)})
+        self.bits = {q: (1 << 2 * i, 2 << 2 * i) for i, q in enumerate(names)}
+        # The frontier of the empty prefix: the initial location (0, 0).
+        self.start = _Frontier(
+            ((t.initial, [], [1], [self.bits[t.initial][0]]),))
+
+    def extend(self, frontier: _Frontier, padded: str
+               ) -> Optional[_Frontier]:
+        """The frontier of padded, grown from the frontier of a shorter
+        prefix of it; None when no run on any extension of padded exists and
+        no cap fires."""
+        entries = []
+        bits = self.bits
+
+        def arrive(state, steps, levels, seen):
+            levels, seen = levels.copy(), seen.copy()
+            levels[-1], seen[-1] = 1, bits[state][0]
+            entries.append((state, steps, levels, seen))
+        cap = frontier.cap
+        try:
+            self._walk(frontier, padded, arrive)
+        except CapExceeded as exc:
+            cap = str(exc)
+        if not entries and cap is None:
+            return None
+        return _Frontier(tuple(entries), cap)
+
+    def close(self, frontier: _Frontier, word: DelimitedInput) -> list[Run]:
+        """The runs on word, grown from the frontier of a prefix of
+        word.padded."""
+        t, cap_runs = self.t, self.cap_runs
+        runs: list[Run] = []
+
+        def arrive(state, steps, levels, seen):
+            if state in t.finals:
+                if len(runs) >= cap_runs:
+                    raise CapExceeded(f"run cap {cap_runs} exceeded")
+                runs.append(Run(t, word, steps))
+        self._walk(frontier, word.padded, arrive)
+        if frontier.cap is not None:
+            raise CapExceeded(frontier.cap)
+        return runs
+
+    def _walk(self, frontier: _Frontier, padded: str, arrive) -> None:
+        """Continue each entry's DFS over padded until its branches first
+        reach cut n = len(padded); each arrival there is passed to `arrive`
+        in DFS order.
+
+        The search prunes any extension that would repeat a (state, level
+        parity) pair at one position, which both enforces normalization and
+        bounds the depth, so it always terminates."""
+        n = len(padded)
+        moves, bits = self.t.moves, self.bits
+        state_cap, cap_steps = self.state_cap, self.cap_steps
+        for state, steps, levels, seen in frontier.entries:
+            m = len(levels) - 1     # the entry sits at (m, 0)
+            steps = steps.copy()
+            levels = levels + [0] * (n - m)
+            seen = seen + [0] * (n - m)
+            # Each frame is (location, iterator over moves, read index).
+            stack = [((m, 0), iter(moves(state, padded[m])), m)]
+            while stack:
+                loc, it, ri = stack[-1]
+                for tr, out_enc in it:
+                    x2 = _advance(loc, tr.direction)
+                    if x2 < 0:
+                        continue
+                    y2 = levels[x2]
+                    if y2 >= state_cap:
+                        continue
+                    parity = y2 % 2
+                    # Rightward steps land on even levels, leftward on odd.
+                    assert parity == (0 if tr.direction == RIGHT else 1)
+                    bit = bits[tr.target][parity]
+                    if seen[x2] & bit:
+                        continue    # normalization pruning
+                    if len(steps) >= cap_steps:
+                        raise CapExceeded(f"run length cap {cap_steps} "
+                                          "exceeded during enumeration")
+                    target = (x2, y2)
+                    step = Step(loc, target, tr, ri, out_enc)
+                    if x2 == n:
+                        arrive(tr.target, steps + [step], levels, seen)
+                        continue
+                    steps.append(step)
+                    levels[x2] += 1
+                    seen[x2] |= bit
+                    ri2 = x2 if parity == 0 else x2 - 1
+                    stack.append((target, iter(moves(tr.target, padded[ri2])),
+                                  ri2))
+                    break
+                else:
+                    stack.pop()
+                    if stack:
+                        s = steps.pop()
+                        x, y = s.target
+                        levels[x] -= 1
+                        seen[x] ^= bits[s.transition.target][y % 2]
+
+
 def enumerate_runs(t: Transducer, raw: str, *, cap_runs: int = 10**5,
                    cap_steps: Optional[int] = None) -> list[Run]:
-    """All normalized successful runs on |-raw-|, in canonical DFS order.
-
-    The search prunes any extension that would repeat a (state, level parity)
-    pair at one position, which both enforces normalization and bounds the
-    depth, so it always terminates.
-    """
+    """All normalized successful runs on |-raw-|, in canonical DFS order."""
     word = DelimitedInput.of(raw)
-    omega = word.omega
-    padded = word.padded
-    state_cap = 2 * len(t.states)
     if cap_steps is None:
-        cap_steps = 10 * (2 * len(t.states) - 1) * (omega + 1)
+        cap_steps = _default_cap_steps(t, word.omega)
+    search = _PrefixSearch(t, cap_runs, cap_steps)
+    return search.close(search.start, word)
 
-    levels = [0] * (omega + 1)      # next free level per position
-    seen: list[set] = [set() for _ in range(omega + 1)]
-    levels[0] = 1
-    seen[0].add((t.initial, 0))
 
-    runs: list[Run] = []
-    steps: list[Step] = []
+# The most frontiers `runs_upto` keeps for one prefix length.
+_KEPT_FRONTIERS = 256
 
-    # Iterative DFS; each frame is (location, state, iterator over moves).
-    def moves_at(loc: Location, state: str):
-        ri = _read_index(loc)
-        return t.moves(state, padded[ri]), ri
 
-    stack: list = []
-    initial_moves, ri0 = moves_at((0, 0), t.initial)
-    stack.append([(0, 0), t.initial, iter(initial_moves), ri0])
+def runs_upto(t: Transducer, max_len: int, *, cap_runs: int = 10**5,
+              cap_steps: Optional[int] = None
+              ) -> Iterator[tuple[str, list[Run]]]:
+    """Every word of `words_upto(t, max_len)`, in that order, with its runs
+    as `enumerate_runs` gives them, or the CapExceeded it raises.
 
-    while stack:
-        loc, state, it, ri = stack[-1]
-        advanced = False
-        for tr, out_enc in it:
-            x2 = _advance(loc, tr.direction)
-            if x2 < 0 or x2 > omega:
-                continue
-            y2 = levels[x2]
-            if y2 >= state_cap:
-                continue
-            parity = y2 % 2
-            # Rightward steps land on even levels, leftward on odd ones.
-            assert parity == (0 if tr.direction == RIGHT else 1)
-            key = (tr.target, parity)
-            if key in seen[x2]:
-                continue    # normalization pruning
-            if len(steps) >= cap_steps:
-                raise CapExceeded(
-                    f"run length cap {cap_steps} exceeded during enumeration")
-            target = (x2, y2)
-            steps.append(Step(loc, target, tr, ri, out_enc))
-            levels[x2] += 1
-            seen[x2].add(key)
-            if x2 == omega:
-                if tr.target in t.finals:
-                    if len(runs) >= cap_runs:
-                        raise CapExceeded(f"run cap {cap_runs} exceeded")
-                    runs.append(Run(t, word, steps))
-                # Past the right delimiter nothing can move; backtrack.
-                steps.pop()
-                levels[x2] -= 1
-                seen[x2].discard(key)
-                continue
-            nxt_moves, nxt_ri = moves_at(target, tr.target)
-            stack.append([target, tr.target, iter(nxt_moves), nxt_ri])
-            advanced = True
-            break
-        if advanced:
+    The partial runs on a prefix are grown once per word length and shared
+    by the words of that length that extend it, and a prefix no run
+    survives is not extended: its extensions come with no runs.  Frontiers
+    are kept for the prefixes up to the longest length that has at most
+    _KEPT_FRONTIERS words; a longer prefix's frontier is held only while
+    the words that follow it in order share it, which bounds memory.
+    `cap_steps` defaults to the default of the longest word, which no
+    normalized run reaches."""
+    if cap_steps is None:
+        cap_steps = _default_cap_steps(t, max_len + 2)
+    search = _PrefixSearch(t, cap_runs, cap_steps)
+    letters = len(t.input_symbols)
+    depth = 0
+    while depth + 1 < max_len and letters ** (depth + 1) <= _KEPT_FRONTIERS:
+        depth += 1
+    kept: dict[str, _Frontier] = {}     # live frontiers up to depth letters
+    path: list[tuple[str, Optional[_Frontier]]] = []   # longer, by length
+
+    def grow(u: str) -> Optional[_Frontier]:
+        if not u:
+            return search.extend(search.start, LEFT_END)
+        parent = frontier_of(u[:-1])
+        return parent and search.extend(parent, LEFT_END + u)
+
+    def frontier_of(u: str) -> Optional[_Frontier]:
+        """The frontier of a prefix shorter than the current word."""
+        if len(u) <= depth:
+            return kept.get(u)
+        i = len(u) - depth - 1
+        if i < len(path) and path[i][0] == u:
+            return path[i][1]
+        frontier = grow(u)
+        del path[i:]
+        path.append((u, frontier))
+        return frontier
+
+    for raw in words_upto(t, max_len):
+        frontier = grow(raw)
+        if frontier is None:
+            yield raw, []
             continue
-        stack.pop()
-        if steps and stack:
-            s = steps.pop()
-            x2 = s.target[0]
-            levels[x2] -= 1
-            seen[x2].discard((s.transition.target, s.target[1] % 2))
-    return runs
+        if len(raw) <= depth:
+            kept[raw] = frontier
+        yield raw, search.close(frontier, DelimitedInput.of(raw))
 
 
 def replay(t: Transducer, raw: str,

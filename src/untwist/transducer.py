@@ -414,10 +414,10 @@ def check_functional_bounded(t: Transducer, max_len: int, *,
     """
     from . import runs as _runs  # local import: runs depends on this module
 
-    for word in words_upto(t, max_len):
+    for word, runs in _runs.runs_upto(t, max_len, cap_runs=cap_runs,
+                                      cap_steps=cap_steps):
         outs = []
-        for run in _runs.enumerate_runs(t, word, cap_runs=cap_runs,
-                                        cap_steps=cap_steps):
+        for run in runs:
             if run.output not in outs:
                 outs.append(run.output)
             if len(outs) > 1:

@@ -3,8 +3,8 @@ import sys
 
 import pytest
 
-from untwist.runs import enumerate_runs
-from untwist.transducer import Transducer, parse_transducer, words_upto
+from untwist.runs import runs_upto
+from untwist.transducer import Transducer, parse_transducer
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -61,8 +61,7 @@ def t_threecomp(fixtures):
 
 def domain_words(t: Transducer, max_len: int):
     """All encoded words up to max_len that admit at least one run."""
-    for word in words_upto(t, max_len):
-        runs = enumerate_runs(t, word)
+    for word, runs in runs_upto(t, max_len):
         if runs:
             yield word, runs
 

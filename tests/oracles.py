@@ -1,18 +1,21 @@
 """Independent oracles the tests check the library against.
 
 These deliberately avoid the library's own search and bookkeeping: the run
-oracle walks raw configurations and filters afterwards, the period oracle
+oracle walks raw configurations and filters afterwards, the DFS oracle
+searches each word on its own, from scratch, the period oracle
 tries every shift, the subrun oracle filters steps one by one, the
 inversion oracle tests every pair of anchored components, and the chain
 oracle tries every member at every depth.
 """
 from __future__ import annotations
 
+from typing import Optional
+
 from untwist.decomposition import CoverageClass
 from untwist.inversions import (CO_INVERSION, INVERSION, Inversion,
                                 KInversion, _pair_matches,
                                 anchored_components)
-from untwist.runs import CapExceeded, Run
+from untwist.runs import CapExceeded, DelimitedInput, Run, Step
 from untwist.transducer import RIGHT, Transducer
 
 
@@ -63,6 +66,93 @@ def _is_normalized(t: Transducer, raw: str, path: tuple) -> bool:
         x, y = x2, levels[x2]
         levels[x2] += 1
     return True
+
+
+def brute_runs(t: Transducer, raw: str, *, cap_runs: int = 10**5,
+               cap_steps: Optional[int] = None) -> list[Run]:
+    """All normalized successful runs on |-raw-|, in canonical DFS order,
+    by one DFS over the whole word: the runs, their order and the cap
+    points `enumerate_runs` and `runs_upto` must reproduce.
+
+    The search prunes any extension that would repeat a (state, level parity)
+    pair at one position, which both enforces normalization and bounds the
+    depth, so it always terminates.
+    """
+    word = DelimitedInput.of(raw)
+    omega = word.omega
+    padded = word.padded
+    state_cap = 2 * len(t.states)
+    if cap_steps is None:
+        cap_steps = 10 * (2 * len(t.states) - 1) * (omega + 1)
+
+    levels = [0] * (omega + 1)      # next free level per position
+    seen: list[set] = [set() for _ in range(omega + 1)]
+    levels[0] = 1
+    seen[0].add((t.initial, 0))
+
+    runs: list[Run] = []
+    steps: list[Step] = []
+
+    # Iterative DFS; each frame is (location, state, iterator over moves).
+    def moves_at(loc: tuple[int, int], state: str):
+        x, y = loc
+        ri = x if y % 2 == 0 else x - 1
+        return t.moves(state, padded[ri]), ri
+
+    stack: list = []
+    initial_moves, ri0 = moves_at((0, 0), t.initial)
+    stack.append([(0, 0), t.initial, iter(initial_moves), ri0])
+
+    while stack:
+        loc, state, it, ri = stack[-1]
+        advanced = False
+        for tr, out_enc in it:
+            x, y = loc
+            if y % 2 == 0:
+                x2 = x + 1 if tr.direction == RIGHT else x
+            else:
+                x2 = x if tr.direction == RIGHT else x - 1
+            if x2 < 0 or x2 > omega:
+                continue
+            y2 = levels[x2]
+            if y2 >= state_cap:
+                continue
+            parity = y2 % 2
+            # Rightward steps land on even levels, leftward on odd ones.
+            assert parity == (0 if tr.direction == RIGHT else 1)
+            key = (tr.target, parity)
+            if key in seen[x2]:
+                continue    # normalization pruning
+            if len(steps) >= cap_steps:
+                raise CapExceeded(
+                    f"run length cap {cap_steps} exceeded during enumeration")
+            target = (x2, y2)
+            steps.append(Step(loc, target, tr, ri, out_enc))
+            levels[x2] += 1
+            seen[x2].add(key)
+            if x2 == omega:
+                if tr.target in t.finals:
+                    if len(runs) >= cap_runs:
+                        raise CapExceeded(f"run cap {cap_runs} exceeded")
+                    runs.append(Run(t, word, steps))
+                # Past the right delimiter nothing can move; backtrack.
+                steps.pop()
+                levels[x2] -= 1
+                seen[x2].discard(key)
+                continue
+            nxt_moves, nxt_ri = moves_at(target, tr.target)
+            stack.append([target, tr.target, iter(nxt_moves), nxt_ri])
+            advanced = True
+            break
+        if advanced:
+            continue
+        stack.pop()
+        if steps and stack:
+            s = steps.pop()
+            x2 = s.target[0]
+            levels[x2] -= 1
+            seen[x2].discard((s.transition.target, s.target[1] % 2))
+    return runs
 
 
 def run_signature(run: Run) -> tuple:

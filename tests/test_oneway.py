@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import untwist.oneway
 import untwist.runs
 from untwist.oneway import (FunctionalityError, MemberRecord,
                             RefutationCertificate, certificate_text,
@@ -291,12 +292,26 @@ def test_later_nonfunctional_input_beats_chain_cap():
 
 
 def test_deciders_enumerate_each_input_once(t_copy_ab, monkeypatch):
-    calls = spy(monkeypatch, untwist.runs, "enumerate_runs")
+    # Each decider draws every input, in words_upto order, from one
+    # runs_upto call, and never enumerates a word on its own.
+    single = spy(monkeypatch, untwist.runs, "enumerate_runs")
+    shared = spy(monkeypatch, untwist.runs, "runs_upto")
+    recorded, inputs = untwist.oneway.runs_upto, []
+
+    def draining(*args, **kwargs):
+        for raw, runs in recorded(*args, **kwargs):
+            inputs.append(raw)
+            yield raw, runs
+    monkeypatch.setattr(untwist.oneway, "runs_upto", draining)
     v = decide_oneway_bounded(t_copy_ab, 9)
     assert v.kind == "refuted"
     assert v.searched == {"inputs": 5, "runs": 5, "inversions": 7}
-    assert [raw for _, raw in calls] == list(words_upto(t_copy_ab, 9))
-    calls.clear()
+    assert [args[1] for args in shared] == [9]
+    assert inputs == list(words_upto(t_copy_ab, 9))
+    shared.clear()
+    inputs.clear()
     v = decide_sweeping_bounded(t_copy_ab, 2, 6)
     assert v.kind == "refuted"
-    assert [raw for _, raw in calls] == list(words_upto(t_copy_ab, 6))
+    assert [args[1] for args in shared] == [6]
+    assert inputs == list(words_upto(t_copy_ab, 6))
+    assert single == []

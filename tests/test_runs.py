@@ -1,9 +1,15 @@
-from untwist.runs import (LocationSet, dump_run, enumerate_runs,
-                          parse_run_dump, validate_run)
-from untwist.transducer import parse_transducer
+import pytest
+from hypothesis import given, settings, strategies as st
 
-from .conftest import CORE_NAMES
-from .oracles import brute_subrun_output, naive_runs, run_signature
+import untwist.runs
+from untwist.runs import (CapExceeded, LocationSet, dump_run, enumerate_runs,
+                          parse_run_dump, runs_upto, validate_run)
+from untwist.transducer import parse_transducer, words_upto
+
+from .conftest import CORE_NAMES, FIXTURE_NAMES, load_fixture
+from .oracles import (brute_runs, brute_subrun_output, naive_runs,
+                      run_signature)
+from .test_transducer import transducers
 
 # Nine-state machine reproducing the crossing-sequence presentation figure:
 # right, right, left, left, then right to the end on a two-letter input.
@@ -207,3 +213,111 @@ def test_dump_format_lines(t_id):
     lines = dump_run(run).splitlines()
     assert lines[0] == 'step 0: (0,0) -|-,R/""-> (1,0) state q0'
     assert lines[-1] == 'output: "a"'
+
+
+# -- shared enumeration against the per-word DFS ---------------------------
+
+def _per_word(t, max_len, enumerate_word, **caps):
+    """(word, run dumps) for every word up to max_len, enumerated one word
+    at a time; the first word whose enumeration raises CapExceeded ends the
+    list with (word, message)."""
+    out = []
+    for raw in words_upto(t, max_len):
+        try:
+            dumps = [dump_run(r) for r in enumerate_word(t, raw, **caps)]
+        except CapExceeded as exc:
+            out.append((raw, str(exc)))
+            break
+        out.append((raw, dumps))
+    return out
+
+
+def _shared(t, max_len, **caps):
+    """The same list, drawn from one `runs_upto` call."""
+    out = []
+    words = words_upto(t, max_len)
+    try:
+        for raw, runs in runs_upto(t, max_len, **caps):
+            assert raw == next(words)
+            out.append((raw, [dump_run(r) for r in runs]))
+    except CapExceeded as exc:
+        out.append((next(words), str(exc)))
+    return out
+
+
+def _assert_same_as_brute(t, max_len, **caps):
+    expected = _per_word(t, max_len, brute_runs, **caps)
+    assert _per_word(t, max_len, enumerate_runs, **caps) == expected
+    # With a budget of one or four kept frontiers, the frontiers of all but
+    # the shortest prefixes are grown again along each word.
+    for kept in (untwist.runs._KEPT_FRONTIERS, 1, 4):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(untwist.runs, "_KEPT_FRONTIERS", kept)
+            assert _shared(t, max_len, **caps) == expected, kept
+    return expected
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_shared_enumeration_matches_per_word_dfs(name):
+    t = load_fixture(name)
+    expected = _assert_same_as_brute(t, 5 if name == "T_RUNNING" else 6)
+    assert any(dumps for _, dumps in expected)
+
+
+# Twelve transitions give about one machine in six a run on a short word.
+@given(transducers(max_transitions=12))
+@settings(max_examples=60, deadline=None)
+def test_shared_enumeration_matches_per_word_dfs_random(t):
+    _assert_same_as_brute(t, 4)
+
+
+# Two paths leave |-: q copies the input twice over (two runs per word),
+# z zig-zags back to |- before its first letter, so a small step cap
+# fires on z while the frontier at cut 2 is being grown, after q's runs.
+TWO_PATHS = parse_transducer("""
+transducer TWO_PATHS
+input a
+output x y
+states p q r z z2 z3 f
+initial p
+final f
+t p |- R q ""
+t p |- R z ""
+t q a R q "x"
+t q a R r "y"
+t r a R r ""
+t q -| R f ""
+t r -| R f ""
+t z a L z2 ""
+t z2 |- R z3 ""
+t z3 a R q ""
+""")
+
+
+@pytest.mark.parametrize("caps,word,message", [
+    ({"cap_runs": 1}, "a", "run cap 1 exceeded"),
+    ({"cap_runs": 1, "cap_steps": 3}, "a", "run cap 1 exceeded"),
+    ({"cap_runs": 2, "cap_steps": 3}, "a",
+     "run length cap 3 exceeded during enumeration"),
+    ({"cap_steps": 3}, "a", "run length cap 3 exceeded during enumeration"),
+])
+def test_caps_fire_at_their_dfs_position(caps, word, message):
+    # The cap the per-word DFS meets first wins: q's second run before the
+    # step cap on z, which in turn comes after q's two runs.
+    expected = _assert_same_as_brute(TWO_PATHS, 3, **caps)
+    assert expected[-1] == (word, message)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@pytest.mark.parametrize("caps", [{"cap_runs": 0}, {"cap_steps": 4},
+                                  {"cap_runs": 1, "cap_steps": 12}])
+def test_caps_fire_at_the_same_input(name, caps):
+    _assert_same_as_brute(load_fixture(name), 4, **caps)
+
+
+@given(transducers(max_transitions=12),
+       st.sampled_from([{"cap_runs": 1}, {"cap_steps": 3},
+                        {"cap_runs": 1, "cap_steps": 6}]))
+@settings(max_examples=60, deadline=None)
+def test_caps_fire_at_the_same_input_random(t, caps):
+    _assert_same_as_brute(t, 4, **caps)

@@ -204,13 +204,13 @@ def test_functional_witness_at_empty_word():
 # -- property: parse/serialize round trip on generated machines ---------------
 
 @st.composite
-def transducers(draw):
+def transducers(draw, max_transitions: int = 6):
     n_states = draw(st.integers(1, 3))
     states = [f"q{i}" for i in range(n_states)]
     sigma = draw(st.sets(st.sampled_from("ab"), min_size=1, max_size=2))
     gamma = draw(st.sets(st.sampled_from("xy"), min_size=1, max_size=2))
     finals = draw(st.sets(st.sampled_from(states), max_size=n_states))
-    n_tr = draw(st.integers(0, 6))
+    n_tr = draw(st.integers(0, max_transitions))
     trs = set()
     for _ in range(n_tr):
         src = draw(st.sampled_from(states))
