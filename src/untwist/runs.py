@@ -182,7 +182,6 @@ def _default_cap_steps(t: Transducer, omega: int) -> int:
     return 10 * (2 * len(t.states) - 1) * (omega + 1)
 
 
-@dataclass(frozen=True, slots=True)
 class _Frontier:
     """The partial runs on a padded prefix p that have just reached cut |p|
     for the first time, in canonical DFS order.
@@ -192,8 +191,11 @@ class _Frontier:
     pairs there.  `cap` is the message of the CapExceeded the search meets
     after the last entry, on every extension of p."""
 
-    entries: tuple
-    cap: Optional[str] = None
+    __slots__ = ("entries", "cap")
+
+    def __init__(self, entries: tuple, cap: Optional[str] = None):
+        self.entries = entries
+        self.cap = cap
 
 
 class _PrefixSearch:
@@ -372,12 +374,17 @@ def runs_upto(t: Transducer, max_len: int, *, cap_runs: int = 10**5,
         return frontier
 
     for raw in words_upto(t, max_len):
-        frontier = grow(raw)
+        if len(raw) <= depth:
+            frontier = grow(raw)
+            if frontier is not None:
+                kept[raw] = frontier
+        else:
+            # No later word reads this frontier, so the runs are grown
+            # straight from the parent's.
+            frontier = frontier_of(raw[:-1])
         if frontier is None:
             yield raw, []
             continue
-        if len(raw) <= depth:
-            kept[raw] = frontier
         yield raw, search.close(frontier, DelimitedInput.of(raw))
 
 
