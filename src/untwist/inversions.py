@@ -310,11 +310,12 @@ def enumerate_k_inversions(run: Run, k: int, *,
 
     Cost: O(A log A + I log I) to build the member lists of the kinds the
     depths use (see `enumerate_inversions`), O(k I) for a feasibility pass,
-    and O(k log I) per chain yielded.  Each list is sorted by first anchor, so the members
-    that may follow a prefix form a suffix found by bisection.  Working from
-    the last depth back, a member is kept only when its second anchor is no
-    later than the first anchor of some kept member one depth deeper, so
-    every member the search enters completes at least one chain.
+    and O(k log I) per chain yielded.  Each list is sorted by first anchor,
+    so the members that may follow a prefix form a suffix found by
+    bisection.  Working from the last depth back, a member is kept only
+    when its second anchor is no later than the first anchor of some kept
+    member one depth deeper, so every member the search enters completes
+    at least one chain.
     """
     if k < 1:
         raise ValueError("k must be positive")

@@ -337,12 +337,12 @@ def runs_upto(t: Transducer, max_len: int, *, cap_runs: int = 10**5,
     """Every word of `words_upto(t, max_len)`, in that order, with its runs
     as `enumerate_runs` gives them, or the CapExceeded it raises.
 
-    The partial runs on a prefix are grown once per word length and shared
-    by the words of that length that extend it, and a prefix no run
-    survives is not extended: its extensions come with no runs.  Frontiers
-    are kept for the prefixes up to the longest length that has at most
-    _KEPT_FRONTIERS words; a longer prefix's frontier is held only while
-    the words that follow it in order share it, which bounds memory.
+    The partial runs on a prefix are grown at most once for each length of
+    the words that extend it, and shared by those words; a prefix no run
+    survives is not extended, and its extensions come with no runs.
+    Frontiers are kept for the prefixes up to the longest length that has
+    at most _KEPT_FRONTIERS words; a longer prefix's frontier is held only
+    while the words that follow it in order share it, which bounds memory.
     `cap_steps` defaults to the default of the longest word, which no
     normalized run reaches."""
     if cap_steps is None:
