@@ -271,9 +271,10 @@ def test_shared_enumeration_matches_per_word_dfs_random(t):
     _assert_same_as_brute(t, 4)
 
 
-# Two paths leave |-: q copies the input twice over (two runs per word),
-# z zig-zags back to |- before its first letter, so a small step cap
-# fires on z while the frontier at cut 2 is being grown, after q's runs.
+# Two paths leave |-. q may switch to r at any letter, which gives a word
+# one run per switch point. z steps back over its first letter to |- and
+# then goes on as q, so a small step cap fires on z's detour while the
+# frontier after the first letter is being grown, after q's branches.
 TWO_PATHS = parse_transducer("""
 transducer TWO_PATHS
 input a
@@ -302,8 +303,8 @@ t z3 a R q ""
     ({"cap_steps": 3}, "a", "run length cap 3 exceeded during enumeration"),
 ])
 def test_caps_fire_at_their_dfs_position(caps, word, message):
-    # The cap the per-word DFS meets first wins: q's second run before the
-    # step cap on z, which in turn comes after q's two runs.
+    # The cap the per-word DFS meets first wins: on "a", q's second run
+    # comes before the step cap on z's detour, which comes before z's run.
     expected = _assert_same_as_brute(TWO_PATHS, 3, **caps)
     assert expected[-1] == (word, message)
 
