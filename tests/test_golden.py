@@ -29,6 +29,11 @@ INPUTS = {
     "T_THREECOMP": ("m", "mmm"),
 }
 
+# Fixtures whose inversion words a finite period bound can make unsafe,
+# and the bounds they are also pinned under.
+BOUNDED_NAMES = ("T_COPY_ABC", "T_RUNNING", "T_THREECOMP")
+FINITE_BOUNDS = ("1", "2")
+
 
 def _cases() -> list[tuple[str, list[str]]]:
     cases = []
@@ -50,6 +55,18 @@ def _cases() -> list[tuple[str, list[str]]]:
         cases.append((f"{name}.decide-sweeping.3.5",
                       ["decide", "sweeping", path, "--passes", "3",
                        "--max-len", "5"]))
+        if name not in BOUNDED_NAMES:
+            continue
+        for n in FINITE_BOUNDS:
+            bound = ["--period-bound", n]
+            for word in INPUTS[name]:
+                for cmd in ("analyze", "decompose", "simulate-oneway"):
+                    cases.append(
+                        (f"{name}.{cmd}.{word.replace('#', '+')}.pb{n}",
+                         [cmd, path, "--input", word] + bound))
+            cases.append((f"{name}.decide-oneway.5.pb{n}",
+                          ["decide", "oneway", path, "--max-len", "5"]
+                          + bound))
     return [(f"{key}.{fmt}", ["--format", fmt] + argv)
             for key, argv in cases for fmt in ("text", "json")]
 
