@@ -15,9 +15,9 @@ from .loops import (Loop, components_of, enumerate_loops, is_output_minimal,
                     predicted_pump_output, pump, trace_of)
 from .forest import (FactorizationForest, RamseyWitness, build_forest,
                      ramsey_extract, verify_forest)
-from .inversions import (Inversion, KInversion, check_p2, enumerate_inversions,
-                         enumerate_k_inversions, fine_wilf_check,
-                         has_dividing_period, inversion_word,
+from .inversions import (Inversion, KInversion, PeriodIndex, check_p2,
+                         enumerate_inversions, enumerate_k_inversions,
+                         fine_wilf_check, has_dividing_period, inversion_word,
                          k_inversion_safe, smallest_period)
 from .decomposition import (Decomposition, build_decomposition,
                             block_interval, coverage_classes, is_block,

@@ -13,7 +13,8 @@ import sys
 import time
 
 from .decomposition import build_decomposition
-from .inversions import anchored_components, check_p2
+from .inversions import (INVERSION, PeriodIndex, anchored_components,
+                         enumerate_inversions)
 from .loops import enumerate_loops, pump
 from .oneway import (FunctionalityError, certificate_text, decide_oneway_bounded,
                      decide_sweeping_bounded, parse_certificate,
@@ -123,12 +124,13 @@ def cmd_analyze(args) -> int:
                 f"[{comp.min_node},{comp.max_node}] anchor "
                 f"({comp.anchor[0]},{comp.anchor[1]}) trace "
                 f'"{t.table.render(a.trace_output)}"')
-        reports = check_p2(run, bound, anchored)
-        unsafe = [r for r in reports if not r[1].safe]
-        lines.append(f"  inversions: {len(reports)} ({len(unsafe)} unsafe)")
+        inversions = enumerate_inversions(run, INVERSION, anchored)
+        periods = PeriodIndex(run, bound)
+        unsafe = sum(not periods.safe(inv) for inv in inversions)
+        lines.append(f"  inversions: {len(inversions)} ({unsafe} unsafe)")
         details.append({"run": i, "loops": len(loops),
                         "idempotent": len(idem),
-                        "inversions": len(reports), "unsafe": len(unsafe)})
+                        "inversions": len(inversions), "unsafe": unsafe})
     _emit(args, {"command": "analyze", "result": "ok",
                  "details": {"runs": details}}, "\n".join(lines) + "\n")
     return EX_OK
@@ -244,7 +246,7 @@ def cmd_verify_cert(args) -> int:
     t = _load(args.file)
     with open(args.cert, encoding="utf-8") as fh:
         cert = parse_certificate(fh.read())
-    ok = verify_certificate(t, cert)
+    ok = verify_certificate(t, cert, bound=_bound(args, t))
     _emit(args, {"command": "verify-cert",
                  "verdict": "valid" if ok else "invalid", "details": {}},
           ("valid" if ok else "invalid") + "\n")

@@ -227,6 +227,80 @@ def period_report(run: Run, inv: Inversion, bound: PeriodBound) -> PeriodReport:
                         has_dividing_period(w, l1, l2, bound))
 
 
+class PeriodIndex:
+    """`period_report(run, inv, bound).safe` for the inversions of one run,
+    without building their words.
+
+    Let w = tr1 · out[s:e] · tr2, and r1, r2 the lengths of the primitive
+    roots of tr1 and tr2 (a word u has a period p dividing |u| exactly when
+    its root length divides p).  If w has a period p dividing |tr1| and
+    |tr2|, then w[:p] is a power of tr1's root, so w has period r1; by the
+    same argument from the right it has period r2, and then each trace has
+    the other's root length as a period dividing its length, so r1 == r2.
+    Hence the word is safe exactly when r1 == r2 == r, the bound admits r
+    and w has period r, and r is then the period `period_report` finds.
+
+    Every two letters r apart in w lie in tr1, in tr2 or in the window
+    tr1[-r:] · out[s:e] · tr2[:r].  When e - s >= r, the window has period
+    r exactly when out[s:e] has it, a lookup in a table built by one
+    right-to-left pass over the output, and both junctions agree over r
+    letters.  A shorter window is checked as a word.
+
+    Tables fill on first use, so build one index per run and bound, and
+    drop it with the run.
+    """
+
+    def __init__(self, run: Run, bound: PeriodBound):
+        self.run = run
+        self.bound = bound
+        self._admits: dict[int, bool] = {}          # r -> bound admits r
+        self._agree: dict[int, list[int]] = {}      # r -> agreement runs
+        self._sides: dict[int, tuple] = {}          # id -> see _side
+
+    def _agreement(self, p: int) -> list[int]:
+        """agree[k]: how many indices from k on have out[i] == out[i + p];
+        out[s:e] has period p exactly when agree[s] >= e - s - p."""
+        agree = self._agree.get(p)
+        if agree is None:
+            out = self.run.output
+            agree = [0] * (len(out) + 1)
+            for k in range(len(out) - p - 1, -1, -1):
+                if out[k] == out[k + p]:
+                    agree[k] = agree[k + 1] + 1
+            self._agree[p] = agree
+        return agree
+
+    def _side(self, a: AnchoredComponent) -> tuple:
+        """(a, root length r, root, output offset of the anchor, whether the
+        output continues with the root there, whether it ends with it
+        there), kept by id; holding `a` keeps its id from reuse."""
+        trace, out = a.trace_output, self.run.output
+        r = (trace + trace).find(trace, 1)
+        root = trace[:r]
+        off = self.run.out_prefix[self.run.loc_index[a.anchor]]
+        side = self._sides[id(a)] = (a, r, root, off,
+                                     out.startswith(root, off),
+                                     out.endswith(root, 0, off))
+        if r not in self._admits:
+            self._admits[r] = bound_admits(self.bound, r)
+        return side
+
+    def safe(self, inv: Inversion) -> bool:
+        a, b = inv.first, inv.second
+        sa, sb = self._sides.get(id(a)), self._sides.get(id(b))
+        if sa is None or sa[0] is not a:
+            sa = self._side(a)
+        if sb is None or sb[0] is not b:
+            sb = self._side(b)
+        _, r, root1, s, starts, _ = sa
+        _, r2, root2, e, _, ends = sb
+        if r != r2 or not self._admits[r]:
+            return False
+        if e - s < r:
+            return has_period(root1 + self.run.output[s:e] + root2, r)
+        return starts and ends and self._agreement(r)[s] >= e - s - r
+
+
 def check_p2(run: Run, bound: PeriodBound,
              anchored: Optional[list[AnchoredComponent]] = None
              ) -> list[tuple[Inversion, PeriodReport]]:
@@ -242,13 +316,14 @@ def first_unsafe_inversion(run: Run, bound: PeriodBound,
                            ) -> Optional[tuple[Inversion, PeriodReport]]:
     """First unsafe inversion in canonical (anchor pair) order, or None.
 
-    `inversions`, when given, is the run's `enumerate_inversions` list."""
+    `inversions`, when given, is the run's `enumerate_inversions` list.
+    Only the inversion returned gets its word and report built."""
     if inversions is None:
         inversions = enumerate_inversions(run, INVERSION)
+    periods = PeriodIndex(run, bound)
     for inv in inversions:
-        rep = period_report(run, inv, bound)
-        if not rep.safe:
-            return inv, rep
+        if not periods.safe(inv):
+            return inv, period_report(run, inv, bound)
     return None
 
 
@@ -361,6 +436,7 @@ def enumerate_k_inversions(run: Run, k: int, *,
     yield from rec(0, 0)
 
 
-def k_inversion_safe(run: Run, ki: KInversion, bound: PeriodBound) -> bool:
-    """Safe when some member's word admits a dividing period within bound."""
-    return any(period_report(run, inv, bound).safe for inv in ki.members)
+def k_inversion_safe(periods: PeriodIndex, ki: KInversion) -> bool:
+    """Safe when some member's word admits a dividing period within the
+    bound; `periods` is the index of the chain's run and that bound."""
+    return any(periods.safe(inv) for inv in ki.members)

@@ -19,9 +19,9 @@ from typing import Callable, Iterator, Optional
 from .bounds import PeriodBound, bound_admits
 from .decomposition import BLOCK, DIAGONAL, Decomposition, build_decomposition
 from .inversions import (CO_INVERSION, INVERSION, AnchoredComponent,
-                         Inversion, _divisors, _pair_matches,
+                         Inversion, PeriodIndex, _divisors, _pair_matches,
                          enumerate_inversions, enumerate_k_inversions,
-                         inversion_word, k_inversion_safe, period_report)
+                         inversion_word, k_inversion_safe)
 from .runs import (CapExceeded, Run, dump_run, dump_transitions,
                    enumerate_runs, replay, runs_upto, validate_run)
 from .transducer import Transducer, constants, serialize_transducer
@@ -454,9 +454,10 @@ def decide_oneway_bounded(t: Transducer, max_len: int, *,
     stats = {"inputs": 0, "runs": 0, "inversions": 0}
 
     def unsafe_members(run: Run) -> Optional[tuple[Inversion]]:
+        periods = PeriodIndex(run, bound)
         for inv in enumerate_inversions(run, INVERSION):
             stats["inversions"] += 1
-            if not period_report(run, inv, bound).safe:
+            if not periods.safe(inv):
                 return (inv,)
         return None
 
@@ -493,9 +494,10 @@ def decide_sweeping_bounded(t: Transducer, passes: Optional[int],
     stats = {"inputs": 0, "runs": 0, "chains": 0}
 
     def unsafe_members(run: Run) -> Optional[tuple[Inversion, ...]]:
+        periods = PeriodIndex(run, bound)
         for ki in enumerate_k_inversions(run, passes, cap=cap_chains):
             stats["chains"] += 1
-            if not k_inversion_safe(run, ki, bound):
+            if not k_inversion_safe(periods, ki):
                 return ki.members
         return None
 

@@ -149,10 +149,6 @@ class Run:
                 parts.append(s.output)
         return "".join(parts)
 
-    def location_set(self, l1: Location, l2: Location,
-                     x1: int, x2: int) -> LocationSet:
-        return LocationSet((self.loc_index[l1], self.loc_index[l2]), (x1, x2))
-
     def __repr__(self) -> str:
         return (f"Run({self.transducer.name!r}, "
                 f"input={self.transducer.table.render(self.word.raw)!r}, "

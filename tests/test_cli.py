@@ -142,6 +142,27 @@ def test_verify_cert_cli(tmp_path, capsys):
     assert code == 1 and out.strip() == "invalid"
 
 
+@pytest.mark.parametrize("bound", ["1", "2"])
+@pytest.mark.parametrize("name,extra", [
+    ("T_COPY_ABC", ["oneway"]),
+    ("T_RUNNING", ["oneway"]),
+    ("T_THREECOMP", ["sweeping", "--passes", "2"]),
+])
+def test_verify_cert_honours_period_bound(tmp_path, capsys, name, extra,
+                                          bound):
+    cert_path = tmp_path / "cert.txt"
+    code, _ = invoke(capsys, "decide", *extra, fx(name), "--max-len", "5",
+                     "--period-bound", bound, "--cert", str(cert_path))
+    assert code == 1
+    code, out = invoke(capsys, "verify-cert", fx(name), "--cert",
+                       str(cert_path), "--period-bound", bound)
+    assert code == 0 and out.strip() == "valid"
+    # Under the symbolic bound the certificate lists too few divisors.
+    code, out = invoke(capsys, "verify-cert", fx(name), "--cert",
+                       str(cert_path))
+    assert code == 1 and out.strip() == "invalid"
+
+
 def test_byte_identical_repeat_invocations(capsys):
     _, out1 = invoke(capsys, "decide", "oneway", fx("T_COPY_AB"),
                      "--max-len", "6")

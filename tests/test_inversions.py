@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,12 +8,12 @@ from untwist import effects, inversions, loops
 from untwist.bounds import BoundFactored
 from untwist.decomposition import coverage_classes
 from untwist.inversions import (CO_INVERSION, INVERSION, FineWilfPrecondition,
-                                anchored_components, check_p2,
-                                enumerate_inversions,
+                                KInversion, PeriodIndex, anchored_components,
+                                check_p2, enumerate_inversions,
                                 enumerate_k_inversions, fine_wilf_check,
                                 first_unsafe_inversion, has_dividing_period,
                                 has_period, inversion_word, k_inversion_safe,
-                                smallest_period)
+                                period_report, smallest_period)
 from untwist.loops import enumerate_loops
 from untwist.oneway import decide_oneway_bounded, decide_sweeping_bounded
 from untwist.runs import CapExceeded, enumerate_runs
@@ -267,6 +268,75 @@ def test_p2_vacuous_without_inversions(t_id):
     assert check_p2(run, constants(t_id).bound_factored) == []
 
 
+# -- the period index against the reports --------------------------------------
+
+def _assert_index_matches_reports(run, bounds):
+    invs = enumerate_inversions(run, INVERSION)
+    for bound in bounds:
+        periods = PeriodIndex(run, bound)
+        for inv in invs:
+            rep = period_report(run, inv, bound)
+            assert periods.safe(inv) == rep.safe, (inv, bound)
+            if rep.safe:    # the period found is the traces' root length
+                tr = inv.first.trace_output
+                assert rep.found_period == (tr + tr).find(tr, 1)
+    return len(invs)
+
+
+def test_period_index_matches_reports_exhaustive(fixtures):
+    checked = 0
+    for name in FIXTURE_NAMES:
+        t = fixtures[name]
+        bounds = (constants(t).bound_factored, 1, 2, 3, 4)
+        longest = 5 if name == "T_RUNNING" else 6
+        for raw, runs in domain_words(t, longest):
+            for run in runs:
+                checked += _assert_index_matches_reports(run, bounds)
+    assert checked > 0
+
+
+@given(fixture_words(), st.sampled_from([None, 1, 2, 3, 4]))
+@settings(max_examples=120, deadline=None)
+def test_period_index_matches_reports_random(case, bound):
+    t, word = case
+    bounds = (constants(t).bound_factored if bound is None else bound,)
+    for run in enumerate_runs(t, word):
+        _assert_index_matches_reports(run, bounds)
+
+
+def test_period_index_matches_reports_long_copy(t_copy_abc):
+    run = enumerate_runs(t_copy_abc, "abc" * 18)[0]
+    assert _assert_index_matches_reports(
+        run, (constants(t_copy_abc).bound_factored, 3)) == 35514
+
+
+@pytest.mark.parametrize("tr1,out,s,e,tr2,bound,safe", [
+    ("ab", "xababay", 1, 6, "ab", SYM, False),   # only the right junction
+    ("ab", "xbababy", 1, 6, "ab", SYM, False),   # only the left junction
+    ("abab", "ababab", 0, 6, "ab", SYM, True),   # both junctions hold
+    ("abab", "ababab", 0, 6, "ab", 1, False),    # ... but the bound bites
+    ("ababab", "xaxbab", 2, 4, "abab", SYM, False),  # only the middle breaks
+    ("abc", "ab", 0, 2, "cab", SYM, True),       # e - s < p, window periodic
+    ("abc", "ab", 0, 2, "abc", SYM, False),      # e - s < p, window aperiodic
+    ("abc", "ab", 1, 1, "abc", SYM, True),       # e = s, equal roots
+    ("abc", "ab", 1, 1, "bca", SYM, False),      # e = s, rotated roots
+    ("aa", "aaaa", 1, 3, "aaaa", SYM, True),     # root length 1
+    ("aa", "aaaa", 1, 3, "abab", SYM, False),    # root lengths differ
+    ("abab", "ab", 0, 2, "abababab", 2, True),   # e - s == p
+])
+def test_period_index_unit_cases(tr1, out, s, e, tr2, bound, safe):
+    """PeriodIndex.safe on a stub run whose k-th location sits at output
+    offset k, for the word tr1 · out[s:e] · tr2."""
+    assert (has_dividing_period(tr1 + out[s:e] + tr2, len(tr1), len(tr2),
+                                bound) is not None) == safe
+    run = SimpleNamespace(output=out, out_prefix=range(len(out) + 1),
+                          loc_index={(k, 0): k for k in range(len(out) + 1)})
+    inv = SimpleNamespace(
+        first=SimpleNamespace(trace_output=tr1, anchor=(s, 0)),
+        second=SimpleNamespace(trace_output=tr2, anchor=(e, 0)))
+    assert PeriodIndex(run, bound).safe(inv) == safe
+
+
 # -- Fine and Wilf ---------------------------------------------------------------
 
 def test_fine_wilf_single_letter():
@@ -332,9 +402,9 @@ def test_k1_collapses_to_inversions(t_copy_ab):
     singles = list(enumerate_k_inversions(run, 1))
     invs = enumerate_inversions(run, INVERSION)
     assert [ki.members[0] for ki in singles] == invs
+    periods = PeriodIndex(run, bound)
     for ki in singles:
-        from untwist.inversions import period_report
-        assert k_inversion_safe(run, ki, bound) == \
+        assert k_inversion_safe(periods, ki) == \
             period_report(run, ki.members[0], bound).safe
 
 
@@ -351,11 +421,11 @@ def test_safety_monotone_under_safe_extension(t_copy_abc):
     run = enumerate_runs(t_copy_abc, t_copy_abc.parse_input_text("abcabc"))[0]
     bound = constants(t_copy_abc).bound_factored
     chains2 = list(enumerate_k_inversions(run, 2))
+    periods = PeriodIndex(run, bound)
     for ki in chains2:
         head = ki.members[:1]
-        from untwist.inversions import KInversion
-        if k_inversion_safe(run, KInversion(head), bound):
-            assert k_inversion_safe(run, ki, bound)
+        if k_inversion_safe(periods, KInversion(head)):
+            assert k_inversion_safe(periods, ki)
 
 
 # -- the chain search against the exhaustive depth-first search --------------------
