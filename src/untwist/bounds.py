@@ -8,8 +8,7 @@ which never materializes more than it has to.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 DEFAULT_BIT_CAP = 1 << 20
 
@@ -18,8 +17,7 @@ class BoundOverflowError(Exception):
     """Materializing a bound whose exponent exceeds the bit cap."""
 
 
-@dataclass(frozen=True)
-class BoundFactored:
+class BoundFactored(NamedTuple):
     """The bound c_max * h_max * (2**exponent + 4), kept factored."""
 
     c_max: int
@@ -57,6 +55,24 @@ class BoundFactored:
 
     def __str__(self) -> str:
         return f"{self.c_max}*{self.h_max}*(2^{self.exponent}+4)"
+
+
+def compare_on(*names: str):
+    """Class decorator: `==` and `hash` of a named tuple look at the fields
+    `names` only, in that order, and never equal another class."""
+    def decorate(cls):
+        idx = [cls._fields.index(n) for n in names]
+
+        def key(record):
+            return tuple([record[i] for i in idx])
+
+        def eq(a, b):
+            return b.__class__ is a.__class__ and key(a) == key(b)
+
+        cls.__eq__, cls.__ne__ = eq, lambda a, b: not eq(a, b)
+        cls.__hash__ = lambda record: hash(key(record))
+        return cls
+    return decorate
 
 
 # A period bound is either a concrete integer or the symbolic master bound.

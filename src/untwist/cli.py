@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 pass/no-counterexample, 1 refuted, 2 absent, 64 usage,
-65 parse/validation, 69 resource cap exceeded.  Default output carries no
-timestamps so identical invocations are byte-identical; --stats adds
-timing behind a flag.
+65 parse/validation, 69 resource cap exceeded, 70 internal inconsistency
+(a bug, never a verdict).  Default output carries no timestamps so
+identical invocations are byte-identical; --stats adds timing behind a flag.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import json
 import sys
 import time
 
-from .decomposition import build_decomposition
+from .decomposition import InternalInconsistencyError, build_decomposition
 from .inversions import (INVERSION, PeriodIndex, anchored_components,
                          enumerate_inversions)
 from .loops import enumerate_loops, pump
@@ -24,7 +24,7 @@ from .transducer import (ParseError, constants, parse_transducer,
                          serialize_transducer, validate)
 
 EX_OK, EX_REFUTED, EX_ABSENT = 0, 1, 2
-EX_USAGE, EX_DATA, EX_CAP = 64, 65, 69
+EX_USAGE, EX_DATA, EX_CAP, EX_SOFTWARE = 64, 65, 69, 70
 
 
 def _load(path: str):
@@ -323,6 +323,9 @@ def run_cli(argv=None) -> int:
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EX_CAP
+    except InternalInconsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EX_SOFTWARE
     if args.stats and args.format == "text":
         print(f"elapsed: {time.monotonic() - args.started:.3f}s")
     return code

@@ -10,10 +10,9 @@ desk scale; a finite override exercises their failure paths.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .bounds import PeriodBound, bound_admits
+from .bounds import PeriodBound, bound_admits, compare_on
 from .inversions import (INVERSION, Inversion, PeriodReport,
                          enumerate_inversions, first_unsafe_inversion,
                          smallest_period)
@@ -27,8 +26,7 @@ class InternalInconsistencyError(Exception):
     """A consequence of the theory failed to hold; always a bug."""
 
 
-@dataclass(frozen=True)
-class CoverageClass:
+class CoverageClass(NamedTuple):
     start: int                  # run-order index of the first covered location
     end: int                    # index of the last covered location
     chain: tuple[Inversion, ...]
@@ -39,8 +37,7 @@ class CoverageClass:
         return tuple(sorted({x for x, _ in self.anchors}))
 
 
-@dataclass(frozen=True)
-class BlockData:
+class BlockData(NamedTuple):
     head: str
     mid: str
     tail: str
@@ -50,8 +47,7 @@ class BlockData:
     right_word: str
 
 
-@dataclass(frozen=True)
-class Piece:
+class Piece(NamedTuple):
     kind: str
     start: Location
     end: Location
@@ -59,10 +55,13 @@ class Piece:
     block: Optional[BlockData] = None
 
 
-@dataclass(frozen=True)
-class Decomposition:
+@compare_on("pieces")
+class Decomposition(NamedTuple):
+    """The pieces of a run; the bound they were checked under stays out of
+    == and hash."""
+
     pieces: tuple[Piece, ...]
-    bound: PeriodBound = field(compare=False)
+    bound: PeriodBound
 
     def render(self) -> str:
         lines = []
@@ -73,8 +72,7 @@ class Decomposition:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class BuildOutcome:
+class BuildOutcome(NamedTuple):
     decomposition: Optional[Decomposition]
     unsafe: Optional[tuple[Inversion, PeriodReport]] = None
 

@@ -8,18 +8,13 @@ the dummy absorbing element is exposed as BOTTOM.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .runs import Run
 
 
 class _Bottom:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """The type of BOTTOM, its only instance."""
 
     def __repr__(self):
         return "BOTTOM"
@@ -37,8 +32,7 @@ def _edge_kind(edge: Edge) -> str:
     return "RR" if z % 2 == 0 else "RL"
 
 
-@dataclass(frozen=True)
-class Flow:
+class Flow(NamedTuple):
     """Edges over nodes {0..max(h1,h2)-1} with the border degree discipline."""
 
     h1: int
@@ -145,13 +139,27 @@ def flow_product(f, g):
     return Flow(f.h1, g.h2, edges)
 
 
-# Effects are hash-consed: every instance goes through make_effect, so
-# value equality coincides with identity and products memoize cheaply.
-@dataclass(frozen=True, eq=False)
 class Effect:
-    flow: Flow
-    c1: tuple[str, ...]
-    c2: tuple[str, ...]
+    """A flow with its two border crossing sequences.
+
+    Effects are hash-consed: every instance goes through make_effect, so
+    value equality coincides with identity, which `==` and hash use, and
+    products memoize cheaply.  Instances are immutable."""
+
+    __slots__ = ("flow", "c1", "c2")
+
+    def __init__(self, flow: Flow, c1: tuple[str, ...], c2: tuple[str, ...]):
+        object.__setattr__(self, "flow", flow)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"effects are immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"Effect(flow={self.flow!r}, c1={self.c1!r}, c2={self.c2!r})"
 
     def __str__(self) -> str:
         return f"{self.flow}|{','.join(self.c1)}|{','.join(self.c2)}"
@@ -188,19 +196,6 @@ def effect_product(e, f):
 
 def is_idempotent(e) -> bool:
     return e is not BOTTOM and effect_product(e, e) == e
-
-
-def effect_power(e, n: int):
-    """e ⊙ e ⊙ ... (n times, n >= 1), by binary exponentiation."""
-    assert n >= 1
-    result = None
-    base = e
-    while n:
-        if n & 1:
-            result = base if result is None else effect_product(result, base)
-        base = effect_product(base, base)
-        n >>= 1
-    return result
 
 
 # ---------------------------------------------------------------------------

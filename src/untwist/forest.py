@@ -10,8 +10,7 @@ never a silent pass.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .effects import (effect_of_interval, effect_product, interval_effect_closure,
                       is_idempotent)
@@ -23,8 +22,7 @@ class ForestHeightError(Exception):
     """The greedy builder exceeded the asserted height bound (a bug)."""
 
 
-@dataclass
-class Node:
+class Node(NamedTuple):
     interval: tuple[int, int]
     effect: object
     children: tuple["Node", ...]
@@ -35,8 +33,7 @@ class Node:
         return not self.children
 
 
-@dataclass
-class FactorizationForest:
+class FactorizationForest(NamedTuple):
     positions: tuple[int, ...]
     root: Node
     closure_size: int
@@ -154,16 +151,14 @@ def verify_forest(run: Run, forest: FactorizationForest) -> bool:
 # Ramsey extraction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RamseyWitness:
+class RamseyWitness(NamedTuple):
     loop: Loop
     component: Component
     anchor: Location
     trace_output: str
 
 
-@dataclass
-class ExtractionResult:
+class ExtractionResult(NamedTuple):
     witness: Optional[RamseyWitness]
     level: Optional[int]
     source_positions: tuple[int, ...]

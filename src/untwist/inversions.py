@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .bounds import PeriodBound, bound_admits
 from .loops import Component, Loop, components_of, enumerate_loops, trace_of
@@ -34,8 +33,7 @@ INVERSION = "inversion"
 CO_INVERSION = "co-inversion"
 
 
-@dataclass(frozen=True)
-class AnchoredComponent:
+class AnchoredComponent(NamedTuple):
     loop: Loop
     component: Component
     trace_output: str
@@ -45,8 +43,7 @@ class AnchoredComponent:
         return self.component.anchor
 
 
-@dataclass(frozen=True)
-class Inversion:
+class Inversion(NamedTuple):
     kind: str
     first: AnchoredComponent
     second: AnchoredComponent
@@ -56,8 +53,7 @@ class Inversion:
         return (self.first.anchor, self.second.anchor)
 
 
-@dataclass(frozen=True)
-class PeriodReport:
+class PeriodReport(NamedTuple):
     word: str
     len1: int
     len2: int
@@ -69,8 +65,7 @@ class PeriodReport:
         return self.found_period is not None
 
 
-@dataclass(frozen=True)
-class KInversion:
+class KInversion(NamedTuple):
     members: tuple[Inversion, ...]
 
 

@@ -9,15 +9,14 @@ starts at the anchor, and iterating the loop iterates each component's trace.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .effects import Effect, effect_product, effect_of_interval
 from .runs import Factor, Location, Run, replay
 from .transducer import Transducer, Transition
 
 
-@dataclass(frozen=True)
-class Loop:
+class Loop(NamedTuple):
     x1: int
     x2: int
     effect: Effect
@@ -35,8 +34,7 @@ class Loop:
         return f"loop[{self.x1},{self.x2}] ({tag})"
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     loop: Loop
     nodes: tuple[int, ...]          # contiguous level interval, ascending
     left_to_right: bool
@@ -52,8 +50,7 @@ class Component:
         return self.nodes[-1]
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     component: Component
     cycle_factors: tuple[Factor, ...]   # cycle order, crossing factor first
     output: str
@@ -112,21 +109,6 @@ def components_of(run: Run, loop: Loop) -> list[Component]:
         comps.append(Component(loop, nodes, ltr, anchor, cfs))
     comps.sort(key=lambda c: run.loc_index[c.anchor])
     return comps
-
-
-def component_factor_pattern(comp: Component) -> tuple[int, bool]:
-    """Check the k*LL, 1*LR, k*RR run-order pattern (mirrored when
-    right-to-left); returns (k, ok)."""
-    kinds = [f.kind for f in comp.factors]
-    first, cross, last = ("LL", "LR", "RR") if comp.left_to_right else \
-        ("RR", "RL", "LL")
-    k2, rest = 0, list(kinds)
-    while rest and rest[0] == first:
-        k2 += 1
-        rest.pop(0)
-    ok = (len(rest) == k2 + 1 and rest[0] == cross
-          and all(kind == last for kind in rest[1:]))
-    return k2, ok
 
 
 def trace_of(run: Run, loop: Loop, comp: Component) -> Trace:

@@ -11,12 +11,11 @@ no-counterexample verdict.
 """
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
-from .bounds import PeriodBound, bound_admits
+from .bounds import PeriodBound, bound_admits, compare_on
 from .decomposition import BLOCK, DIAGONAL, Decomposition, build_decomposition
 from .inversions import (CO_INVERSION, INVERSION, AnchoredComponent,
                          Inversion, PeriodIndex, _divisors, _pair_matches,
@@ -26,22 +25,20 @@ from .runs import (CapExceeded, Run, dump_run, dump_transitions,
                    enumerate_runs, replay, runs_upto, validate_run)
 from .transducer import Transducer, constants, serialize_transducer
 from .effects import effect_of_interval, effect_product
-from .loops import components_of, trace_of
+from .loops import Loop, components_of, trace_of
 
 
 class FunctionalityError(Exception):
     """The transducer produced two outputs for one input."""
 
 
-@dataclass(frozen=True)
-class TranscriptEntry:
+class TranscriptEntry(NamedTuple):
     position: int
     text: str
     note: str
 
 
-@dataclass
-class SimulationResult:
+class SimulationResult(NamedTuple):
     output: Optional[str]               # encoded; None when absent
     transcript: tuple[TranscriptEntry, ...]
     run_index: Optional[int]
@@ -162,11 +159,11 @@ def simulate_oneway(t: Transducer, raw: str, *, bound: PeriodBound = None,
 # ---------------------------------------------------------------------------
 
 def transducer_digest(t: Transducer) -> str:
+    import hashlib  # loads libcrypto; only certificates need it
     return hashlib.sha256(serialize_transducer(t).encode()).hexdigest()
 
 
-@dataclass(frozen=True)
-class MemberRecord:
+class MemberRecord(NamedTuple):
     kind: str
     loop1: tuple[int, int]
     nodes1: tuple[int, ...]
@@ -180,8 +177,7 @@ class MemberRecord:
     mismatches: tuple[tuple[int, int], ...]   # (divisor, failing index)
 
 
-@dataclass(frozen=True)
-class RefutationCertificate:
+class RefutationCertificate(NamedTuple):
     kind: str                   # "oneway" | "sweeping"
     transducer_name: str
     digest: str
@@ -309,7 +305,9 @@ def verify_certificate(t: Transducer, cert: RefutationCertificate, *,
 
     A certificate for another machine, or whose run or members do not check
     out, is invalid (False); an input word or run dump that does not parse
-    against `t` raises ValueError."""
+    against `t` raises ValueError.  Only the replay of the dumped run may
+    fail into "invalid": any other exception is a fault of the checker and
+    propagates."""
     if bound is None:
         bound = constants(t).bound_factored
     if cert.digest != transducer_digest(t):
@@ -318,72 +316,71 @@ def verify_certificate(t: Transducer, cert: RefutationCertificate, *,
     transitions = dump_transitions(t, cert.run_dump)
     try:
         run = replay(t, raw, transitions)
-        # The dump's locations and output must be the replayed run's own.
-        if dump_run(run) != cert.run_dump or not validate_run(t, raw, run):
-            return False
-        table = t.table
-        prev_second = None
-        for m, rec in enumerate(cert.members):
-            expect_kind = INVERSION if m % 2 == 0 else CO_INVERSION
-            if rec.kind != expect_kind:
-                return False
-            sides = []
-            for loop_iv, nodes, anchor, trace in (
-                    (rec.loop1, rec.nodes1, rec.anchor1, rec.trace1),
-                    (rec.loop2, rec.nodes2, rec.anchor2, rec.trace2)):
-                x1, x2 = loop_iv
-                if not (1 <= x1 < x2 <= run.word.omega - 1):
-                    return False
-                if run.crossing(x1) != run.crossing(x2):
-                    return False
-                e = effect_of_interval(run, x1, x2)
-                if effect_product(e, e) != e:
-                    return False
-                from .loops import Loop
-                loop = Loop(x1, x2, e, True)
-                comp = next((c for c in components_of(run, loop)
-                             if c.nodes == nodes), None)
-                if comp is None or comp.anchor != anchor:
-                    return False
-                tr = trace_of(run, loop, comp)
-                if table.render(tr.output) != trace or not tr.output:
-                    return False
-                sides.append(AnchoredComponent(loop, comp, tr.output))
-            first, second = sides
-            if not _pair_matches(run, rec.kind, first, second):
-                return False
-            if prev_second is not None:
-                if run.loc_index[first.anchor] < prev_second:
-                    return False
-            prev_second = run.loc_index[second.anchor]
-            w = inversion_word(run, Inversion(rec.kind, first, second))
-            if table.render(w) != rec.word:
-                return False
-            l1, l2 = len(first.trace_output), len(second.trace_output)
-            g = math.gcd(l1, l2)
-            expected = [p for p in _divisors(g) if bound_admits(bound, p)]
-            if [p for p, _ in rec.mismatches] != expected:
-                return False
-            for p, i in rec.mismatches:
-                if not (0 <= i < len(w) - p) or w[i] == w[i + p]:
-                    return False
-        if len(cert.members) != (1 if cert.kind == "oneway" else cert.passes):
-            return False
-        return True
-    except Exception:
+    except ValueError:
         return False
+    # The dump's locations and output must be the replayed run's own.
+    if dump_run(run) != cert.run_dump or not validate_run(t, raw, run):
+        return False
+    table = t.table
+    prev_second = None
+    for m, rec in enumerate(cert.members):
+        expect_kind = INVERSION if m % 2 == 0 else CO_INVERSION
+        if rec.kind != expect_kind:
+            return False
+        sides = []
+        for loop_iv, nodes, anchor, trace in (
+                (rec.loop1, rec.nodes1, rec.anchor1, rec.trace1),
+                (rec.loop2, rec.nodes2, rec.anchor2, rec.trace2)):
+            x1, x2 = loop_iv
+            if not (1 <= x1 < x2 <= run.word.omega - 1):
+                return False
+            if run.crossing(x1) != run.crossing(x2):
+                return False
+            e = effect_of_interval(run, x1, x2)
+            if effect_product(e, e) != e:
+                return False
+            loop = Loop(x1, x2, e, True)
+            comp = next((c for c in components_of(run, loop)
+                         if c.nodes == nodes), None)
+            if comp is None or comp.anchor != anchor:
+                return False
+            tr = trace_of(run, loop, comp)
+            if table.render(tr.output) != trace or not tr.output:
+                return False
+            sides.append(AnchoredComponent(loop, comp, tr.output))
+        first, second = sides
+        if not _pair_matches(run, rec.kind, first, second):
+            return False
+        if prev_second is not None \
+                and run.loc_index[first.anchor] < prev_second:
+            return False
+        prev_second = run.loc_index[second.anchor]
+        w = inversion_word(run, Inversion(rec.kind, first, second))
+        if table.render(w) != rec.word:
+            return False
+        l1, l2 = len(first.trace_output), len(second.trace_output)
+        g = math.gcd(l1, l2)
+        expected = [p for p in _divisors(g) if bound_admits(bound, p)]
+        if [p for p, _ in rec.mismatches] != expected:
+            return False
+        for p, i in rec.mismatches:
+            if not (0 <= i < len(w) - p) or w[i] == w[i + p]:
+                return False
+    return len(cert.members) == (1 if cert.kind == "oneway" else cert.passes)
 
 
 # ---------------------------------------------------------------------------
 # Deciders
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Verdict:
+@compare_on("kind", "max_len", "certificate", "note")
+class Verdict(NamedTuple):
+    """A decider's answer; the search counters stay out of == and hash."""
+
     kind: str                   # "refuted" | "no-counterexample" | "bound-exceeded"
     max_len: int
     certificate: Optional[RefutationCertificate] = None
-    searched: dict = field(default_factory=dict, compare=False)
+    searched: Mapping[str, int] = MappingProxyType({})
     note: str = ""
 
 

@@ -9,9 +9,8 @@ word; factor interception reduces to a range condition on read indices.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .transducer import (LEFT, LEFT_END, RIGHT, RIGHT_END, Transducer,
                          Transition, words_upto)
@@ -23,8 +22,7 @@ class CapExceeded(Exception):
     """A configured resource cap was hit; never a silent truncation."""
 
 
-@dataclass(frozen=True)
-class DelimitedInput:
+class DelimitedInput(NamedTuple):
     raw: str        # encoded word over the input alphabet
     padded: str     # LEFT_END + raw + RIGHT_END
     omega: int      # number of padded letters; positions range over 0..omega
@@ -35,8 +33,7 @@ class DelimitedInput:
         return DelimitedInput(raw, padded, len(padded))
 
 
-@dataclass(frozen=True, slots=True)
-class Step:
+class Step(NamedTuple):
     source: Location
     target: Location
     transition: Transition
@@ -44,8 +41,7 @@ class Step:
     output: str     # encoded
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(NamedTuple):
     """A maximal run fragment intercepted by a position interval."""
 
     kind: str               # "LL" | "LR" | "RL" | "RR"
@@ -59,8 +55,7 @@ class Factor:
         return (self.start[1], self.end[1])
 
 
-@dataclass(frozen=True)
-class LocationSet:
+class LocationSet(NamedTuple):
     """Z = K ∩ (I × N) for a location interval K and position interval I."""
 
     loc_range: tuple[int, int]    # inclusive run-order index range of K

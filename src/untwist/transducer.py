@@ -7,11 +7,10 @@ characters STX/ETX so they can never collide with user symbols.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .bounds import BoundFactored, DEFAULT_BIT_CAP
+from .bounds import DEFAULT_BIT_CAP, BoundFactored, compare_on
 
 LEFT_END = "\x02"   # input left delimiter
 RIGHT_END = "\x03"  # input right delimiter
@@ -27,8 +26,7 @@ class ParseError(Exception):
         self.line = line
 
 
-@dataclass(frozen=True, order=True)
-class Transition:
+class Transition(NamedTuple):
     source: str
     symbol: str          # declared token, or "|-" / "-|"
     direction: str       # "L" or "R"
@@ -36,15 +34,13 @@ class Transition:
     output: tuple[str, ...]   # declared output tokens
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
+class ValidationIssue(NamedTuple):
     severity: str        # "error" | "warning"
     message: str
     where: str = ""
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     issues: tuple[ValidationIssue, ...]
 
     @property
@@ -147,15 +143,16 @@ class Transducer:
                 f"|delta|={len(self.transitions)})")
 
 
-@dataclass(frozen=True)
-class Constants:
-    """Exact derived sizes for a transducer."""
+@compare_on("state_count", "c_max", "h_max", "e_max")
+class Constants(NamedTuple):
+    """Exact derived sizes for a transducer; the bound, derived from them,
+    stays out of == and hash."""
 
     state_count: int
     c_max: int
     h_max: int
     e_max: int
-    bound_factored: BoundFactored = field(compare=False)
+    bound_factored: BoundFactored
 
     def bound(self, bit_cap: int = DEFAULT_BIT_CAP) -> int:
         return self.bound_factored.materialize(bit_cap)

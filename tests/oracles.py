@@ -6,15 +6,21 @@ searches each word on its own, from scratch, the period oracle
 tries every shift, the subrun oracle filters steps one by one, the
 inversion oracle tests every pair of anchored components, and the chain
 oracle tries every member at every depth.
+
+Two helpers at the end check properties of the library's objects that the
+library itself never needs: powers of an effect and the factor pattern of
+a loop component.
 """
 from __future__ import annotations
 
 from typing import Optional
 
 from untwist.decomposition import CoverageClass
+from untwist.effects import effect_product
 from untwist.inversions import (CO_INVERSION, INVERSION, Inversion,
                                 KInversion, _pair_matches,
                                 anchored_components)
+from untwist.loops import Component
 from untwist.runs import CapExceeded, DelimitedInput, Run, Step
 from untwist.transducer import RIGHT, Transducer
 
@@ -263,3 +269,31 @@ def brute_k_inversions(run: Run, k: int, *, cap: int = 10**6):
             chain.pop()
 
     yield from rec(0, [])
+
+
+def effect_power(e, n: int):
+    """e ⊙ e ⊙ ... (n times, n >= 1), by binary exponentiation."""
+    assert n >= 1
+    result = None
+    base = e
+    while n:
+        if n & 1:
+            result = base if result is None else effect_product(result, base)
+        base = effect_product(base, base)
+        n >>= 1
+    return result
+
+
+def component_factor_pattern(comp: Component) -> tuple[int, bool]:
+    """Check the k*LL, 1*LR, k*RR run-order pattern (mirrored when
+    right-to-left); returns (k, ok)."""
+    kinds = [f.kind for f in comp.factors]
+    first, cross, last = ("LL", "LR", "RR") if comp.left_to_right else \
+        ("RR", "RL", "LL")
+    k2, rest = 0, list(kinds)
+    while rest and rest[0] == first:
+        k2 += 1
+        rest.pop(0)
+    ok = (len(rest) == k2 + 1 and rest[0] == cross
+          and all(kind == last for kind in rest[1:]))
+    return k2, ok

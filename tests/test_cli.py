@@ -4,8 +4,9 @@ import re
 import jsonschema
 import pytest
 
-from untwist import loops
+from untwist import cli, loops, oneway
 from untwist.cli import run_cli
+from untwist.decomposition import InternalInconsistencyError
 
 from .conftest import FIXTURE_DIR, spy
 
@@ -124,6 +125,23 @@ def test_parse_error_exit_65(tmp_path, capsys):
     bad = tmp_path / "bad.tdx"
     bad.write_text("transducer x\ninput a\noutput a\nstates\ninitial q\n")
     assert run_cli(["parse", str(bad)]) == 65
+
+
+@pytest.mark.parametrize("argv", [
+    ("decompose", fx("T_ID"), "--input", "ab"),
+    ("simulate-oneway", fx("T_ID"), "--input", "ab"),
+])
+def test_internal_inconsistency_exit_70(monkeypatch, capsys, argv):
+    def inconsistent(run, bound):
+        raise InternalInconsistencyError("gap (1,0)..(2,0) is not a diagonal")
+    for module in (cli, oneway):
+        monkeypatch.setattr(module, "build_decomposition", inconsistent)
+    code = run_cli(list(argv))
+    captured = capsys.readouterr()
+    assert code == 70
+    assert captured.out == ""
+    assert captured.err == \
+        "internal error: gap (1,0)..(2,0) is not a diagonal\n"
 
 
 def test_verify_cert_cli(tmp_path, capsys):

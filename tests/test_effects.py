@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from untwist.effects import (BOTTOM, Flow, effect_of_interval, effect_power,
+from untwist.effects import (BOTTOM, Flow, effect_of_interval,
                              effect_product, flow_is_valid, flow_of_interval,
                              flow_product, interval_effect_closure,
                              is_idempotent, make_effect, make_flow)
@@ -11,6 +11,7 @@ from untwist.runs import enumerate_runs
 from untwist.transducer import constants
 
 from .conftest import CORE_NAMES, domain_words
+from .oracles import effect_power
 
 
 def zigzag_flow(t_zigzag):

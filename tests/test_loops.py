@@ -1,12 +1,12 @@
 import pytest
 
 from untwist.effects import effect_product
-from untwist.loops import (component_factor_pattern, components_of,
-                           enumerate_loops, is_output_minimal,
+from untwist.loops import (components_of, enumerate_loops, is_output_minimal,
                            predicted_pump_output, pump, subloops, trace_of)
 from untwist.runs import enumerate_runs, validate_run
 
 from .conftest import CORE_NAMES, domain_words
+from .oracles import component_factor_pattern
 from .test_runs import FIG_RUN
 
 

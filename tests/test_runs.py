@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import untwist.runs
-from untwist.runs import (CapExceeded, LocationSet, dump_run, enumerate_runs,
-                          parse_run_dump, runs_upto, validate_run)
+from untwist.runs import (CapExceeded, LocationSet, Run, dump_run,
+                          enumerate_runs, parse_run_dump, runs_upto,
+                          validate_run)
 from untwist.transducer import parse_transducer, words_upto
 
 from .conftest import CORE_NAMES, FIXTURE_NAMES, load_fixture
@@ -160,9 +161,10 @@ def test_validate_run_accepts_enumerated(fixtures):
 def test_validate_run_rejects_foreign_output(t_id):
     raw = t_id.parse_input_text("ab")
     run = enumerate_runs(t_id, raw)[0]
-    tampered = run.steps[1]
-    object.__setattr__(tampered, "output", "zz")
-    assert not validate_run(t_id, raw, run)
+    assert validate_run(t_id, raw, run)
+    steps = list(run.steps)
+    steps[1] = steps[1]._replace(output="zz")
+    assert not validate_run(t_id, raw, Run(t_id, run.word, steps))
 
 
 def test_validate_run_rejects_wrong_word(t_id):
