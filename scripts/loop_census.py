@@ -9,7 +9,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from untwist.inversions import INVERSION, enumerate_inversions
+from untwist.inversions import inversions_of
 from untwist.loops import components_of, enumerate_loops
 from untwist.runs import runs_upto
 from untwist.transducer import parse_transducer
@@ -26,7 +26,7 @@ def main(name: str, max_len: int) -> None:
             loops = enumerate_loops(run)
             idem = [l for l in loops if l.idempotent]
             comps = sum(len(components_of(run, l)) for l in idem)
-            invs = len(enumerate_inversions(run, INVERSION))
+            invs = len(inversions_of(run))
             print(f"{t.table.render(raw) or 'ε':>14} "
                   f"{len(run.steps):>6} {len(loops):>6} "
                   f"{len(idem):>6} {comps:>6} {invs:>6}")

@@ -24,7 +24,7 @@ _EXPORTS = {
     "inversions": ("Inversion", "KInversion", "PeriodIndex", "check_p2",
                    "enumerate_inversions", "enumerate_k_inversions",
                    "fine_wilf_check", "has_dividing_period", "inversion_word",
-                   "k_inversion_safe", "smallest_period"),
+                   "inversions_of", "k_inversion_safe", "smallest_period"),
     "decomposition": ("Decomposition", "build_decomposition",
                       "block_interval", "coverage_classes", "is_block",
                       "is_diagonal", "validate_decomposition"),

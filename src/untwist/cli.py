@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 pass/no-counterexample, 1 refuted, 2 absent, 64 usage,
-65 parse/validation, 69 resource cap exceeded, 70 internal inconsistency
-(a bug, never a verdict).  Default output carries no timestamps so
-identical invocations are byte-identical; --stats adds timing behind a flag.
+65 parse/validation or an argument out of range, 69 resource cap exceeded,
+70 internal inconsistency or any other unexpected exception (a bug, never a
+verdict).  Default output carries no timestamps so identical invocations
+are byte-identical; --stats adds timing behind a flag.
 """
 from __future__ import annotations
 
@@ -45,6 +46,12 @@ def _emit(args, payload: dict, text: str) -> None:
         print(json.dumps(payload, sort_keys=True))
     else:
         print(text, end="" if text.endswith("\n") else "\n")
+
+
+def _run_at(runs: list, index: int):
+    if not 0 <= index < len(runs):
+        raise ValueError(f"run index {index} is outside 0..{len(runs) - 1}")
+    return runs[index]
 
 
 def _bound(args, t):
@@ -145,7 +152,7 @@ def cmd_pump(args) -> int:
         _emit(args, {"command": "pump", "result": "absent", "details": {}},
               "input not in domain\n")
         return EX_ABSENT
-    run = runs[args.run_index]
+    run = _run_at(runs, args.run_index)
     loops = [l for l in enumerate_loops(run, idempotent_only=args.idempotent)]
     lines = []
     pumped = []
@@ -173,7 +180,7 @@ def cmd_decompose(args) -> int:
                      "details": {}}, "input not in domain\n")
         return EX_ABSENT
     bound = _bound(args, t)
-    run = runs[args.run_index]
+    run = _run_at(runs, args.run_index)
     outcome = build_decomposition(run, bound)
     if outcome.decomposition is None:
         inv, rep = outcome.unsafe
@@ -325,6 +332,9 @@ def run_cli(argv=None) -> int:
         return EX_CAP
     except InternalInconsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EX_SOFTWARE
+    except Exception as exc:    # a bug: never read as a verdict
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EX_SOFTWARE
     if args.stats and args.format == "text":
         print(f"elapsed: {time.monotonic() - args.started:.3f}s")

@@ -13,9 +13,8 @@ from bisect import bisect_left, bisect_right
 from typing import NamedTuple, Optional
 
 from .bounds import PeriodBound, bound_admits, compare_on
-from .inversions import (INVERSION, Inversion, PeriodReport,
-                         enumerate_inversions, first_unsafe_inversion,
-                         smallest_period)
+from .inversions import (Inversion, PeriodReport, first_unsafe_inversion,
+                         inversions_of, smallest_period)
 from .runs import Location, LocationSet, Run
 
 DIAGONAL = "diagonal"
@@ -77,14 +76,11 @@ class BuildOutcome(NamedTuple):
     unsafe: Optional[tuple[Inversion, PeriodReport]] = None
 
 
-def coverage_classes(run: Run, inversions: Optional[list[Inversion]] = None
+def coverage_classes(run: Run, inversions: list[Inversion]
                      ) -> list[CoverageClass]:
     """Non-singleton classes of the covered-by-overlapping-inversions
-    equivalence, as maximal location-index intervals with covering chains.
-
-    `inversions`, when given, is the run's `enumerate_inversions` list."""
-    if inversions is None:
-        inversions = enumerate_inversions(run, INVERSION)
+    equivalence over the run's `inversions`, as maximal location-index
+    intervals with covering chains."""
     if not inversions:
         return []
     intervals: dict[tuple[int, int], Inversion] = {}
@@ -226,7 +222,7 @@ def build_decomposition(run: Run, bound: PeriodBound) -> BuildOutcome:
     fails the periodicity condition.  A gap that fails the diagonal
     predicate after the condition held contradicts the theory and raises.
     """
-    inversions = enumerate_inversions(run, INVERSION)
+    inversions = inversions_of(run)
     unsafe = first_unsafe_inversion(run, bound, inversions)
     if unsafe is not None:
         return BuildOutcome(None, unsafe)

@@ -69,14 +69,11 @@ class KInversion(NamedTuple):
     members: tuple[Inversion, ...]
 
 
-def anchored_components(run: Run, loops: Optional[list[Loop]] = None
+def anchored_components(run: Run, loops: list[Loop]
                         ) -> list[AnchoredComponent]:
-    """All (idempotent loop, component) pairs with non-empty trace output,
-    sorted by anchor run order then loop interval.
-
-    `loops`, when given, are the run's idempotent loops."""
-    if loops is None:
-        loops = enumerate_loops(run, idempotent_only=True)
+    """The (loop, component) pairs with non-empty trace output over the
+    given idempotent loops of the run, sorted by anchor run order then loop
+    interval."""
     out = []
     for loop in loops:
         for comp in components_of(run, loop):
@@ -103,10 +100,10 @@ def _pair_matches(run: Run, kind: str, a: AnchoredComponent,
     return a.loop == b.loop or a.loop.x2 <= b.loop.x1
 
 
-def enumerate_inversions(run: Run, kind: str = INVERSION,
-                         anchored: Optional[list[AnchoredComponent]] = None
+def enumerate_inversions(run: Run, kind: str,
+                         anchored: list[AnchoredComponent]
                          ) -> list[Inversion]:
-    """All inversions (or co-inversions) of the run.
+    """The inversions (or co-inversions) among the anchored components.
 
     Order contract: the pairs `(a, b)` satisfying `_pair_matches`, ordered
     by the position of `a` in `anchored`, then by the position of `b` --
@@ -123,20 +120,7 @@ def enumerate_inversions(run: Run, kind: str = INVERSION,
     from a per-loop index.  Anchors sit on a border of their loop, so
     separated loops already order the anchor positions as the predicate
     requires.
-
-    Single-pass lemma: a loop [x1,x2] whose border crossing sequence has
-    length 1 has one component, anchored at (x1, 0) on a cut the run crosses
-    once.  The head moves one cut per step, so every earlier location lies
-    left of x1 and every later one right of it: no anchor comes later at a
-    position <= x1 or earlier at a position >= x1, and the component is in
-    no inversion.  Without `anchored`, inversions are therefore looked for
-    among the loops crossed at least twice only, which keeps the same
-    members in the same order; co-inversions use every loop.
     """
-    if anchored is None:
-        loops = enumerate_loops(run, idempotent_only=True,
-                                skip_single_pass=kind == INVERSION)
-        anchored = anchored_components(run, loops)
     co = kind == CO_INVERSION
     n = len(anchored)
     order = [run.loc_index[a.anchor] for a in anchored]
@@ -169,6 +153,23 @@ def enumerate_inversions(run: Run, kind: str = INVERSION,
         end = start
     return [Inversion(kind, a, anchored[j])
             for a, js in zip(anchored, partners) for j in js]
+
+
+def inversions_of(run: Run) -> list[Inversion]:
+    """All inversions of the run, in `enumerate_inversions` order.
+
+    Single-pass lemma: a loop [x1,x2] whose border crossing sequence has
+    length 1 has one component, anchored at (x1, 0) on a cut the run crosses
+    once.  The head moves one cut per step, so every earlier location lies
+    left of x1 and every later one right of it: no anchor comes later at a
+    position <= x1 or earlier at a position >= x1, and the component is in
+    no inversion.  Inversions are therefore looked for among the loops
+    crossed at least twice only, which keeps the same members in the same
+    order; co-inversions need every loop.
+    """
+    loops = enumerate_loops(run, idempotent_only=True, skip_single_pass=True)
+    return enumerate_inversions(run, INVERSION,
+                                anchored_components(run, loops))
 
 
 def inversion_word(run: Run, inv: Inversion) -> str:
@@ -296,25 +297,19 @@ class PeriodIndex:
         return starts and ends and self._agreement(r)[s] >= e - s - r
 
 
-def check_p2(run: Run, bound: PeriodBound,
-             anchored: Optional[list[AnchoredComponent]] = None
+def check_p2(run: Run, bound: PeriodBound
              ) -> list[tuple[Inversion, PeriodReport]]:
-    """Periodicity report for every inversion; the run passes when all safe.
-
-    `anchored`, when given, is the run's `anchored_components` list."""
+    """Periodicity report for every inversion; the run passes when all safe."""
     return [(inv, period_report(run, inv, bound))
-            for inv in enumerate_inversions(run, INVERSION, anchored)]
+            for inv in inversions_of(run)]
 
 
 def first_unsafe_inversion(run: Run, bound: PeriodBound,
-                           inversions: Optional[list[Inversion]] = None
+                           inversions: list[Inversion]
                            ) -> Optional[tuple[Inversion, PeriodReport]]:
-    """First unsafe inversion in canonical (anchor pair) order, or None.
+    """First unsafe member of the run's `inversions` in their order, or None.
 
-    `inversions`, when given, is the run's `enumerate_inversions` list.
     Only the inversion returned gets its word and report built."""
-    if inversions is None:
-        inversions = enumerate_inversions(run, INVERSION)
     periods = PeriodIndex(run, bound)
     for inv in inversions:
         if not periods.safe(inv):
@@ -390,20 +385,26 @@ def enumerate_k_inversions(run: Run, k: int, *,
     if k < 1:
         raise ValueError("k must be positive")
     # A chain of one member is one inversion: no co-inversion list is built,
-    # and without a shared `anchored` list the inversions skip the
-    # single-pass loops (see `enumerate_inversions`).
-    anchored = anchored_components(run) if k > 1 else None
+    # and the inversions skip the single-pass loops (see `inversions_of`).
+    if k == 1:
+        lists = [inversions_of(run)]
+    else:
+        anchored = anchored_components(
+            run, enumerate_loops(run, idempotent_only=True))
+        lists = [enumerate_inversions(run, kind, anchored)
+                 for kind in (INVERSION, CO_INVERSION)]
+    if not lists[0]:
+        return      # every chain starts with an inversion
     loc = run.loc_index
-    spans = {}      # kind -> [(first anchor index, second anchor index, inv)]
-    for kind in (INVERSION, CO_INVERSION)[:k]:
-        spans[kind] = [(loc[inv.first.anchor], loc[inv.second.anchor], inv)
-                       for inv in enumerate_inversions(run, kind, anchored)]
+    # spans[i % 2]: (first anchor index, second anchor index, inv) for the
+    # members of the kind depth i takes.
+    spans = [[(loc[inv.first.anchor], loc[inv.second.anchor], inv)
+              for inv in invs] for invs in lists]
     # firsts/ends/members[i]: the members at depth i that complete a chain.
     firsts, ends, members = [None] * k, [None] * k, [None] * k
     reach = math.inf
     for i in range(k - 1, -1, -1):
-        kept = [s for s in spans[INVERSION if i % 2 == 0 else CO_INVERSION]
-                if s[1] <= reach]
+        kept = [s for s in spans[i % 2] if s[1] <= reach]
         if not kept:
             return
         firsts[i] = [s[0] for s in kept]

@@ -242,17 +242,8 @@ def predicted_pump_output(run: Run, loop: Loop,
 
 def subloops(run: Run, loop: Loop) -> list[Loop]:
     """Idempotent loops strictly contained in `loop`."""
-    out = []
-    for x1 in range(loop.x1, loop.x2):
-        for x2 in range(x1 + 1, loop.x2 + 1):
-            if (x1, x2) == (loop.x1, loop.x2):
-                continue
-            if run.crossing(x1) != run.crossing(x2):
-                continue
-            e = effect_of_interval(run, x1, x2)
-            if effect_product(e, e) == e:
-                out.append(Loop(x1, x2, e, True))
-    return out
+    return [l for l in enumerate_loops(run, idempotent_only=True)
+            if loop.contains(l) and l.interval != loop.interval]
 
 
 def is_output_minimal(run: Run, loop: Loop, comp: Component) -> bool:

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import math
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, NamedTuple, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 from .bounds import PeriodBound, bound_admits, compare_on
 from .decomposition import BLOCK, DIAGONAL, Decomposition, build_decomposition
 from .inversions import (CO_INVERSION, INVERSION, AnchoredComponent,
                          Inversion, PeriodIndex, _divisors, _pair_matches,
-                         enumerate_inversions, enumerate_k_inversions,
-                         inversion_word, k_inversion_safe)
+                         enumerate_k_inversions, inversion_word,
+                         k_inversion_safe)
 from .runs import (CapExceeded, Run, dump_run, dump_transitions,
                    enumerate_runs, replay, runs_upto, validate_run)
 from .transducer import Transducer, constants, serialize_transducer
@@ -402,16 +402,19 @@ def _functional_runs(t: Transducer, max_len: int, cap_runs: int
         yield raw, runs
 
 
-def _first_unsafe_run(t: Transducer, max_len: int, cap_runs: int,
-                      stats: dict, unsafe_members: Callable
-                      ) -> Optional[tuple[str, Run, tuple[Inversion, ...]]]:
-    """The first run, in canonical order, on which `unsafe_members(run)`
-    returns the members of an unsafe witness, with the run's input and those
-    members; None when there is none up to max_len.
+def _first_unsafe_run(t: Transducer, max_len: int, cap_runs: int, k: int,
+                      bound: PeriodBound, cap_chains: float, counter: str
+                      ) -> tuple[Optional[tuple[str, Run, tuple[Inversion, ...]]],
+                                 dict]:
+    """The first run, in canonical order, with an unsafe k-inversion, with
+    the run's input and the first such chain's members (None when there is
+    none up to max_len), and the search counters; `counter` counts the
+    chains checked.
 
-    After a witness, or a CapExceeded raised by `unsafe_members`, the scan
-    goes on to max_len checking functionality only: a non-functional input
-    or a run-cap CapExceeded anywhere up to max_len takes precedence."""
+    After a witness, or a CapExceeded from the chain search, the scan goes
+    on to max_len checking functionality only: a non-functional input or a
+    run-cap CapExceeded anywhere up to max_len takes precedence."""
+    stats = {"inputs": 0, "runs": 0, counter: 0}
     found = held = None
     for raw, runs in _functional_runs(t, max_len, cap_runs):
         if found is not None or held is not None:
@@ -419,17 +422,20 @@ def _first_unsafe_run(t: Transducer, max_len: int, cap_runs: int,
         stats["inputs"] += 1
         for run in runs:
             stats["runs"] += 1
+            periods = PeriodIndex(run, bound)
             try:
-                members = unsafe_members(run)
+                for ki in enumerate_k_inversions(run, k, cap=cap_chains):
+                    stats[counter] += 1
+                    if not k_inversion_safe(periods, ki):
+                        found = raw, run, ki.members
+                        break
             except CapExceeded as exc:
                 held = exc
-                break
-            if members is not None:
-                found = raw, run, members
+            if found is not None or held is not None:
                 break
     if held is not None:
         raise held
-    return found
+    return found, stats
 
 
 def _certificate(kind: str, t: Transducer, raw: str, run: Run,
@@ -446,19 +452,13 @@ def decide_oneway_bounded(t: Transducer, max_len: int, *,
                           cap_runs: int = 10**5) -> Verdict:
     """Refute one-way definability within the bound, or report honestly
     that no counterexample exists up to it (which is not a proof)."""
+    if max_len < 0:
+        raise ValueError("max_len must be non-negative")
     if bound is None:
         bound = constants(t).bound_factored
-    stats = {"inputs": 0, "runs": 0, "inversions": 0}
-
-    def unsafe_members(run: Run) -> Optional[tuple[Inversion]]:
-        periods = PeriodIndex(run, bound)
-        for inv in enumerate_inversions(run, INVERSION):
-            stats["inversions"] += 1
-            if not periods.safe(inv):
-                return (inv,)
-        return None
-
-    found = _first_unsafe_run(t, max_len, cap_runs, stats, unsafe_members)
+    # The one-pass chain search: a chain is one inversion, with no cap.
+    found, stats = _first_unsafe_run(t, max_len, cap_runs, 1, bound,
+                                     math.inf, "inversions")
     if found is None:
         return Verdict("no-counterexample", max_len, None, stats)
     return Verdict("refuted", max_len,
@@ -472,6 +472,8 @@ def decide_sweeping_bounded(t: Transducer, passes: Optional[int],
     """Search for an unsafe k-inversion; passes=None asks about sweeping
     definability for the theoretical pass count, which is far beyond any
     enumerable k, so it reports bound-exceeded after a proxy search."""
+    if max_len < 0:
+        raise ValueError("max_len must be non-negative")
     if bound is None:
         bound = constants(t).bound_factored
     symbolic = passes is None
@@ -488,17 +490,8 @@ def decide_sweeping_bounded(t: Transducer, passes: Optional[int],
         if passes > cap_passes:
             return Verdict("bound-exceeded", max_len, None, {},
                            f"passes {passes} exceeds cap {cap_passes}")
-    stats = {"inputs": 0, "runs": 0, "chains": 0}
-
-    def unsafe_members(run: Run) -> Optional[tuple[Inversion, ...]]:
-        periods = PeriodIndex(run, bound)
-        for ki in enumerate_k_inversions(run, passes, cap=cap_chains):
-            stats["chains"] += 1
-            if not k_inversion_safe(periods, ki):
-                return ki.members
-        return None
-
-    found = _first_unsafe_run(t, max_len, cap_runs, stats, unsafe_members)
+    found, stats = _first_unsafe_run(t, max_len, cap_runs, passes, bound,
+                                     cap_chains, "chains")
     if found is None:
         kind = "bound-exceeded" if symbolic else "no-counterexample"
         return Verdict(kind, max_len, None, stats, note)

@@ -91,9 +91,6 @@ class Run:
     def crossing(self, x: int) -> tuple[str, ...]:
         return self._crossings[x]
 
-    def final_location(self) -> Location:
-        return self.locations[-1]
-
     def output_between(self, i: int, j: int) -> str:
         """Output of the steps between location indices i and j (i <= j)."""
         return self.output[self.out_prefix[i]:self.out_prefix[j]]

@@ -20,7 +20,7 @@ from untwist.effects import effect_product
 from untwist.inversions import (CO_INVERSION, INVERSION, Inversion,
                                 KInversion, _pair_matches,
                                 anchored_components)
-from untwist.loops import Component
+from untwist.loops import Component, enumerate_loops
 from untwist.runs import CapExceeded, DelimitedInput, Run, Step
 from untwist.transducer import RIGHT, Transducer
 
@@ -197,7 +197,8 @@ def brute_inversions(run: Run, kind: str, anchored=None) -> list[Inversion]:
     predicate: the all-pairs filter whose order `enumerate_inversions`
     must reproduce."""
     if anchored is None:
-        anchored = anchored_components(run)
+        anchored = anchored_components(
+            run, enumerate_loops(run, idempotent_only=True))
     return [Inversion(kind, a, b)
             for i, a in enumerate(anchored) for b in anchored[i:]
             if _pair_matches(run, kind, a, b)]
@@ -243,7 +244,8 @@ def brute_k_inversions(run: Run, k: int, *, cap: int = 10**6):
     point `enumerate_k_inversions` must reproduce."""
     if k < 1:
         raise ValueError("k must be positive")
-    anchored = anchored_components(run)
+    anchored = anchored_components(
+        run, enumerate_loops(run, idempotent_only=True))
     members_by_kind = {
         INVERSION: brute_inversions(run, INVERSION, anchored),
         CO_INVERSION: brute_inversions(run, CO_INVERSION, anchored),

@@ -144,6 +144,44 @@ def test_internal_inconsistency_exit_70(monkeypatch, capsys, argv):
         "internal error: gap (1,0)..(2,0) is not a diagonal\n"
 
 
+def test_unexpected_exception_exit_70(tmp_path, monkeypatch, capsys):
+    # A fault in the checker is a bug, not an "invalid" certificate.
+    cert_path = tmp_path / "cert.txt"
+    code, _ = invoke(capsys, "decide", "oneway", fx("T_COPY_AB"),
+                     "--max-len", "6", "--cert", str(cert_path))
+    assert code == 1
+
+    def broken(run, loop, comp):
+        raise AssertionError("checker bug")
+    monkeypatch.setattr(oneway, "trace_of", broken)
+    code = run_cli(["verify-cert", fx("T_COPY_AB"), "--cert", str(cert_path)])
+    captured = capsys.readouterr()
+    assert code == 70
+    assert captured.out == ""
+    assert captured.err == "internal error: AssertionError: checker bug\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("decompose", fx("T_COPY_AB"), "--input", "ab", "--run-index", "3"),
+    ("decompose", fx("T_COPY_AB"), "--input", "ab", "--run-index", "-1"),
+    ("pump", fx("T_COPY_AB"), "--input", "ab", "--run-index", "3"),
+    ("pump", fx("T_COPY_AB"), "--input", "ab", "--run-index", "-1"),
+    ("decide", "oneway", fx("T_COPY_AB"), "--max-len", "-1"),
+    ("decide", "sweeping", fx("T_COPY_AB"), "--max-len", "-1",
+     "--passes", "2"),
+    ("decide", "sweeping", fx("T_COPY_AB"), "--max-len", "-1",
+     "--passes", "9"),
+    ("decide", "sweeping", fx("T_COPY_AB"), "--max-len", "-1"),
+])
+def test_out_of_range_argument_exit_65(capsys, argv):
+    code = run_cli(list(argv))
+    captured = capsys.readouterr()
+    assert code == 65
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_verify_cert_cli(tmp_path, capsys):
     cert_path = tmp_path / "cert.txt"
     code, _ = invoke(capsys, "decide", "oneway", fx("T_COPY_AB"),

@@ -12,8 +12,9 @@ from untwist.inversions import (CO_INVERSION, INVERSION, FineWilfPrecondition,
                                 check_p2, enumerate_inversions,
                                 enumerate_k_inversions, fine_wilf_check,
                                 first_unsafe_inversion, has_dividing_period,
-                                has_period, inversion_word, k_inversion_safe,
-                                period_report, smallest_period)
+                                has_period, inversion_word, inversions_of,
+                                k_inversion_safe, period_report,
+                                smallest_period)
 from untwist.loops import enumerate_loops
 from untwist.oneway import decide_oneway_bounded, decide_sweeping_bounded
 from untwist.runs import CapExceeded, enumerate_runs
@@ -30,19 +31,19 @@ SYM = BoundFactored(1, 1, 10 ** 6)    # effectively unbounded at desk scale
 def test_one_way_runs_have_no_inversions(t_id):
     for word in ("", "a", "ab", "abba"):
         run = enumerate_runs(t_id, t_id.parse_input_text(word))[0]
-        assert enumerate_inversions(run, INVERSION) == []
+        assert inversions_of(run) == []
 
 
 def test_all_epsilon_traces_no_inversions(t_mirror):
     # The return pass produces output only on the first two passes; a run
     # of the identity never yields anchored components at all on epsilon.
     run = enumerate_runs(t_mirror, t_mirror.parse_input_text(""))[0]
-    assert enumerate_inversions(run, INVERSION) == []
+    assert inversions_of(run) == []
 
 
 def test_copy_ab_has_figure_shaped_inversion(t_copy_ab):
     run = enumerate_runs(t_copy_ab, t_copy_ab.parse_input_text("ab"))[0]
-    invs = enumerate_inversions(run, INVERSION)
+    invs = inversions_of(run)
     assert invs
     separated = [i for i in invs if i.first.loop != i.second.loop]
     assert separated
@@ -58,7 +59,7 @@ def test_inversion_bullets_recheck(fixtures):
         t = fixtures[name]
         for raw, runs in domain_words(t, 4):
             for run in runs:
-                for inv in enumerate_inversions(run, INVERSION):
+                for inv in inversions_of(run):
                     for side in (inv.first, inv.second):
                         e = side.loop.effect
                         assert effect_product(e, e) == e
@@ -74,7 +75,7 @@ def test_inversion_bullets_recheck(fixtures):
 
 def test_inversion_word_concatenation(t_copy_ab):
     run = enumerate_runs(t_copy_ab, t_copy_ab.parse_input_text("ab"))[0]
-    for inv in enumerate_inversions(run, INVERSION):
+    for inv in inversions_of(run):
         w = inversion_word(run, inv)
         i = run.loc_index[inv.first.anchor]
         j = run.loc_index[inv.second.anchor]
@@ -88,11 +89,13 @@ def test_inversion_word_concatenation(t_copy_ab):
 # -- the sweep against the all-pairs filter ------------------------------------
 
 def _assert_matches_brute_force(run):
-    anchored = anchored_components(run)
+    anchored = anchored_components(
+        run, enumerate_loops(run, idempotent_only=True))
     for kind in (INVERSION, CO_INVERSION):
         assert enumerate_inversions(run, kind, anchored) == \
             brute_inversions(run, kind, anchored)
-    assert coverage_classes(run) == brute_coverage_classes(run)
+    assert coverage_classes(run, inversions_of(run)) == \
+        brute_coverage_classes(run)
 
 
 def test_sweep_matches_brute_force_exhaustive(fixtures):
@@ -126,9 +129,10 @@ def test_sweep_matches_brute_force_random(case):
 # -- single-pass loops are in no inversion -------------------------------------
 
 def _assert_pruning_keeps_inversions(run):
-    pruned = enumerate_inversions(run, INVERSION)
-    assert pruned == enumerate_inversions(run, INVERSION,
-                                          anchored_components(run))
+    pruned = inversions_of(run)
+    assert pruned == enumerate_inversions(
+        run, INVERSION,
+        anchored_components(run, enumerate_loops(run, idempotent_only=True)))
     assert pruned == brute_inversions(run, INVERSION)
 
 
@@ -208,7 +212,7 @@ def test_one_pass_sweeping_derives_only_multi_pass_loops(fixtures,
              "co-inversions": []}
     orig = inversions.enumerate_inversions
 
-    def recorded(run, kind=INVERSION, anchored=None):
+    def recorded(run, kind, anchored):
         if kind == CO_INVERSION:
             calls["co-inversions"].append(run)
         return orig(run, kind, anchored)
@@ -221,6 +225,21 @@ def test_one_pass_sweeping_derives_only_multi_pass_loops(fixtures,
     assert decide_sweeping_bounded(fixtures["T_COPY_ABC"], 1, 6).kind == \
         "no-counterexample"
     assert calls["co-inversions"] == []
+
+
+def test_sweeping_derives_one_anchored_list_per_run(t_copy_ab, monkeypatch):
+    # At k >= 2 both kinds of member come from one anchored list per run.
+    anchored = spy(monkeypatch, inversions, "anchored_components")
+    enumerated = spy(monkeypatch, inversions, "enumerate_inversions")
+    v = decide_sweeping_bounded(t_copy_ab, 2, 5)
+    assert v.kind == "refuted"
+    runs = [args[0] for args in anchored]
+    assert len(runs) == v.searched["runs"] > 0
+    assert len({id(run) for run in runs}) == len(runs)
+    assert [(args[0], args[1]) for args in enumerated] == \
+        [(run, kind) for run in runs for kind in (INVERSION, CO_INVERSION)]
+    for inv_args, co_args in zip(enumerated[::2], enumerated[1::2]):
+        assert inv_args[2] is co_args[2]
 
 
 # -- periods -------------------------------------------------------------------
@@ -256,7 +275,8 @@ def test_p2_reports(t_copy_abc, t_copy_ab):
             reports = check_p2(run, bound)
             assert all(rep.safe for _, rep in reports)
     run = enumerate_runs(t_copy_ab, t_copy_ab.parse_input_text("ab"))[0]
-    res = first_unsafe_inversion(run, constants(t_copy_ab).bound_factored)
+    res = first_unsafe_inversion(run, constants(t_copy_ab).bound_factored,
+                                 inversions_of(run))
     assert res is not None
     inv, rep = res
     assert rep.found_period is None
@@ -271,7 +291,7 @@ def test_p2_vacuous_without_inversions(t_id):
 # -- the period index against the reports --------------------------------------
 
 def _assert_index_matches_reports(run, bounds):
-    invs = enumerate_inversions(run, INVERSION)
+    invs = inversions_of(run)
     for bound in bounds:
         periods = PeriodIndex(run, bound)
         for inv in invs:
@@ -400,7 +420,7 @@ def test_k1_collapses_to_inversions(t_copy_ab):
     run = enumerate_runs(t_copy_ab, t_copy_ab.parse_input_text("ab"))[0]
     bound = constants(t_copy_ab).bound_factored
     singles = list(enumerate_k_inversions(run, 1))
-    invs = enumerate_inversions(run, INVERSION)
+    invs = inversions_of(run)
     assert [ki.members[0] for ki in singles] == invs
     periods = PeriodIndex(run, bound)
     for ki in singles:

@@ -229,6 +229,15 @@ def test_passes_above_cap_refused(t_id):
     assert "exceeds cap" in v.note
 
 
+def test_deciders_reject_negative_max_len(t_id):
+    for decide in (lambda: decide_oneway_bounded(t_id, -1),
+                   lambda: decide_sweeping_bounded(t_id, 2, -1),
+                   lambda: decide_sweeping_bounded(t_id, 99, -1),
+                   lambda: decide_sweeping_bounded(t_id, None, -1)):
+        with pytest.raises(ValueError, match="max_len must be non-negative"):
+            decide()
+
+
 def test_decider_rejects_nonfunctional():
     t = Transducer("two-out", ["x"], ["a", "b"], ["q0", "q1", "f"], "q0",
                    ["f"], [

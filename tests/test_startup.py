@@ -18,7 +18,8 @@ from untwist.transducer import Constants
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-# `untwist.__all__` before the package resolved its names lazily.
+# `untwist.__all__` before the package resolved its names lazily, plus
+# `inversions_of`, exported since.
 PUBLIC_NAMES = (
     "BOTTOM", "BoundFactored", "CapExceeded", "Decomposition", "Effect",
     "FactorizationForest", "Flow", "Inversion", "KInversion", "Loop",
@@ -31,7 +32,8 @@ PUBLIC_NAMES = (
     "effect_of_interval", "effect_product", "effects", "enumerate_inversions",
     "enumerate_k_inversions", "enumerate_loops", "enumerate_runs",
     "fine_wilf_check", "flow_of_interval", "flow_product", "forest",
-    "has_dividing_period", "inversion_word", "inversions", "is_block",
+    "has_dividing_period", "inversion_word", "inversions", "inversions_of",
+    "is_block",
     "is_diagonal", "is_idempotent", "is_output_minimal", "k_inversion_safe",
     "loops", "oneway", "parse_transducer", "predicted_pump_output", "pump",
     "ramsey_extract", "runs", "runs_upto", "serialize_transducer",
