@@ -57,7 +57,12 @@ def _run_at(runs: list, index: int):
 def _bound(args, t):
     if args.period_bound == "symbolic":
         return constants(t).bound_factored
-    return int(args.period_bound)
+    bound = int(args.period_bound)
+    if bound < 1:
+        # A bound below 1 admits no period, so every inversion would read
+        # unsafe.
+        raise ValueError(f"period bound {bound} is below 1")
+    return bound
 
 
 def cmd_parse(args) -> int:
@@ -105,6 +110,7 @@ def cmd_run(args) -> int:
 
 def cmd_analyze(args) -> int:
     t = _load(args.file)
+    bound = _bound(args, t)
     raw = t.parse_input_text(args.input)
     runs = enumerate_runs(t, raw, cap_runs=args.cap_runs,
                           cap_steps=args.cap_steps)
@@ -112,7 +118,6 @@ def cmd_analyze(args) -> int:
         _emit(args, {"command": "analyze", "result": "absent", "details": {}},
               "input not in domain\n")
         return EX_ABSENT
-    bound = _bound(args, t)
     lines = []
     details = []
     for i, run in enumerate(runs):
@@ -172,6 +177,7 @@ def cmd_pump(args) -> int:
 
 def cmd_decompose(args) -> int:
     t = _load(args.file)
+    bound = _bound(args, t)
     raw = t.parse_input_text(args.input)
     runs = enumerate_runs(t, raw, cap_runs=args.cap_runs,
                           cap_steps=args.cap_steps)
@@ -179,7 +185,6 @@ def cmd_decompose(args) -> int:
         _emit(args, {"command": "decompose", "result": "absent",
                      "details": {}}, "input not in domain\n")
         return EX_ABSENT
-    bound = _bound(args, t)
     run = _run_at(runs, args.run_index)
     outcome = build_decomposition(run, bound)
     if outcome.decomposition is None:
@@ -269,40 +274,42 @@ def _build_parser() -> argparse.ArgumentParser:
                         "line; json: details.stats.elapsed_s)")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, input_arg=False):
-        sp.add_argument("file")
-        if input_arg:
-            sp.add_argument("--input", required=True)
-        sp.add_argument("--cap-runs", type=int, default=10**5)
-        sp.add_argument("--cap-steps", type=int, default=None)
-        sp.add_argument("--period-bound", default="symbolic")
+    shared = {"--input": {"required": True},
+              "--cap-runs": {"type": int, "default": 10**5},
+              "--cap-steps": {"type": int, "default": None},
+              "--period-bound": {"default": "symbolic"}}
 
-    common(sub.add_parser("parse"))
-    common(sub.add_parser("constants"))
-    sp = sub.add_parser("run")
-    common(sp, input_arg=True)
+    def command(name, *options, modes=()):
+        """A subcommand taking a file and only the shared options it
+        reads."""
+        sp = sub.add_parser(name)
+        if modes:
+            sp.add_argument("mode", choices=modes)
+        sp.add_argument("file")
+        for option in options:
+            sp.add_argument(option, **shared[option])
+        return sp
+
+    caps = ("--cap-runs", "--cap-steps")
+    command("parse")
+    command("constants")
+    sp = command("run", "--input", *caps)
     sp.add_argument("--dump-runs", default=None)
-    sp = sub.add_parser("analyze")
-    common(sp, input_arg=True)
-    sp = sub.add_parser("pump")
-    common(sp, input_arg=True)
+    command("analyze", "--input", *caps, "--period-bound")
+    sp = command("pump", "--input", *caps)
     sp.add_argument("--copies", type=int, default=2)
     sp.add_argument("--run-index", type=int, default=0)
     sp.add_argument("--idempotent", action="store_true")
-    sp = sub.add_parser("decompose")
-    common(sp, input_arg=True)
+    sp = command("decompose", "--input", *caps, "--period-bound")
     sp.add_argument("--run-index", type=int, default=0)
-    sp = sub.add_parser("simulate-oneway")
-    common(sp, input_arg=True)
+    sp = command("simulate-oneway", "--input", "--cap-runs", "--period-bound")
     sp.add_argument("--transcript", action="store_true")
-    sp = sub.add_parser("decide")
-    sp.add_argument("mode", choices=("oneway", "sweeping"))
-    common(sp)
+    sp = command("decide", "--cap-runs", "--period-bound",
+                 modes=("oneway", "sweeping"))
     sp.add_argument("--max-len", type=int, required=True)
     sp.add_argument("--passes", type=int, default=None)
     sp.add_argument("--cert", default=None)
-    sp = sub.add_parser("verify-cert")
-    common(sp)
+    sp = command("verify-cert", "--period-bound")
     sp.add_argument("--cert", required=True)
     return p
 

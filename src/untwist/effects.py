@@ -8,6 +8,7 @@ the dummy absorbing element is exposed as BOTTOM.
 """
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 from .runs import Run
@@ -139,59 +140,24 @@ def flow_product(f, g):
     return Flow(f.h1, g.h2, edges)
 
 
-class Effect:
-    """A flow with its two border crossing sequences.
+class Effect(NamedTuple):
+    """A flow with its two border crossing sequences, compared by value."""
 
-    Effects are hash-consed: every instance goes through make_effect, so
-    value equality coincides with identity, which `==` and hash use, and
-    products memoize cheaply.  Instances are immutable."""
-
-    __slots__ = ("flow", "c1", "c2")
-
-    def __init__(self, flow: Flow, c1: tuple[str, ...], c2: tuple[str, ...]):
-        object.__setattr__(self, "flow", flow)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"effects are immutable: cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __repr__(self) -> str:
-        return f"Effect(flow={self.flow!r}, c1={self.c1!r}, c2={self.c2!r})"
+    flow: Flow
+    c1: tuple[str, ...]
+    c2: tuple[str, ...]
 
     def __str__(self) -> str:
         return f"{self.flow}|{','.join(self.c1)}|{','.join(self.c2)}"
 
 
-_interned: dict = {}
-_products: dict = {}
-
-
-def make_effect(flow: Flow, c1: tuple[str, ...], c2: tuple[str, ...]) -> Effect:
-    assert flow.h1 == len(c1) and flow.h2 == len(c2)
-    key = (flow, c1, c2)
-    e = _interned.get(key)
-    if e is None:
-        e = Effect(flow, c1, c2)
-        _interned[key] = e
-    return e
-
-
+@functools.lru_cache(maxsize=4096)
 def effect_product(e, f):
-    if e is BOTTOM or f is BOTTOM:
+    """The product e·f; memoized, as a run's loops repeat few products."""
+    if e is BOTTOM or f is BOTTOM or e.c2 != f.c1:
         return BOTTOM
-    key = (e, f)
-    r = _products.get(key)
-    if r is None:
-        if e.c2 != f.c1:
-            r = BOTTOM
-        else:
-            fl = flow_product(e.flow, f.flow)
-            r = BOTTOM if fl is BOTTOM else make_effect(fl, e.c1, f.c2)
-        _products[key] = r
-    return r
+    fl = flow_product(e.flow, f.flow)
+    return BOTTOM if fl is BOTTOM else Effect(fl, e.c1, f.c2)
 
 
 def is_idempotent(e) -> bool:
@@ -209,16 +175,8 @@ def flow_of_interval(run: Run, x1: int, x2: int) -> Flow:
 
 
 def effect_of_interval(run: Run, x1: int, x2: int) -> Effect:
-    cache = run._interval_effects
-    if cache is None:
-        cache = run._interval_effects = {}
-    key = (x1, x2)
-    e = cache.get(key)
-    if e is None:
-        e = make_effect(flow_of_interval(run, x1, x2),
-                        run.crossing(x1), run.crossing(x2))
-        cache[key] = e
-    return e
+    return Effect(flow_of_interval(run, x1, x2), run.crossing(x1),
+                  run.crossing(x2))
 
 
 def interval_effect_closure(run: Run) -> set[Effect]:

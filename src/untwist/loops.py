@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .effects import Effect, effect_product, effect_of_interval
+from .effects import Effect, effect_of_interval, is_idempotent
 from .runs import Factor, Location, Run, replay
 from .transducer import Transducer, Transition
 
@@ -73,7 +73,7 @@ def enumerate_loops(run: Run, *, idempotent_only: bool = False,
         for i, x1 in enumerate(group):
             for x2 in group[i + 1:]:
                 e = effect_of_interval(run, x1, x2)
-                idem = effect_product(e, e) == e
+                idem = is_idempotent(e)
                 if idempotent_only and not idem:
                     continue
                 loops.append(Loop(x1, x2, e, idem))

@@ -24,7 +24,7 @@ from .inversions import (CO_INVERSION, INVERSION, AnchoredComponent,
 from .runs import (CapExceeded, Run, dump_run, dump_transitions,
                    enumerate_runs, replay, runs_upto, validate_run)
 from .transducer import Transducer, constants, serialize_transducer
-from .effects import effect_of_interval, effect_product
+from .effects import effect_of_interval, is_idempotent
 from .loops import Loop, components_of, trace_of
 
 
@@ -337,7 +337,7 @@ def verify_certificate(t: Transducer, cert: RefutationCertificate, *,
             if run.crossing(x1) != run.crossing(x2):
                 return False
             e = effect_of_interval(run, x1, x2)
-            if effect_product(e, e) != e:
+            if not is_idempotent(e):
                 return False
             loop = Loop(x1, x2, e, True)
             comp = next((c for c in components_of(run, loop)

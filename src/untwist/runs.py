@@ -81,7 +81,6 @@ class Run:
         outputs = [s.output for s in self.steps]
         self.output = "".join(outputs)
         self.out_prefix = (0, *accumulate(map(len, outputs)))
-        self._interval_effects = None   # lazy cache, filled by effects module
 
     # -- basic queries ------------------------------------------------------
 
@@ -200,6 +199,9 @@ class _PrefixSearch:
     """
 
     def __init__(self, t: Transducer, cap_runs: int, cap_steps: int):
+        for name, cap in (("run", cap_runs), ("step", cap_steps)):
+            if cap < 0:
+                raise ValueError(f"{name} cap {cap} is negative")
         self.t = t
         self.cap_runs = cap_runs
         self.cap_steps = cap_steps

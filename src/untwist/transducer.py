@@ -112,9 +112,6 @@ class Transducer:
     def c_max(self) -> int:
         return max((len(t.output) for t in self.transitions), default=0)
 
-    def encode_input(self, word: Iterable[str]) -> str:
-        return self.table.encode(word)
-
     def parse_input_text(self, text: str) -> str:
         """Parse a user-supplied input word into its encoded form."""
         if text == "":

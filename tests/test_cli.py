@@ -172,6 +172,22 @@ def test_unexpected_exception_exit_70(tmp_path, monkeypatch, capsys):
     ("decide", "sweeping", fx("T_COPY_AB"), "--max-len", "-1",
      "--passes", "9"),
     ("decide", "sweeping", fx("T_COPY_AB"), "--max-len", "-1"),
+    # A period bound below 1 admits no period, so it would refute every
+    # machine that has an inversion, one-way definable or not.
+    ("decide", "oneway", fx("T_COPY_ABC"), "--max-len", "6",
+     "--period-bound", "0"),
+    ("decide", "oneway", fx("T_COPY_ABC"), "--max-len", "6",
+     "--period-bound", "-5"),
+    ("decide", "sweeping", fx("T_COPY_ABC"), "--max-len", "4",
+     "--passes", "2", "--period-bound", "0"),
+    ("analyze", fx("T_COPY_ABC"), "--input", "abcabc", "--period-bound", "0"),
+    ("decompose", fx("T_COPY_ABC"), "--input", "abcabc",
+     "--period-bound", "0"),
+    ("simulate-oneway", fx("T_COPY_ABC"), "--input", "abcabc",
+     "--period-bound", "0"),
+    # A negative cap is an argument error, not a cap that fires (exit 69).
+    ("run", fx("T_COPY_AB"), "--input", "ab", "--cap-runs", "-1"),
+    ("run", fx("T_COPY_AB"), "--input", "ab", "--cap-steps", "-1"),
 ])
 def test_out_of_range_argument_exit_65(capsys, argv):
     code = run_cli(list(argv))
@@ -180,6 +196,29 @@ def test_out_of_range_argument_exit_65(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+# The options each subcommand used to accept and then ignore.
+@pytest.mark.parametrize("argv,option", [
+    (("parse", fx("T_ID")), "--cap-runs"),
+    (("parse", fx("T_ID")), "--cap-steps"),
+    (("parse", fx("T_ID")), "--period-bound"),
+    (("constants", fx("T_ID")), "--cap-runs"),
+    (("constants", fx("T_ID")), "--cap-steps"),
+    (("constants", fx("T_ID")), "--period-bound"),
+    (("run", fx("T_ID"), "--input", "ab"), "--period-bound"),
+    (("pump", fx("T_ID"), "--input", "ab"), "--period-bound"),
+    (("simulate-oneway", fx("T_ID"), "--input", "ab"), "--cap-steps"),
+    (("decide", "oneway", fx("T_ID"), "--max-len", "2"), "--cap-steps"),
+    (("verify-cert", fx("T_ID"), "--cert", "missing.cert"), "--cap-runs"),
+    (("verify-cert", fx("T_ID"), "--cert", "missing.cert"), "--cap-steps"),
+])
+def test_unread_option_is_a_usage_error(capsys, argv, option):
+    code = run_cli([*argv, option, "1"])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert f"unrecognized arguments: {option} 1" in captured.err
 
 
 def test_verify_cert_cli(tmp_path, capsys):

@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from untwist.effects import (BOTTOM, Flow, effect_of_interval,
+from untwist.effects import (BOTTOM, Effect, Flow, effect_of_interval,
                              effect_product, flow_is_valid, flow_of_interval,
                              flow_product, interval_effect_closure,
-                             is_idempotent, make_effect, make_flow)
+                             is_idempotent, make_flow)
 from untwist.runs import enumerate_runs
 from untwist.transducer import constants
 
@@ -182,8 +182,10 @@ def test_make_flow_rejects_bad_degrees():
         make_flow(3, 3, {(0, 0)})
 
 
-def test_effect_interning_gives_identity(t_id):
-    run = enumerate_runs(t_id, t_id.parse_input_text("aa"))[0]
-    e1 = effect_of_interval(run, 1, 2)
-    e2 = make_effect(e1.flow, e1.c1, e1.c2)
-    assert e1 is e2
+def test_equal_intervals_of_two_runs_give_equal_effects(t_id):
+    run1 = enumerate_runs(t_id, t_id.parse_input_text("aa"))[0]
+    run2 = enumerate_runs(t_id, t_id.parse_input_text("ab"))[0]
+    e1, e2 = effect_of_interval(run1, 1, 2), effect_of_interval(run2, 1, 2)
+    assert e1 == e2 and hash(e1) == hash(e2)
+    assert e1 == Effect(e1.flow, e1.c1, e1.c2)
+    assert effect_product(e1, e1) == effect_product(e2, e2)

@@ -318,6 +318,16 @@ def test_caps_fire_at_the_same_input(name, caps):
     _assert_same_as_brute(load_fixture(name), 4, **caps)
 
 
+@pytest.mark.parametrize("caps", [{"cap_runs": -1}, {"cap_steps": -1}])
+def test_negative_caps_are_rejected(caps):
+    # A negative cap is an argument error, not a cap that fires.
+    t = load_fixture("T_COPY_AB")
+    with pytest.raises(ValueError, match="is negative"):
+        enumerate_runs(t, "ab", **caps)
+    with pytest.raises(ValueError, match="is negative"):
+        next(runs_upto(t, 2, **caps))
+
+
 @given(transducers(max_transitions=12),
        st.sampled_from([{"cap_runs": 1}, {"cap_steps": 3},
                         {"cap_runs": 1, "cap_steps": 6}]))

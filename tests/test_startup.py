@@ -1,5 +1,5 @@
-"""Start-up cost of a CLI process: which modules it loads, and the records
-that every subcommand defines on import."""
+"""Start-up cost of a CLI process: which modules it loads, the records that
+every subcommand defines on import, and the module-level state they keep."""
 import json
 import os
 import pathlib
@@ -12,7 +12,7 @@ from untwist import bounds, decomposition, effects, forest, inversions, \
     loops, oneway, runs, transducer
 from untwist.bounds import BoundFactored
 from untwist.decomposition import Decomposition
-from untwist.effects import Effect, Flow, make_effect
+from untwist.effects import Effect, Flow
 from untwist.oneway import Verdict
 from untwist.transducer import Constants
 
@@ -109,12 +109,12 @@ def _records():
 
 def test_records_refuse_attribute_assignment():
     records = list(_records())
-    assert len(records) == 31
+    assert len(records) == 32 and Effect in records
     for cls in records:
         record = cls._make([None] * len(cls._fields))
         with pytest.raises(AttributeError):
             setattr(record, cls._fields[0], 1)
-    effect = make_effect(Flow(1, 1, frozenset({(0, 0)})), ("q",), ("q",))
+    effect = Effect(Flow(1, 1, frozenset({(0, 0)})), ("q",), ("q",))
     for name in ("flow", "c1", "other"):
         with pytest.raises(AttributeError):
             setattr(effect, name, None)
@@ -122,12 +122,40 @@ def test_records_refuse_attribute_assignment():
         del effect.flow
 
 
-def test_effect_equality_is_identity():
+def test_effect_equality_is_by_value():
     flow = Flow(1, 1, frozenset({(0, 0)}))
     a, b = Effect(flow, ("q",), ("q",)), Effect(flow, ("q",), ("q",))
-    assert a == a and a != b and hash(a) != hash(b)
-    assert make_effect(flow, ("q",), ("q",)) is make_effect(flow, ("q",),
-                                                            ("q",))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != Effect(flow, ("p",), ("q",))
+
+
+def test_no_module_level_container_grows():
+    # Deciding, simulating and building a forest leave the size of every
+    # module-level dict, list and set of the library as it was.
+    before, after = fresh(
+        "import json, sys\n"
+        "import untwist.cli, untwist.forest\n"
+        "from untwist import (build_forest, decide_oneway_bounded,\n"
+        "                     enumerate_runs, parse_transducer,\n"
+        "                     simulate_oneway)\n"
+        "def sizes():\n"
+        "    return {f'{m}.{k}': len(v) for m, mod in sys.modules.items()\n"
+        "            if m.startswith('untwist')\n"
+        "            for k, v in vars(mod).items()\n"
+        "            if not k.startswith('__')\n"
+        "            and isinstance(v, (dict, list, set))}\n"
+        "def load(name):\n"
+        "    with open(f'fixtures/{name}.tdx') as fh:\n"
+        "        return parse_transducer(fh.read())\n"
+        "before = sizes()\n"
+        "copy, running = load('T_COPY_ABC'), load('T_RUNNING')\n"
+        "decide_oneway_bounded(copy, 5)\n"
+        "decide_oneway_bounded(running, 5)\n"
+        "simulate_oneway(copy, 'abcabc')\n"
+        "run = enumerate_runs(copy, 'abcabc')[0]\n"
+        "build_forest(run, range(run.word.omega + 1))\n"
+        "print(json.dumps([before, sizes()]))\n")
+    assert before and after == before
 
 
 def test_uncompared_fields_stay_out_of_eq_and_hash():
