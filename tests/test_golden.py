@@ -34,6 +34,13 @@ INPUTS = {
 BOUNDED_NAMES = ("T_COPY_ABC", "T_RUNNING", "T_THREECOMP")
 FINITE_BOUNDS = ("1", "2")
 
+# One long word for the two machines with dense inversions: thousands of
+# inversion pairs on (abc)^16, and two coverage classes, so two blocks, on the
+# T_RUNNING word.  Pinned under the symbolic bound and the finite ones,
+# which refuse at the first unsafe inversion.
+LONG_INPUTS = {"T_COPY_ABC": "abc" * 16,
+               "T_RUNNING": "abcabcabc#ab#abcabc#ab#abc#b"}
+
 
 def _cases() -> list[tuple[str, list[str]]]:
     cases = []
@@ -55,6 +62,15 @@ def _cases() -> list[tuple[str, list[str]]]:
         cases.append((f"{name}.decide-sweeping.3.5",
                       ["decide", "sweeping", path, "--passes", "3",
                        "--max-len", "5"]))
+        if name in LONG_INPUTS:
+            path_input = [path, "--input", LONG_INPUTS[name]]
+            for bound in [[]] + [["--period-bound", n] for n in FINITE_BOUNDS]:
+                tag = f".pb{bound[1]}" if bound else ""
+                for cmd in ("analyze", "decompose", "simulate-oneway"):
+                    extra = ["--transcript"] if cmd == "simulate-oneway" \
+                        and not bound else []
+                    cases.append((f"{name}.{cmd}.long{tag}",
+                                  [cmd] + path_input + bound + extra))
         if name not in BOUNDED_NAMES:
             continue
         for n in FINITE_BOUNDS:
