@@ -17,17 +17,17 @@ _EXPORTS = {
     "effects": ("BOTTOM", "Effect", "Flow", "effect_of_interval",
                 "effect_product", "flow_of_interval", "flow_product",
                 "is_idempotent"),
-    "loops": ("Loop", "components_of", "enumerate_loops", "is_output_minimal",
+    "loops": ("Loop", "components_of", "enumerate_loops",
               "predicted_pump_output", "pump", "trace_of"),
     "forest": ("FactorizationForest", "RamseyWitness", "build_forest",
                "ramsey_extract", "verify_forest"),
-    "inversions": ("Inversion", "KInversion", "PeriodIndex", "check_p2",
+    "inversions": ("Inversion", "KInversion", "PeriodIndex",
                    "enumerate_inversions", "enumerate_k_inversions",
                    "fine_wilf_check", "has_dividing_period", "inversion_word",
                    "inversions_of", "k_inversion_safe", "smallest_period"),
     "decomposition": ("Decomposition", "build_decomposition",
                       "block_interval", "coverage_classes", "is_block",
-                      "is_diagonal", "validate_decomposition"),
+                      "is_diagonal"),
     "oneway": ("RefutationCertificate", "Verdict", "decide_oneway_bounded",
                "decide_sweeping_bounded", "simulate_oneway",
                "verify_certificate"),

@@ -241,7 +241,8 @@ def cmd_decide(args) -> int:
         if args.cert:
             with open(args.cert, "w", encoding="utf-8") as fh:
                 fh.write(cert)
-        text = f"refuted (|u| = {len(verdict.certificate.input_text)})\n" + cert
+        length = len(t.parse_input_text(verdict.certificate.input_text))
+        text = f"refuted (|u| = {length})\n" + cert
     else:
         text = f"{verdict.kind} up to {verdict.max_len}"
         if verdict.note:

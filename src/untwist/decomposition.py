@@ -13,16 +13,13 @@ from bisect import bisect_left, bisect_right
 from typing import NamedTuple, Optional
 
 from .bounds import PeriodBound, bound_admits, compare_on
-from .inversions import (Inversion, PeriodReport, first_unsafe_inversion,
-                         inversions_of, smallest_period)
-from .runs import Location, LocationSet, Run
+from .inversions import (INVERSION, AnchoredComponent, Inversion,
+                         PeriodReport, first_unsafe_inversion, inversion_spans,
+                         multi_pass_components, smallest_period)
+from .runs import InternalInconsistencyError, Location, LocationSet, Run
 
 DIAGONAL = "diagonal"
 BLOCK = "block"
-
-
-class InternalInconsistencyError(Exception):
-    """A consequence of the theory failed to hold; always a bug."""
 
 
 class CoverageClass(NamedTuple):
@@ -76,47 +73,34 @@ class BuildOutcome(NamedTuple):
     unsafe: Optional[tuple[Inversion, PeriodReport]] = None
 
 
-def coverage_classes(run: Run, inversions: list[Inversion]
+def coverage_classes(run: Run, anchored: list[AnchoredComponent]
                      ) -> list[CoverageClass]:
     """Non-singleton classes of the covered-by-overlapping-inversions
-    equivalence over the run's `inversions`, as maximal location-index
-    intervals with covering chains."""
-    if not inversions:
-        return []
-    intervals: dict[tuple[int, int], Inversion] = {}
-    for inv in inversions:
-        key = (run.loc_index[inv.first.anchor], run.loc_index[inv.second.anchor])
-        intervals.setdefault(key, inv)
-    # Keep only maximal intervals; containment-redundant ones add nothing.
+    equivalence over the inversions among `anchored` (the run's
+    `multi_pass_components`), as maximal location-index intervals with
+    covering chains.
+
+    Only the longest interval from each first anchor can be maximal, and a
+    class keeps, for each interval, the first inversion that spans it."""
+    spans, members = inversion_spans(run, anchored)
+    anchors = sorted(members)
+    classes: list[list] = []    # [start, end, chain]
     # In (start, -end) order an interval is contained in another one exactly
-    # when an earlier interval reaches at least as far.
-    maximal: list[tuple[tuple[int, int], Inversion]] = []
-    reach = -1
-    for s, e in sorted(intervals, key=lambda iv: (iv[0], -iv[1])):
-        if e > reach:
-            maximal.append(((s, e), intervals[(s, e)]))
-            reach = e
-    anchors_all = sorted({s for s, _ in intervals} | {e for _, e in intervals})
-    classes = []
-    i = 0
-    while i < len(maximal):
-        (s, e), inv = maximal[i]
-        chain = [inv]
-        j = i + 1
-        while j < len(maximal):
-            (s2, e2), inv2 = maximal[j]
-            if s2 > e:
-                break
-            # Greedy chain: keep only members that extend the reach.
-            if e2 > e:
-                chain.append(inv2)
-                e = e2
-            j += 1
-        anchor_locs = tuple(run.locations[a] for a in anchors_all[
-            bisect_left(anchors_all, s):bisect_right(anchors_all, e)])
-        classes.append(CoverageClass(s, e, tuple(chain), anchor_locs))
-        i = j
-    return classes
+    # when an earlier interval reaches at least as far; a chain keeps each
+    # maximal interval that starts inside its reach.
+    for s, e, i, j in sorted(spans, key=lambda sp: (sp[0], -sp[1], sp[2])):
+        if classes and e <= classes[-1][1]:
+            continue
+        inv = Inversion(INVERSION, anchored[i], anchored[j])
+        if classes and s <= classes[-1][1]:
+            classes[-1][1] = e
+            classes[-1][2].append(inv)
+        else:
+            classes.append([s, e, [inv]])
+    return [CoverageClass(s, e, tuple(chain), tuple(
+        run.locations[a] for a in
+        anchors[bisect_left(anchors, s):bisect_right(anchors, e)]))
+        for s, e, chain in classes]
 
 
 def block_interval(run: Run, cls: CoverageClass) -> tuple[Location, Location]:
@@ -222,13 +206,13 @@ def build_decomposition(run: Run, bound: PeriodBound) -> BuildOutcome:
     fails the periodicity condition.  A gap that fails the diagonal
     predicate after the condition held contradicts the theory and raises.
     """
-    inversions = inversions_of(run)
-    unsafe = first_unsafe_inversion(run, bound, inversions)
+    anchored = multi_pass_components(run)
+    unsafe = first_unsafe_inversion(run, bound, anchored)
     if unsafe is not None:
         return BuildOutcome(None, unsafe)
 
     blocks: list[tuple[Location, Location]] = []
-    for cls in coverage_classes(run, inversions):
+    for cls in coverage_classes(run, anchored):
         xs = cls.anchor_positions
         if xs[0] == xs[-1]:
             continue    # positionally flat; its locations live in a diagonal
@@ -290,30 +274,3 @@ def build_decomposition(run: Run, bound: PeriodBound) -> BuildOutcome:
             f"piece boundary positions not strictly increasing: {xs}")
     return BuildOutcome(Decomposition(tuple(pieces), bound))
 
-
-def validate_decomposition(run: Run, d: Decomposition) -> bool:
-    """Full independent re-check of tiling, ordering and piece predicates."""
-    if not d.pieces:
-        return False
-    if d.pieces[0].start != run.locations[0]:
-        return False
-    if d.pieces[-1].end != run.locations[-1]:
-        return False
-    for p, q in zip(d.pieces, d.pieces[1:]):
-        if p.end != q.start:
-            return False
-    xs = [p.start[0] for p in d.pieces] + [d.pieces[-1].end[0]]
-    if any(a >= b for a, b in zip(xs, xs[1:])):
-        return False
-    for p in d.pieces:
-        if run.loc_index[p.start] > run.loc_index[p.end]:
-            return False
-        if p.kind == DIAGONAL:
-            ok, _ = is_diagonal(run, p.start, p.end, d.bound)
-        elif p.kind == BLOCK:
-            ok, _ = is_block(run, p.start, p.end, d.bound)
-        else:
-            return False
-        if not ok:
-            return False
-    return True

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
+from itertools import accumulate
 from typing import Iterator, NamedTuple, Optional
 
 from .bounds import PeriodBound, bound_admits
@@ -100,6 +101,61 @@ def _pair_matches(run: Run, kind: str, a: AnchoredComponent,
     return a.loop == b.loop or a.loop.x2 <= b.loop.x1
 
 
+class _Sweep:
+    """Right to left over `anchored`, which is in anchor run order, as
+    `anchored_components` returns it."""
+
+    def __init__(self, run: Run, anchored: list[AnchoredComponent]):
+        self.anchored = anchored
+        self.xs = [a.component.anchor[0] for a in anchored]
+        self.order = [run.loc_index[a.component.anchor] for a in anchored]
+        self.by_loop: dict[Loop, list[int]] = {}
+        for pos, a in enumerate(anchored):
+            self.by_loop.setdefault(a.loop, []).append(pos)
+
+    def __iter__(self) -> Iterator[tuple[int, int, range]]:
+        """(i, end, fresh) for each position i, last first: [end, n) are
+        the components anchored strictly later than i, and `fresh` those of
+        them not yet yielded as fresh."""
+        end = len(self.order)
+        for i in range(end - 1, -1, -1):
+            later = bisect_right(self.order, self.order[i])
+            yield i, later, range(later, end)
+            end = later
+
+    def same_loop(self, i: int, end: int, co: bool = False) -> list[int]:
+        """The positions of i's partners on its own loop."""
+        same, xs = self.by_loop[self.anchored[i].loop], self.xs
+        if same[-1] < end:
+            return []
+        return [j for j in same[bisect_left(same, end):]
+                if ((xs[i] <= xs[j]) if co else (xs[j] <= xs[i]))]
+
+
+class _PrefixMax:
+    """Maxima over the prefixes [1, x] of the points 1..n, for values that
+    are only ever raised: a Fenwick tree (Fenwick 1994)."""
+
+    def __init__(self, n: int, empty):
+        self.empty = empty
+        self.tree = [empty] * (n + 1)
+
+    def raise_to(self, x: int, value) -> None:
+        tree, n = self.tree, len(self.tree)
+        while x < n:
+            if tree[x] < value:
+                tree[x] = value
+            x += x & -x
+
+    def upto(self, x: int):
+        tree, best = self.tree, self.empty
+        while x > 0:
+            if best < tree[x]:
+                best = tree[x]
+            x -= x & -x
+        return best
+
+
 def enumerate_inversions(run: Run, kind: str,
                          anchored: list[AnchoredComponent]
                          ) -> list[Inversion]:
@@ -108,8 +164,7 @@ def enumerate_inversions(run: Run, kind: str,
     Order contract: the pairs `(a, b)` satisfying `_pair_matches`, ordered
     by the position of `a` in `anchored`, then by the position of `b` --
     exactly the all-pairs filter over `anchored[i:]`.  The order decides
-    which unsafe inversion a certificate records and which inversion a
-    coverage class keeps for each interval.
+    which unsafe inversion a certificate records.
 
     Cost: O(A log A + I log I) comparisons for A anchored components and I
     results, plus the list shifts `insort` does in C.  `anchored` must be in
@@ -123,40 +178,24 @@ def enumerate_inversions(run: Run, kind: str,
     """
     co = kind == CO_INVERSION
     n = len(anchored)
-    order = [run.loc_index[a.anchor] for a in anchored]
-    by_loop: dict[Loop, list[int]] = {}
-    for pos, a in enumerate(anchored):
-        by_loop.setdefault(a.loop, []).append(pos)
+    sweep = _Sweep(run, anchored)
     later: list[tuple[int, int]] = []   # (sort key, position)
     partners: list[list[int]] = [[] for _ in range(n)]
-    end = n
-    while end > 0:
-        # [start, end) share one anchor; only strictly later ones pair.
-        start = end - 1
-        while start > 0 and order[start - 1] == order[end - 1]:
-            start -= 1
-        for i in range(start, end):
-            a = anchored[i]
-            xa = a.anchor[0]
-            limit = -a.loop.x2 if co else a.loop.x1
-            found = [pos for _, pos in later[:bisect_right(later, (limit, n))]]
-            same = by_loop[a.loop]
-            for j in same[bisect_left(same, end):]:
-                xb = anchored[j].anchor[0]
-                if (xa <= xb) if co else (xb <= xa):
-                    found.append(j)
-            found.sort()
-            partners[i] = found
-        for i in range(start, end):
-            loop = anchored[i].loop
-            insort(later, (-loop.x1 if co else loop.x2, i))
-        end = start
+    for i, end, fresh in sweep:
+        for j in fresh:
+            loop = anchored[j].loop
+            insort(later, (-loop.x1 if co else loop.x2, j))
+        limit = -anchored[i].loop.x2 if co else anchored[i].loop.x1
+        partners[i] = sorted(
+            [pos for _, pos in later[:bisect_right(later, (limit, n))]]
+            + sweep.same_loop(i, end, co))
     return [Inversion(kind, a, anchored[j])
             for a, js in zip(anchored, partners) for j in js]
 
 
-def inversions_of(run: Run) -> list[Inversion]:
-    """All inversions of the run, in `enumerate_inversions` order.
+def multi_pass_components(run: Run) -> list[AnchoredComponent]:
+    """The anchored components an inversion can have as a member: those of
+    the idempotent loops crossed at least twice.
 
     Single-pass lemma: a loop [x1,x2] whose border crossing sequence has
     length 1 has one component, anchored at (x1, 0) on a cut the run crosses
@@ -167,9 +206,49 @@ def inversions_of(run: Run) -> list[Inversion]:
     crossed at least twice only, which keeps the same members in the same
     order; co-inversions need every loop.
     """
-    loops = enumerate_loops(run, idempotent_only=True, skip_single_pass=True)
-    return enumerate_inversions(run, INVERSION,
-                                anchored_components(run, loops))
+    return anchored_components(
+        run, enumerate_loops(run, idempotent_only=True, skip_single_pass=True))
+
+
+def inversions_of(run: Run) -> list[Inversion]:
+    """All inversions of the run, in `enumerate_inversions` order."""
+    return enumerate_inversions(run, INVERSION, multi_pass_components(run))
+
+
+def inversion_spans(run: Run, anchored: list[AnchoredComponent]
+                    ) -> tuple[list[tuple[int, int, int, int]], set[int]]:
+    """What the coverage classes need of the inversions among `anchored`,
+    without listing them.
+
+    The spans are (s, e, i, j), last first, for each position i with a
+    partner: s and e are the anchor indices of i and of its farthest
+    partner, and j is its first partner anchored at e, found as the largest
+    (anchor index, -position) over a prefix of loop right ends and i's own
+    loop.  The set holds the anchor index of every inversion member: a
+    component is a second member when an earlier one's loop starts at or
+    right of its loop's end, or an earlier one on its own loop is anchored
+    at or right of it.
+    """
+    sweep = _Sweep(run, anchored)
+    order, xs = sweep.order, sweep.xs
+    farthest = _PrefixMax(run.word.omega + 1, (-1, 0))
+    spans = []
+    for i, end, fresh in sweep:
+        for j in fresh:
+            farthest.raise_to(anchored[j].loop.x2, (order[j], -j))
+        e, neg_j = max([farthest.upto(anchored[i].loop.x1)]
+                       + [(order[j], -j) for j in sweep.same_loop(i, end)])
+        if e >= 0:
+            spans.append((order[i], e, i, -neg_j))
+    members = {s for s, _, _, _ in spans}
+    lefts = [0, *accumulate((a.loop.x1 for a in anchored), max)]
+    for j, b in enumerate(anchored):
+        start = bisect_left(order, order[j])
+        same = sweep.by_loop[b.loop]
+        if b.loop.x2 <= lefts[start] or any(
+                xs[p] >= xs[j] for p in same[:bisect_left(same, start)]):
+            members.add(order[j])
+    return spans, members
 
 
 def inversion_word(run: Run, inv: Inversion) -> str:
@@ -288,6 +367,9 @@ class PeriodIndex:
             sa = self._side(a)
         if sb is None or sb[0] is not b:
             sb = self._side(b)
+        return self._sides_safe(sa, sb)
+
+    def _sides_safe(self, sa: tuple, sb: tuple) -> bool:
         _, r, root1, s, starts, _ = sa
         _, r2, root2, e, _, ends = sb
         if r != r2 or not self._admits[r]:
@@ -297,24 +379,70 @@ class PeriodIndex:
         return starts and ends and self._agreement(r)[s] >= e - s - r
 
 
-def check_p2(run: Run, bound: PeriodBound
-             ) -> list[tuple[Inversion, PeriodReport]]:
-    """Periodicity report for every inversion; the run passes when all safe."""
-    return [(inv, period_report(run, inv, bound))
-            for inv in inversions_of(run)]
-
-
 def first_unsafe_inversion(run: Run, bound: PeriodBound,
-                           inversions: list[Inversion]
+                           anchored: list[AnchoredComponent]
                            ) -> Optional[tuple[Inversion, PeriodReport]]:
-    """First unsafe member of the run's `inversions` in their order, or None.
+    """The first unsafe inversion among the run's `multi_pass_components`,
+    in `enumerate_inversions` order, with its report; None when all are
+    safe.
 
-    Only the inversion returned gets its word and report built."""
+    No pair is listed on the way.  The separated partners of a component a
+    are a prefix by loop right end of the components anchored later, so
+    prefix-max trees over loop right ends tell whether all of them are safe
+    (see `PeriodIndex`): their root lengths must all be a's r, which the
+    bound admits, and each window of r letters or more needs a's root to
+    start at its anchor, b's root to end at its own, and the output between
+    to have period r.  The shorter windows, a short run of positions after
+    a, and a's partners on its own loop are checked one by one.  Only the
+    first a with an unsafe partner lists its partners.
+    """
     periods = PeriodIndex(run, bound)
-    for inv in inversions:
-        if not periods.safe(inv):
-            return inv, period_report(run, inv, bound)
-    return None
+    sides = [periods._side(a) for a in anchored]
+    offs = [side[3] for side in sides]
+    sweep = _Sweep(run, anchored)
+    width = run.word.omega + 1
+    # Over the later components, by loop right end: the largest root length,
+    # minus the least one, the largest anchor offset, and the largest one
+    # where the component's root does not end.
+    top_r, neg_low_r = _PrefixMax(width, 0), _PrefixMax(width, -math.inf)
+    far, far_open = _PrefixMax(width, -1), _PrefixMax(width, -1)
+    first = None
+    for i, end, fresh in sweep:
+        for j in fresh:
+            x2 = anchored[j].loop.x2
+            _, r, _, e, _, ends = sides[j]
+            top_r.raise_to(x2, r)
+            neg_low_r.raise_to(x2, -r)
+            far.raise_to(x2, e)
+            if not ends:
+                far_open.raise_to(x2, e)
+        sa = sides[i]
+        _, r, _, s, starts, _ = sa
+        x1 = anchored[i].loop.x1
+        safe = all(periods._sides_safe(sa, sides[j])
+                   for j in sweep.same_loop(i, end))
+        if safe and top_r.upto(x1):
+            reach = far.upto(x1)
+            safe = (periods._admits[r] and top_r.upto(x1) == r
+                    and neg_low_r.upto(x1) == -r
+                    and (reach < s + r
+                         or starts and far_open.upto(x1) < s + r
+                         and reach - s - r <= periods._agreement(r)[s])
+                    and all(periods._sides_safe(sa, sides[j])
+                            for j in range(end, bisect_left(offs, s + r, end))
+                            if anchored[j].loop.x2 <= x1))
+        if not safe:
+            first = i       # right to left: the last one set is the first
+    if first is None:
+        return None
+    a = anchored[first]
+    end = bisect_right(sweep.order, sweep.order[first])
+    j = next(j for j in sorted(
+        [j for j in range(end, len(anchored))
+         if anchored[j].loop.x2 <= a.loop.x1] + sweep.same_loop(first, end))
+        if not periods._sides_safe(sides[first], sides[j]))
+    inv = Inversion(INVERSION, a, anchored[j])
+    return inv, period_report(run, inv, bound)
 
 
 # ---------------------------------------------------------------------------

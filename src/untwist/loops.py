@@ -1,4 +1,4 @@
-"""Loops, components, anchors, traces, pumping, and output-minimality.
+"""Loops, components, anchors, traces and pumping.
 
 Loops are intervals with equal border crossing sequences, kept strictly
 inside the delimiters so that pumping always produces a well-formed input
@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .effects import Effect, effect_of_interval, is_idempotent
-from .runs import Factor, Location, Run, replay
+from .runs import Factor, InternalInconsistencyError, Location, Run, replay
 from .transducer import Transducer, Transition
 
 
@@ -124,12 +124,17 @@ def trace_of(run: Run, loop: Loop, comp: Component) -> Trace:
         if y == comp.max_node:
             break
     # The first factor is the crossing one, leaving from the anchor.
-    assert order[0].start == comp.anchor
-    assert order[0].kind in ("LR", "RL")
+    if order[0].start != comp.anchor or order[0].kind not in ("LR", "RL"):
+        raise InternalInconsistencyError(
+            f"the trace of {comp.nodes} on {loop} does not start with the "
+            f"crossing factor at its anchor {comp.anchor}")
     # Consecutive factors concatenate: matching states and level parity.
     for a, b in zip(order, order[1:]):
-        assert a.end[1] == b.start[1]
-        assert run.state_at(a.end) == run.state_at(b.start)
+        if a.end[1] != b.start[1] or \
+                run.state_at(a.end) != run.state_at(b.start):
+            raise InternalInconsistencyError(
+                f"factors ending at {a.end} and starting at {b.start} of a "
+                f"trace on {loop} do not concatenate")
     out = "".join(run.factor_output(f) for f in order)
     return Trace(comp, tuple(order), out)
 
@@ -239,24 +244,3 @@ def predicted_pump_output(run: Run, loop: Loop,
         parts.append(run.output_between(idx[i], nxt))
     return "".join(parts)
 
-
-def subloops(run: Run, loop: Loop) -> list[Loop]:
-    """Idempotent loops strictly contained in `loop`."""
-    return [l for l in enumerate_loops(run, idempotent_only=True)
-            if loop.contains(l) and l.interval != loop.interval]
-
-
-def is_output_minimal(run: Run, loop: Loop, comp: Component) -> bool:
-    """No strictly smaller idempotent loop has a component with non-empty
-    trace output and a factor nested inside one of this component's factors.
-    """
-    spans = [f.step_range for f in comp.factors]
-    for inner in subloops(run, loop):
-        for ic in components_of(run, inner):
-            if not trace_of(run, inner, ic).output:
-                continue
-            for f in ic.factors:
-                i, k = f.step_range
-                if any(a <= i and k <= b for a, b in spans):
-                    return False
-    return True

@@ -21,8 +21,9 @@ from .inversions import (CO_INVERSION, INVERSION, AnchoredComponent,
                          Inversion, PeriodIndex, _divisors, _pair_matches,
                          enumerate_k_inversions, inversion_word,
                          k_inversion_safe)
-from .runs import (CapExceeded, Run, dump_run, dump_transitions,
-                   enumerate_runs, replay, runs_upto, validate_run)
+from .runs import (CapExceeded, InternalInconsistencyError, Run, dump_run,
+                   dump_transitions, enumerate_runs, replay, runs_upto,
+                   validate_run)
 from .transducer import Transducer, constants, serialize_transducer
 from .effects import effect_of_interval, is_idempotent
 from .loops import Loop, components_of, trace_of
@@ -108,7 +109,9 @@ def _replay_decomposition(run: Run, d: Decomposition
                 chunk = w[done:target]
                 # The periodic representation must reproduce the output.
                 rep = "".join(pattern_char(k) for k in range(done, target))
-                assert rep == chunk, "block representation out of sync"
+                if rep != chunk:
+                    raise InternalInconsistencyError(
+                        "block representation out of sync")
                 emit(x, chunk, note)
                 done = target
 
@@ -125,9 +128,11 @@ def _replay_decomposition(run: Run, d: Decomposition
             emit_upto(x2, len(w), "block exit")
 
     positions = [e.position for e in transcript]
-    assert positions == sorted(positions), "transcript not left-to-right"
+    if positions != sorted(positions):
+        raise InternalInconsistencyError("transcript not left-to-right")
     text = "".join(out)
-    assert text == run.output, "replay diverged from the run output"
+    if text != run.output:
+        raise InternalInconsistencyError("replay diverged from the run output")
     return text, tuple(transcript)
 
 

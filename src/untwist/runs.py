@@ -22,6 +22,10 @@ class CapExceeded(Exception):
     """A configured resource cap was hit; never a silent truncation."""
 
 
+class InternalInconsistencyError(Exception):
+    """A consequence of the theory failed to hold; always a bug."""
+
+
 class DelimitedInput(NamedTuple):
     raw: str        # encoded word over the input alphabet
     padded: str     # LEFT_END + raw + RIGHT_END

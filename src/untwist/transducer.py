@@ -242,19 +242,24 @@ def parse_transducer(text: str) -> Transducer:
         raise ParseError("expected 'transducer <name>'", lineno)
     name = rest[0]
 
+    def check_symbols(syms: list[str], lineno: int) -> None:
+        for s in syms:
+            if s in (LEFT_TOKEN, RIGHT_TOKEN):
+                raise ParseError(f"symbol {s!r} is reserved for a delimiter",
+                                 lineno)
+            # Words over multi-character symbols are written comma-separated.
+            if "," in s:
+                raise ParseError(f"symbol {s!r} contains ','", lineno)
+
     lineno, in_syms = expect(1, "input")
-    for s in in_syms:
-        if s in (LEFT_TOKEN, RIGHT_TOKEN):
-            raise ParseError(f"symbol {s!r} is reserved for a delimiter", lineno)
+    check_symbols(in_syms, lineno)
     if len(set(in_syms)) != len(in_syms):
         raise ParseError("duplicate input symbol", lineno)
 
     lineno, out_syms = expect(2, "output")
     if len(set(out_syms)) != len(out_syms):
         raise ParseError("duplicate output symbol", lineno)
-    for s in out_syms:
-        if s in (LEFT_TOKEN, RIGHT_TOKEN):
-            raise ParseError(f"symbol {s!r} is reserved for a delimiter", lineno)
+    check_symbols(out_syms, lineno)
 
     lineno, states = expect(3, "states")
     if not states:

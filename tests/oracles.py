@@ -7,20 +7,29 @@ tries every shift, the subrun oracle filters steps one by one, the
 inversion oracle tests every pair of anchored components, and the chain
 oracle tries every member at every depth.
 
-Two helpers at the end check properties of the library's objects that the
-library itself never needs: powers of an effect and the factor pattern of
-a loop component.
+The list versions of the periodicity check and the coverage classes scan
+the run's inversion list, pair by pair, where the library answers from
+per-component aggregates without listing the pairs.
+
+The helpers at the end check properties of the library's objects that the
+library itself never needs: powers of an effect, the factor pattern of a
+loop component, output-minimality, and a full re-check of a decomposition.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Optional
 
-from untwist.decomposition import CoverageClass
+from untwist.bounds import PeriodBound
+from untwist.decomposition import (BLOCK, DIAGONAL, CoverageClass,
+                                   Decomposition, is_block, is_diagonal)
 from untwist.effects import effect_product
 from untwist.inversions import (CO_INVERSION, INVERSION, Inversion,
-                                KInversion, _pair_matches,
-                                anchored_components)
-from untwist.loops import Component, enumerate_loops
+                                KInversion, PeriodIndex, PeriodReport,
+                                _pair_matches, anchored_components,
+                                inversions_of, period_report)
+from untwist.loops import (Component, Loop, components_of, enumerate_loops,
+                           trace_of)
 from untwist.runs import CapExceeded, DelimitedInput, Run, Step
 from untwist.transducer import RIGHT, Transducer
 
@@ -204,6 +213,66 @@ def brute_inversions(run: Run, kind: str, anchored=None) -> list[Inversion]:
             if _pair_matches(run, kind, a, b)]
 
 
+def check_p2(run: Run, bound: PeriodBound
+             ) -> list[tuple[Inversion, PeriodReport]]:
+    """Periodicity report for every inversion; the run passes when all safe."""
+    return [(inv, period_report(run, inv, bound))
+            for inv in inversions_of(run)]
+
+
+def list_first_unsafe_inversion(run: Run, bound: PeriodBound,
+                                inversions: list[Inversion]
+                                ) -> Optional[tuple[Inversion, PeriodReport]]:
+    """First unsafe member of the run's `inversions` in their order, or None:
+    what `first_unsafe_inversion` must return without listing them."""
+    periods = PeriodIndex(run, bound)
+    for inv in inversions:
+        if not periods.safe(inv):
+            return inv, period_report(run, inv, bound)
+    return None
+
+
+def list_coverage_classes(run: Run, inversions: list[Inversion]
+                          ) -> list[CoverageClass]:
+    """Coverage classes from the run's inversion list, keeping for each
+    interval its first inversion and sweeping the intervals in (start,
+    -end) order: what `coverage_classes` must return without listing
+    them."""
+    if not inversions:
+        return []
+    intervals: dict[tuple[int, int], Inversion] = {}
+    for inv in inversions:
+        key = (run.loc_index[inv.first.anchor],
+               run.loc_index[inv.second.anchor])
+        intervals.setdefault(key, inv)
+    maximal: list[tuple[tuple[int, int], Inversion]] = []
+    reach = -1
+    for s, e in sorted(intervals, key=lambda iv: (iv[0], -iv[1])):
+        if e > reach:
+            maximal.append(((s, e), intervals[(s, e)]))
+            reach = e
+    anchors_all = sorted({s for s, _ in intervals} | {e for _, e in intervals})
+    classes = []
+    i = 0
+    while i < len(maximal):
+        (s, e), inv = maximal[i]
+        chain = [inv]
+        j = i + 1
+        while j < len(maximal):
+            (s2, e2), inv2 = maximal[j]
+            if s2 > e:
+                break
+            if e2 > e:
+                chain.append(inv2)
+                e = e2
+            j += 1
+        anchor_locs = tuple(run.locations[a] for a in anchors_all[
+            bisect_left(anchors_all, s):bisect_right(anchors_all, e)])
+        classes.append(CoverageClass(s, e, tuple(chain), anchor_locs))
+        i = j
+    return classes
+
+
 def brute_coverage_classes(run: Run) -> list[CoverageClass]:
     """Coverage classes with the maximal intervals found by testing every
     pair of intervals for containment."""
@@ -299,3 +368,53 @@ def component_factor_pattern(comp: Component) -> tuple[int, bool]:
     ok = (len(rest) == k2 + 1 and rest[0] == cross
           and all(kind == last for kind in rest[1:]))
     return k2, ok
+
+
+def subloops(run: Run, loop: Loop) -> list[Loop]:
+    """Idempotent loops strictly contained in `loop`."""
+    return [l for l in enumerate_loops(run, idempotent_only=True)
+            if loop.contains(l) and l.interval != loop.interval]
+
+
+def is_output_minimal(run: Run, loop: Loop, comp: Component) -> bool:
+    """No strictly smaller idempotent loop has a component with non-empty
+    trace output and a factor nested inside one of this component's factors.
+    """
+    spans = [f.step_range for f in comp.factors]
+    for inner in subloops(run, loop):
+        for ic in components_of(run, inner):
+            if not trace_of(run, inner, ic).output:
+                continue
+            for f in ic.factors:
+                i, k = f.step_range
+                if any(a <= i and k <= b for a, b in spans):
+                    return False
+    return True
+
+
+def validate_decomposition(run: Run, d: Decomposition) -> bool:
+    """Full independent re-check of tiling, ordering and piece predicates."""
+    if not d.pieces:
+        return False
+    if d.pieces[0].start != run.locations[0]:
+        return False
+    if d.pieces[-1].end != run.locations[-1]:
+        return False
+    for p, q in zip(d.pieces, d.pieces[1:]):
+        if p.end != q.start:
+            return False
+    xs = [p.start[0] for p in d.pieces] + [d.pieces[-1].end[0]]
+    if any(a >= b for a, b in zip(xs, xs[1:])):
+        return False
+    for p in d.pieces:
+        if run.loc_index[p.start] > run.loc_index[p.end]:
+            return False
+        if p.kind == DIAGONAL:
+            ok, _ = is_diagonal(run, p.start, p.end, d.bound)
+        elif p.kind == BLOCK:
+            ok, _ = is_block(run, p.start, p.end, d.bound)
+        else:
+            return False
+        if not ok:
+            return False
+    return True

@@ -127,6 +127,54 @@ def test_parse_error_exit_65(tmp_path, capsys):
     assert run_cli(["parse", str(bad)]) == 65
 
 
+# u -> uu over the multi-character symbols `aa` and `b`.
+COPY_MULTI = """transducer COPY_MULTI
+input aa b
+output aa b
+states p1 rw p2 fin
+initial p1
+final fin
+t p1 |- R p1 ""
+t p1 aa R p1 "aa"
+t p1 b R p1 "b"
+t p1 -| L rw ""
+t rw aa L rw ""
+t rw b L rw ""
+t rw |- R p2 ""
+t p2 aa R p2 "aa"
+t p2 b R p2 "b"
+t p2 -| R fin ""
+"""
+
+
+@pytest.mark.parametrize("alphabets,lineno", [
+    ("input x,y b\noutput b", 2), ("input b\noutput x,y b", 3)])
+def test_comma_in_symbol_exit_65(tmp_path, capsys, alphabets, lineno):
+    # A symbol with a comma could not be told apart from two symbols in an
+    # input word, a certificate or a run dump.
+    path = tmp_path / "comma.tdx"
+    path.write_text(f"transducer C\n{alphabets}\nstates q\ninitial q\n"
+                    'final q\nt q |- R q ""\nt q b R q "b"\n'
+                    't q -| R q ""\n')
+    assert run_cli(["parse", str(path)]) == 65
+    assert capsys.readouterr().err == \
+        f"error: line {lineno}: symbol 'x,y' contains ','\n"
+
+
+def test_refuted_length_counts_symbols(tmp_path, capsys):
+    path = tmp_path / "copy_multi.tdx"
+    path.write_text(COPY_MULTI)
+    cert_path = tmp_path / "cert.txt"
+    code, out = invoke(capsys, "decide", "oneway", str(path), "--max-len", "3",
+                       "--cert", str(cert_path))
+    assert code == 1
+    assert out.startswith('refuted (|u| = 2)\n')
+    assert 'input: "aa,b"' in out
+    code, out = invoke(capsys, "verify-cert", str(path), "--cert",
+                       str(cert_path))
+    assert (code, out) == (0, "valid\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("decompose", fx("T_ID"), "--input", "ab"),
     ("simulate-oneway", fx("T_ID"), "--input", "ab"),

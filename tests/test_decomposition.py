@@ -2,13 +2,14 @@ from untwist import inversions
 from untwist.bounds import BoundFactored
 from untwist.decomposition import (BLOCK, DIAGONAL, Decomposition, Piece,
                                    block_interval, build_decomposition,
-                                   coverage_classes, is_block, is_diagonal,
-                                   validate_decomposition)
-from untwist.inversions import inversions_of, smallest_period
+                                   coverage_classes, is_block, is_diagonal)
+from untwist.inversions import (inversions_of, multi_pass_components,
+                                smallest_period)
 from untwist.runs import enumerate_runs
 from untwist.transducer import constants
 
 from .conftest import CORE_NAMES, domain_words, spy
+from .oracles import validate_decomposition
 
 SYM = BoundFactored(1, 1, 10 ** 6)
 
@@ -18,26 +19,26 @@ def bound_of(t):
 
 
 def test_build_decomposition_derives_once(t_copy_abc, monkeypatch):
-    # One inversion list serves the periodicity check and the coverage
-    # classes, and it comes from one anchored list.
+    # One anchored list serves the periodicity check and the coverage
+    # classes, and neither lists the inversions.
     calls = {name: spy(monkeypatch, inversions, name)
              for name in ("anchored_components", "enumerate_inversions")}
     run = enumerate_runs(t_copy_abc, t_copy_abc.parse_input_text("abc" * 6))[0]
     outcome = build_decomposition(run, bound_of(t_copy_abc))
     assert outcome.decomposition is not None
     assert {name: len(c) for name, c in calls.items()} == \
-        {"anchored_components": 1, "enumerate_inversions": 1}
+        {"anchored_components": 1, "enumerate_inversions": 0}
 
 
 def test_no_inversions_no_classes(t_id):
     run = enumerate_runs(t_id, t_id.parse_input_text("abab"))[0]
-    assert coverage_classes(run, inversions_of(run)) == []
+    assert coverage_classes(run, multi_pass_components(run)) == []
 
 
 def test_two_disjoint_classes(t_running):
     text = "b#abcabc#ca#abcabc"
     run = enumerate_runs(t_running, t_running.parse_input_text(text))[0]
-    classes = coverage_classes(run, inversions_of(run))
+    classes = coverage_classes(run, multi_pass_components(run))
     assert len(classes) == 2
     first, second = classes
     assert first.end < second.start
@@ -47,7 +48,7 @@ def test_two_disjoint_classes(t_running):
 def test_chain_condition(t_running, t_copy_ab):
     for t, text in ((t_running, "b#abcabc#ca#abcabc"), (t_copy_ab, "abab")):
         run = enumerate_runs(t, t.parse_input_text(text))[0]
-        for cls in coverage_classes(run, inversions_of(run)):
+        for cls in coverage_classes(run, multi_pass_components(run)):
             idx = run.loc_index
             chain = cls.chain
             assert idx[chain[0].first.anchor] == cls.start
@@ -62,7 +63,7 @@ def test_chain_condition(t_running, t_copy_ab):
 
 def test_every_covered_location_in_a_class(t_copy_ab):
     run = enumerate_runs(t_copy_ab, t_copy_ab.parse_input_text("abab"))[0]
-    classes = coverage_classes(run, inversions_of(run))
+    classes = coverage_classes(run, multi_pass_components(run))
     covered = set()
     for inv in inversions_of(run):
         covered.update(range(run.loc_index[inv.first.anchor],
@@ -77,7 +78,7 @@ def test_block_interval_collapsed_case(t_copy_ab):
     # A class whose anchors all sit at one position: the widening stays at
     # that position, latest-before and earliest-after.
     run = enumerate_runs(t_copy_ab, t_copy_ab.parse_input_text("a"))[0]
-    classes = coverage_classes(run, inversions_of(run))
+    classes = coverage_classes(run, multi_pass_components(run))
     assert classes
     cls = classes[0]
     assert cls.anchor_positions == (1,)
@@ -90,7 +91,7 @@ def test_block_interval_collapsed_case(t_copy_ab):
 def test_block_interval_passes_is_block(t_running):
     text = "b#abcabc#ca#abcabc"
     run = enumerate_runs(t_running, t_running.parse_input_text(text))[0]
-    for cls in coverage_classes(run, inversions_of(run)):
+    for cls in coverage_classes(run, multi_pass_components(run)):
         l1, l2 = block_interval(run, cls)
         ok, data = is_block(run, l1, l2, bound_of(t_running))
         assert ok
@@ -234,7 +235,7 @@ def test_covered_locations_inside_blocks_or_flat(t_running, t_copy_abc):
         d = build_decomposition(run, bound_of(t)).decomposition
         block_ranges = [(run.loc_index[p.start], run.loc_index[p.end])
                         for p in d.pieces if p.kind == BLOCK]
-        for cls in coverage_classes(run, inversions_of(run)):
+        for cls in coverage_classes(run, multi_pass_components(run)):
             if cls.anchor_positions[0] == cls.anchor_positions[-1]:
                 continue
             assert any(lo <= cls.start and cls.end <= hi
@@ -247,7 +248,7 @@ def test_block_periodicity_chain_invariant(t_running):
     # trace output's length.
     text = "b#abcabc#ca#abcabc"
     run = enumerate_runs(t_running, t_running.parse_input_text(text))[0]
-    for cls in coverage_classes(run, inversions_of(run)):
+    for cls in coverage_classes(run, multi_pass_components(run)):
         final = cls.chain[-1]
         v = final.second.trace_output
         w = run.output_between(cls.start, cls.end) + v

@@ -9,12 +9,12 @@ from untwist.bounds import BoundFactored
 from untwist.decomposition import coverage_classes
 from untwist.inversions import (CO_INVERSION, INVERSION, FineWilfPrecondition,
                                 KInversion, PeriodIndex, anchored_components,
-                                check_p2, enumerate_inversions,
-                                enumerate_k_inversions, fine_wilf_check,
-                                first_unsafe_inversion, has_dividing_period,
-                                has_period, inversion_word, inversions_of,
-                                k_inversion_safe, period_report,
-                                smallest_period)
+                                enumerate_inversions, enumerate_k_inversions,
+                                fine_wilf_check, first_unsafe_inversion,
+                                has_dividing_period, has_period,
+                                inversion_word, inversions_of,
+                                k_inversion_safe, multi_pass_components,
+                                period_report, smallest_period)
 from untwist.loops import enumerate_loops
 from untwist.oneway import decide_oneway_bounded, decide_sweeping_bounded
 from untwist.runs import CapExceeded, enumerate_runs
@@ -23,7 +23,7 @@ from untwist.transducer import constants
 from .conftest import (CORE_NAMES, FIXTURE_NAMES, domain_words, load_fixture,
                        spy)
 from .oracles import (brute_coverage_classes, brute_inversions,
-                      brute_k_inversions, brute_smallest_period)
+                      brute_k_inversions, brute_smallest_period, check_p2)
 
 SYM = BoundFactored(1, 1, 10 ** 6)    # effectively unbounded at desk scale
 
@@ -94,7 +94,7 @@ def _assert_matches_brute_force(run):
     for kind in (INVERSION, CO_INVERSION):
         assert enumerate_inversions(run, kind, anchored) == \
             brute_inversions(run, kind, anchored)
-    assert coverage_classes(run, inversions_of(run)) == \
+    assert coverage_classes(run, multi_pass_components(run)) == \
         brute_coverage_classes(run)
 
 
@@ -276,7 +276,7 @@ def test_p2_reports(t_copy_abc, t_copy_ab):
             assert all(rep.safe for _, rep in reports)
     run = enumerate_runs(t_copy_ab, t_copy_ab.parse_input_text("ab"))[0]
     res = first_unsafe_inversion(run, constants(t_copy_ab).bound_factored,
-                                 inversions_of(run))
+                                 multi_pass_components(run))
     assert res is not None
     inv, rep = res
     assert rep.found_period is None

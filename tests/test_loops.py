@@ -1,12 +1,13 @@
 import pytest
 
 from untwist.effects import effect_product
-from untwist.loops import (components_of, enumerate_loops, is_output_minimal,
-                           predicted_pump_output, pump, subloops, trace_of)
-from untwist.runs import enumerate_runs, validate_run
+from untwist.loops import (components_of, enumerate_loops,
+                           predicted_pump_output, pump, trace_of)
+from untwist.runs import InternalInconsistencyError, enumerate_runs, \
+    validate_run
 
 from .conftest import CORE_NAMES, domain_words
-from .oracles import component_factor_pattern
+from .oracles import component_factor_pattern, is_output_minimal, subloops
 from .test_runs import FIG_RUN
 
 
@@ -208,6 +209,21 @@ def test_trace_output_is_sum_of_factor_outputs(t_threecomp):
             assert len(tr.output) == sum(
                 len(run.factor_output(f)) for f in comp.factors)
 
+
+
+def test_trace_of_checks_raise(t_threecomp):
+    # Raised, not asserted, so the checks also hold under python -O.
+    run = enumerate_runs(t_threecomp, t_threecomp.parse_input_text("m"))[0]
+    loop, comp = next((l, c) for l in enumerate_loops(run,
+                                                      idempotent_only=True)
+                      for c in components_of(run, l) if len(c.factors) > 1)
+    with pytest.raises(InternalInconsistencyError, match="crossing factor"):
+        trace_of(run, loop, comp._replace(anchor=(0, 0)))
+    # The crossing factor now ends on a level no other factor starts on.
+    factors = tuple(f._replace(end=(f.end[0], f.end[1] + 7))
+                    if f.start == comp.anchor else f for f in comp.factors)
+    with pytest.raises(InternalInconsistencyError, match="concatenate"):
+        trace_of(run, loop, comp._replace(factors=factors))
 
 # -- output minimality ---------------------------------------------------------
 

@@ -4,12 +4,15 @@ import pytest
 
 import untwist.oneway
 import untwist.runs
+from untwist.decomposition import (DIAGONAL, Decomposition, Piece,
+                                   build_decomposition, is_diagonal)
 from untwist.oneway import (FunctionalityError, MemberRecord,
-                            RefutationCertificate, certificate_text,
-                            decide_oneway_bounded, decide_sweeping_bounded,
-                            parse_certificate, simulate_oneway,
-                            verify_certificate)
-from untwist.runs import CapExceeded
+                            RefutationCertificate, _replay_decomposition,
+                            certificate_text, decide_oneway_bounded,
+                            decide_sweeping_bounded, parse_certificate,
+                            simulate_oneway, verify_certificate)
+from untwist.runs import CapExceeded, InternalInconsistencyError, \
+    enumerate_runs
 from untwist.transducer import (Transducer, Transition,
                                 check_functional_bounded, parse_transducer,
                                 words_upto)
@@ -23,6 +26,26 @@ def test_simulate_copy_abc(t_copy_abc):
     assert t_copy_abc.table.render(res.output) == "abcabcabcabc"
     positions = [e.position for e in res.transcript]
     assert positions == sorted(positions)
+
+
+def test_replay_checks_raise(t_running, t_id):
+    # Raised, not asserted, so the checks also hold under python -O.
+    run = enumerate_runs(t_running,
+                         t_running.parse_input_text("b#abcabc#ca#abcabc"))[0]
+    d = build_decomposition(run, 10 ** 6).decomposition
+    k, block = next((k, p) for k, p in enumerate(d.pieces) if p.block)
+    wrong = block._replace(block=block.block._replace(pattern="cab"))
+    pieces = d.pieces[:k] + (wrong,) + d.pieces[k + 1:]
+    with pytest.raises(InternalInconsistencyError, match="out of sync"):
+        _replay_decomposition(run, Decomposition(pieces, d.bound))
+    # A diagonal that stops before the output does: the replay falls short.
+    run = enumerate_runs(t_id, t_id.parse_input_text("ab"))[0]
+    start, end = run.locations[0], run.locations[1]
+    ok, witness = is_diagonal(run, start, end, 10 ** 6)
+    assert ok
+    short = Decomposition((Piece(DIAGONAL, start, end, witness),), 10 ** 6)
+    with pytest.raises(InternalInconsistencyError, match="diverged"):
+        _replay_decomposition(run, short)
 
 
 def test_simulate_copy_ab_witness_absent(t_copy_ab):

@@ -19,14 +19,16 @@ from untwist.transducer import Constants
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # `untwist.__all__` before the package resolved its names lazily, plus
-# `inversions_of`, exported since.
+# `inversions_of`, exported since, less `check_p2`, `is_output_minimal` and
+# `validate_decomposition`, which only the tests use and which moved to
+# `tests/oracles.py`.
 PUBLIC_NAMES = (
     "BOTTOM", "BoundFactored", "CapExceeded", "Decomposition", "Effect",
     "FactorizationForest", "Flow", "Inversion", "KInversion", "Loop",
     "PeriodBound", "PeriodIndex", "RamseyWitness", "RefutationCertificate",
     "Run", "Transducer", "Transition", "ValidationReport", "Verdict",
     "block_interval", "bound_admits", "bounds", "build_decomposition",
-    "build_forest", "check_functional_bounded", "check_p2", "components_of",
+    "build_forest", "check_functional_bounded", "components_of",
     "constants", "coverage_classes", "decide_oneway_bounded",
     "decide_sweeping_bounded", "decomposition", "dump_run",
     "effect_of_interval", "effect_product", "effects", "enumerate_inversions",
@@ -34,11 +36,11 @@ PUBLIC_NAMES = (
     "fine_wilf_check", "flow_of_interval", "flow_product", "forest",
     "has_dividing_period", "inversion_word", "inversions", "inversions_of",
     "is_block",
-    "is_diagonal", "is_idempotent", "is_output_minimal", "k_inversion_safe",
+    "is_diagonal", "is_idempotent", "k_inversion_safe",
     "loops", "oneway", "parse_transducer", "predicted_pump_output", "pump",
     "ramsey_extract", "runs", "runs_upto", "serialize_transducer",
     "simulate_oneway", "smallest_period", "trace_of", "transducer",
-    "validate", "validate_decomposition", "validate_run",
+    "validate", "validate_run",
     "verify_certificate", "verify_forest", "words_upto",
 )
 
