@@ -19,7 +19,8 @@ from untwist.runs import enumerate_runs
 from untwist.transducer import constants
 
 from .conftest import FIXTURE_DIR, FIXTURE_NAMES, domain_words
-from .oracles import list_coverage_classes, list_first_unsafe_inversion
+from .oracles import (brute_inversions, list_coverage_classes,
+                      list_first_unsafe_inversion)
 from .test_inversions import fixture_words
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -88,11 +89,7 @@ def component(x1, x2, anchor, trace):
 def _check(run, anchored, unsafe):
     """The first unsafe pair is `unsafe` (positions, or None), as the list
     version finds it, and the classes match the list version's."""
-    invs = [Inversion(INVERSION, a, b) for i, a in enumerate(anchored)
-            for b in anchored[i + 1:]
-            if run.loc_index[a.anchor] < run.loc_index[b.anchor]
-            and b.anchor[0] <= a.anchor[0]
-            and (a.loop == b.loop or b.loop.x2 <= a.loop.x1)]
+    invs = brute_inversions(run, INVERSION, anchored)
     got = first_unsafe_inversion(run, 10 ** 6, anchored)
     assert got == list_first_unsafe_inversion(run, 10 ** 6, invs)
     if unsafe is None:
