@@ -1,6 +1,10 @@
 """Golden CLI corpus: exit code and stdout of the parse, constants, run,
-run-analysis and decider commands on every fixture, in text and JSON,
-diffed byte for byte.
+run-analysis, pumping, decider and certificate-check commands on every
+fixture, in text and JSON, diffed byte for byte.
+
+The certificates that `verify-cert` checks are inputs, kept in
+`golden/certs/`: two that `decide` wrote, one with a moved step location
+(invalid), and two that do not parse (exit 65).
 
 Regenerate (only when a change of output is intended) from the repository
 root with `PYTHONPATH=src python -m tests.test_golden`.
@@ -16,6 +20,7 @@ from untwist.cli import run_cli
 from .conftest import FIXTURE_DIR, FIXTURE_NAMES
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+CERT_DIR = GOLDEN_DIR / "certs"
 
 # Two small inputs per fixture; the second one is longer and, where the
 # machine allows it, has more inversions or a block piece.
@@ -41,6 +46,24 @@ FINITE_BOUNDS = ("1", "2")
 LONG_INPUTS = {"T_COPY_ABC": "abc" * 16,
                "T_RUNNING": "abcabcabc#ab#abcabc#ab#abc#b"}
 
+# Edge reports: every input command on a word outside T_COPY_ABC's domain,
+# and pumping the empty word, which has no loops.
+EDGE_CASES = tuple(
+    (f"T_COPY_ABC.{cmd}.absent", [cmd, "T_COPY_ABC", "--input", "ab"])
+    for cmd in ("run", "analyze", "pump", "decompose", "simulate-oneway")
+) + (("T_ID.pump.empty", ["pump", "T_ID", "--input", ""]),)
+
+# (machine, certificate file) pairs for `verify-cert`: each certificate on
+# its own machine, and a valid one on a machine whose digest differs.
+CERT_CASES = (
+    ("T_COPY_AB", "T_COPY_AB.oneway"),
+    ("T_COPY_AB", "T_COPY_AB.oneway.moved-step"),
+    ("T_COPY_AB", "T_COPY_AB.oneway.no-run"),
+    ("T_COPY_AB", "T_COPY_AB.oneway.bad-step"),
+    ("T_THREECOMP", "T_THREECOMP.sweeping.2"),
+    ("T_THREECOMP", "T_COPY_AB.oneway"),
+)
+
 
 def _cases() -> list[tuple[str, list[str]]]:
     cases = []
@@ -54,6 +77,11 @@ def _cases() -> list[tuple[str, list[str]]]:
                 if cmd == "simulate-oneway":
                     argv.append("--transcript")
                 cases.append((f"{name}.{cmd}.{word.replace('#', '+')}", argv))
+        word = INPUTS[name][1]
+        for extra in ([], ["--idempotent"]):
+            cases.append((f"{name}.pump.{word.replace('#', '+')}"
+                          + "".join(f".{e[2:]}" for e in extra),
+                          ["pump", path, "--input", word] + extra))
         cases.append((f"{name}.decide-oneway.5",
                       ["decide", "oneway", path, "--max-len", "5"]))
         cases.append((f"{name}.decide-sweeping.2.4",
@@ -62,6 +90,8 @@ def _cases() -> list[tuple[str, list[str]]]:
         cases.append((f"{name}.decide-sweeping.3.5",
                       ["decide", "sweeping", path, "--passes", "3",
                        "--max-len", "5"]))
+        cases.append((f"{name}.decide-sweeping.4",
+                      ["decide", "sweeping", path, "--max-len", "4"]))
         if name in LONG_INPUTS:
             path_input = [path, "--input", LONG_INPUTS[name]]
             for bound in [[]] + [["--period-bound", n] for n in FINITE_BOUNDS]:
@@ -83,6 +113,12 @@ def _cases() -> list[tuple[str, list[str]]]:
             cases.append((f"{name}.decide-oneway.5.pb{n}",
                           ["decide", "oneway", path, "--max-len", "5"]
                           + bound))
+    for key, (cmd, name, *rest) in EDGE_CASES:
+        cases.append((key, [cmd, str(FIXTURE_DIR / f"{name}.tdx"), *rest]))
+    for name, cert in CERT_CASES:
+        cases.append((f"{name}.verify-cert.{cert}",
+                      ["verify-cert", str(FIXTURE_DIR / f"{name}.tdx"),
+                       "--cert", str(CERT_DIR / f"{cert}.cert")]))
     return [(f"{key}.{fmt}", ["--format", fmt] + argv)
             for key, argv in cases for fmt in ("text", "json")]
 
