@@ -1,5 +1,9 @@
 """Command-line front end.
 
+Each command returns its report, (exit code, result, details, text), and
+`run_cli` alone writes it: the text, or with --format json the envelope
+{"command", "result" | "verdict", "details"}.
+
 Exit codes: 0 pass/no-counterexample, 1 refuted, 2 absent, 64 usage,
 65 parse/validation or an argument out of range, 69 resource cap exceeded,
 70 internal inconsistency or any other unexpected exception (a bug, never a
@@ -27,6 +31,10 @@ from .transducer import (ParseError, constants, parse_transducer,
 EX_OK, EX_REFUTED, EX_ABSENT = 0, 1, 2
 EX_USAGE, EX_DATA, EX_CAP, EX_SOFTWARE = 64, 65, 69, 70
 
+# The report of run, analyze, pump and decompose on a word outside the
+# machine's domain.
+ABSENT = (EX_ABSENT, "absent", {}, "input not in domain\n")
+
 
 def _load(path: str):
     with open(path, encoding="utf-8") as fh:
@@ -38,14 +46,10 @@ def _load(path: str):
     return t
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    if args.format == "json":
-        if args.stats:
-            payload["details"]["stats"] = {
-                "elapsed_s": round(time.monotonic() - args.started, 3)}
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(text, end="" if text.endswith("\n") else "\n")
+def _runs(args, t) -> list:
+    """The runs of `t` on the word given by --input."""
+    return enumerate_runs(t, t.parse_input_text(args.input),
+                          cap_runs=args.cap_runs, cap_steps=args.cap_steps)
 
 
 def _run_at(runs: list, index: int):
@@ -65,59 +69,41 @@ def _bound(args, t):
     return bound
 
 
-def cmd_parse(args) -> int:
-    t = _load(args.file)
+def cmd_parse(args, t):
     text = serialize_transducer(t)
-    _emit(args, {"command": "parse", "result": "ok",
-                 "details": {"name": t.name, "states": len(t.states),
-                             "transitions": len(t.transitions),
-                             "canonical": text}}, text)
-    return EX_OK
+    return EX_OK, "ok", {"name": t.name, "states": len(t.states),
+                         "transitions": len(t.transitions),
+                         "canonical": text}, text
 
 
-def cmd_constants(args) -> int:
-    t = _load(args.file)
+def cmd_constants(args, t):
     c = constants(t)
     text = (f"states: {c.state_count}\nc_max: {c.c_max}\n"
             f"h_max: {c.h_max}\ne_max: {c.e_max}\n"
             f"bound: {c.bound_factored}\n")
-    _emit(args, {"command": "constants", "result": "ok",
-                 "details": {"states": c.state_count, "c_max": c.c_max,
-                             "h_max": c.h_max, "e_max": str(c.e_max),
-                             "bound": str(c.bound_factored)}}, text)
-    return EX_OK
+    return EX_OK, "ok", {"states": c.state_count, "c_max": c.c_max,
+                         "h_max": c.h_max, "e_max": str(c.e_max),
+                         "bound": str(c.bound_factored)}, text
 
 
-def cmd_run(args) -> int:
-    t = _load(args.file)
-    raw = t.parse_input_text(args.input)
-    runs = enumerate_runs(t, raw, cap_runs=args.cap_runs,
-                          cap_steps=args.cap_steps)
+def cmd_run(args, t):
+    runs = _runs(args, t)
     if args.dump_runs:
         with open(args.dump_runs, "w", encoding="utf-8") as fh:
             for i, r in enumerate(runs):
                 fh.write(f"run {i}:\n{dump_run(r)}")
     if not runs:
-        _emit(args, {"command": "run", "result": "absent", "details": {}},
-              "input not in domain\n")
-        return EX_ABSENT
+        return ABSENT
     outs = sorted({r.render_output() for r in runs})
     text = "\n".join(f'output: "{o}"' for o in outs) + f"\nruns: {len(runs)}\n"
-    _emit(args, {"command": "run", "result": "ok",
-                 "details": {"outputs": outs, "runs": len(runs)}}, text)
-    return EX_OK
+    return EX_OK, "ok", {"outputs": outs, "runs": len(runs)}, text
 
 
-def cmd_analyze(args) -> int:
-    t = _load(args.file)
+def cmd_analyze(args, t):
     bound = _bound(args, t)
-    raw = t.parse_input_text(args.input)
-    runs = enumerate_runs(t, raw, cap_runs=args.cap_runs,
-                          cap_steps=args.cap_steps)
+    runs = _runs(args, t)
     if not runs:
-        _emit(args, {"command": "analyze", "result": "absent", "details": {}},
-              "input not in domain\n")
-        return EX_ABSENT
+        return ABSENT
     lines = []
     details = []
     for i, run in enumerate(runs):
@@ -143,89 +129,58 @@ def cmd_analyze(args) -> int:
         details.append({"run": i, "loops": len(loops),
                         "idempotent": len(idem),
                         "inversions": len(inversions), "unsafe": unsafe})
-    _emit(args, {"command": "analyze", "result": "ok",
-                 "details": {"runs": details}}, "\n".join(lines) + "\n")
-    return EX_OK
+    return EX_OK, "ok", {"runs": details}, "\n".join(lines) + "\n"
 
 
-def cmd_pump(args) -> int:
-    t = _load(args.file)
-    raw = t.parse_input_text(args.input)
-    runs = enumerate_runs(t, raw, cap_runs=args.cap_runs,
-                          cap_steps=args.cap_steps)
+def cmd_pump(args, t):
+    runs = _runs(args, t)
     if not runs:
-        _emit(args, {"command": "pump", "result": "absent", "details": {}},
-              "input not in domain\n")
-        return EX_ABSENT
+        return ABSENT
     run = _run_at(runs, args.run_index)
-    loops = [l for l in enumerate_loops(run, idempotent_only=args.idempotent)]
-    lines = []
     pumped = []
-    for loop in loops:
+    for loop in enumerate_loops(run, idempotent_only=args.idempotent):
         word, new_run = pump(t, run, loop, args.copies)
-        lines.append(f"loop[{loop.x1},{loop.x2}] copies={args.copies} -> "
-                     f'input "{t.table.render(word)}" output '
-                     f'"{new_run.render_output()}"')
         pumped.append({"loop": [loop.x1, loop.x2],
                        "input": t.table.render(word),
                        "output": new_run.render_output()})
-    _emit(args, {"command": "pump", "result": "ok",
-                 "details": {"pumped": pumped}},
-          ("\n".join(lines) + "\n") if lines else "no loops\n")
-    return EX_OK
+    text = "".join(f"loop[{p['loop'][0]},{p['loop'][1]}] copies={args.copies}"
+                   f' -> input "{p["input"]}" output "{p["output"]}"\n'
+                   for p in pumped)
+    return EX_OK, "ok", {"pumped": pumped}, text or "no loops\n"
 
 
-def cmd_decompose(args) -> int:
-    t = _load(args.file)
+def cmd_decompose(args, t):
     bound = _bound(args, t)
-    raw = t.parse_input_text(args.input)
-    runs = enumerate_runs(t, raw, cap_runs=args.cap_runs,
-                          cap_steps=args.cap_steps)
+    runs = _runs(args, t)
     if not runs:
-        _emit(args, {"command": "decompose", "result": "absent",
-                     "details": {}}, "input not in domain\n")
-        return EX_ABSENT
-    run = _run_at(runs, args.run_index)
-    outcome = build_decomposition(run, bound)
+        return ABSENT
+    outcome = build_decomposition(_run_at(runs, args.run_index), bound)
     if outcome.decomposition is None:
-        inv, rep = outcome.unsafe
-        text = (f"no decomposition: unsafe inversion with word "
-                f'"{t.table.render(rep.word)}"\n')
-        _emit(args, {"command": "decompose", "result": "refuted",
-                     "details": {"word": t.table.render(rep.word)}}, text)
-        return EX_REFUTED
-    _emit(args, {"command": "decompose", "result": "ok",
-                 "details": {"pieces": [
-                     {"kind": p.kind, "start": list(p.start),
-                      "end": list(p.end)}
-                     for p in outcome.decomposition.pieces]}},
-          outcome.decomposition.render())
-    return EX_OK
+        word = t.table.render(outcome.unsafe[1].word)
+        return (EX_REFUTED, "refuted", {"word": word},
+                f'no decomposition: unsafe inversion with word "{word}"\n')
+    pieces = [{"kind": p.kind, "start": list(p.start), "end": list(p.end)}
+              for p in outcome.decomposition.pieces]
+    return EX_OK, "ok", {"pieces": pieces}, outcome.decomposition.render()
 
 
-def cmd_simulate(args) -> int:
-    t = _load(args.file)
+def cmd_simulate(args, t):
     raw = t.parse_input_text(args.input)
     res = simulate_oneway(t, raw, bound=_bound(args, t),
                           cap_runs=args.cap_runs)
     if not res.present:
-        _emit(args, {"command": "simulate-oneway", "result": "absent",
-                     "details": {}}, "absent\n")
-        return EX_ABSENT
+        return EX_ABSENT, "absent", {}, "absent\n"
     transcript = [{"position": e.position, "text": t.table.render(e.text),
                    "note": e.note} for e in res.transcript]
     text = f'output: "{t.table.render(res.output)}"\n'
     if args.transcript:
         text += "".join(f"  @{e['position']} \"{e['text']}\" ({e['note']})\n"
                         for e in transcript)
-    _emit(args, {"command": "simulate-oneway", "result": "ok",
-                 "details": {"output": t.table.render(res.output),
-                             "transcript": transcript}}, text)
-    return EX_OK
+    return EX_OK, "ok", {"output": t.table.render(res.output),
+                         "transcript": transcript}, text
 
 
-def cmd_decide(args) -> int:
-    t = _load(args.file)
+def cmd_decide(args, t):
     bound = _bound(args, t)
     if args.mode == "oneway":
         verdict = decide_oneway_bounded(t, args.max_len, bound=bound,
@@ -248,22 +203,16 @@ def cmd_decide(args) -> int:
         if verdict.note:
             text += f" ({verdict.note})"
         text += "\n"
-    _emit(args, {"command": f"decide-{args.mode}", "verdict": verdict.kind,
-                 "details": details}, text)
-    if verdict.kind == "refuted":
-        return EX_REFUTED
-    return EX_OK
+    code = EX_REFUTED if verdict.kind == "refuted" else EX_OK
+    return code, verdict.kind, details, text
 
 
-def cmd_verify_cert(args) -> int:
-    t = _load(args.file)
+def cmd_verify_cert(args, t):
     with open(args.cert, encoding="utf-8") as fh:
         cert = parse_certificate(fh.read())
     ok = verify_certificate(t, cert, bound=_bound(args, t))
-    _emit(args, {"command": "verify-cert",
-                 "verdict": "valid" if ok else "invalid", "details": {}},
-          ("valid" if ok else "invalid") + "\n")
-    return EX_OK if ok else EX_REFUTED
+    verdict = "valid" if ok else "invalid"
+    return EX_OK if ok else EX_REFUTED, verdict, {}, verdict + "\n"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -329,9 +278,26 @@ def run_cli(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EX_USAGE if exc.code not in (0, None) else 0
-    args.started = time.monotonic()
+    started = time.monotonic()
     try:
-        code = _DISPATCH[args.command](args)
+        code, result, details, text = _DISPATCH[args.command](
+            args, _load(args.file))
+        elapsed = time.monotonic() - started
+        if args.format == "text":
+            print(text, end="")
+            if args.stats:
+                print(f"elapsed: {elapsed:.3f}s")
+        else:
+            if args.stats:
+                details = {**details,
+                           "stats": {"elapsed_s": round(elapsed, 3)}}
+            command = args.command
+            if command == "decide":
+                command += f"-{args.mode}"
+            verdict = args.command in ("decide", "verify-cert")
+            print(json.dumps({"command": command,
+                              "verdict" if verdict else "result": result,
+                              "details": details}, sort_keys=True))
     except (ParseError, FunctionalityError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_DATA
@@ -344,8 +310,6 @@ def run_cli(argv=None) -> int:
     except Exception as exc:    # a bug: never read as a verdict
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EX_SOFTWARE
-    if args.stats and args.format == "text":
-        print(f"elapsed: {time.monotonic() - args.started:.3f}s")
     return code
 
 

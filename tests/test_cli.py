@@ -430,3 +430,38 @@ def test_stats_reports_elapsed(capsys, fmt):
         assert isinstance(elapsed, float) and elapsed >= 0
         assert payload == json.loads(plain)
         assert "stats" not in plain
+
+
+@pytest.mark.parametrize("argv", [
+    ("parse", fx("T_ID")),
+    ("constants", fx("T_MIRROR")),
+    ("run", fx("T_MIRROR"), "--input", "ab"),
+    ("run", fx("T_COPY_ABC"), "--input", "ab"),
+    ("analyze", fx("T_COPY_AB"), "--input", "ab"),
+    ("pump", fx("T_ID"), "--input", "aa"),
+    ("decompose", fx("T_COPY_ABC"), "--input", "abcabc", "--period-bound",
+     "1"),
+    ("simulate-oneway", fx("T_COPY_ABC"), "--input", "abc"),
+    ("decide", "oneway", fx("T_COPY_AB"), "--max-len", "3"),
+    ("verify-cert", fx("T_COPY_AB"), "--cert",
+     str(FIXTURE_DIR.parent / "tests" / "golden" / "certs"
+         / "T_COPY_AB.oneway.cert")),
+])
+def test_commands_return_their_report(capsys, argv):
+    # Only run_cli writes to stdout; a command hands it (exit code, result,
+    # details, text).
+    args = cli._build_parser().parse_args(list(argv))
+    code, result, details, text = cli._DISPATCH[args.command](
+        args, cli._load(args.file))
+    assert capsys.readouterr().out == ""
+    assert code in (0, 1, 2)
+    assert isinstance(result, str) and isinstance(details, dict)
+    assert text.endswith("\n")
+
+
+def test_stats_leave_the_absent_report_alone(capsys):
+    argv = ("--format", "json", "run", fx("T_COPY_ABC"), "--input", "ab")
+    code, out = invoke(capsys, "--stats", *argv)
+    assert code == 2 and "elapsed_s" in out
+    assert invoke(capsys, *argv) == \
+        (2, '{"command": "run", "details": {}, "result": "absent"}\n')
