@@ -499,8 +499,7 @@ def dump_transitions(t: Transducer, text: str) -> list[Transition]:
     by_desc = {}
     for tr in t.transitions:
         key = (tr.source, tr.symbol, tr.direction, tr.target,
-               "".join(tr.output) if all(len(o) == 1 for o in tr.output)
-               else ",".join(tr.output))
+               t.table.render(t.table.encode(tr.output)))
         by_desc[key] = tr
     state = t.initial
     for line in text.splitlines():

@@ -58,8 +58,12 @@ class SymbolTable:
         ordered = sorted(set(symbols))
         if all(len(s) == 1 for s in ordered):
             enc = {s: s for s in ordered}
+            self.separator = ""
         else:
             enc = {s: chr(0xE000 + i) for i, s in enumerate(ordered)}
+            # Once one symbol is longer than a character, every word is
+            # written comma-separated, so `parse_input_text` reads it back.
+            self.separator = ","
         enc[LEFT_TOKEN] = LEFT_END
         enc[RIGHT_TOKEN] = RIGHT_END
         self._enc = enc
@@ -75,11 +79,9 @@ class SymbolTable:
         return tuple(self._dec[c] for c in chars)
 
     def render(self, chars: str) -> str:
-        """Human form of an encoded word: joined, comma-separated if needed."""
-        toks = self.decode(chars)
-        if all(len(t) == 1 for t in toks):
-            return "".join(toks)
-        return ",".join(toks)
+        """Human form of an encoded word, its symbols joined by the table's
+        separator."""
+        return self.separator.join(self.decode(chars))
 
 
 class Transducer:

@@ -175,6 +175,24 @@ def test_refuted_length_counts_symbols(tmp_path, capsys):
     assert (code, out) == (0, "valid\n")
 
 
+def test_refutation_over_mixed_symbol_lengths(tmp_path, capsys):
+    # With one multi-character symbol in the alphabet, every word is written
+    # comma-separated, also a word of one-character symbols, so the
+    # certificate's input parses back.
+    path = tmp_path / "copy_ab_cc.tdx"
+    path.write_text((FIXTURE_DIR / "T_COPY_AB.tdx").read_text().replace(
+        "\ninput a b\n", "\ninput a b cc\n"))
+    cert_path = tmp_path / "cert.txt"
+    code, out = invoke(capsys, "decide", "oneway", str(path), "--max-len", "2",
+                       "--cert", str(cert_path))
+    assert code == 1
+    assert out.startswith('refuted (|u| = 2)\n')
+    assert 'input: "a,b"' in out and '  output: "a,b,a,b"' in out
+    code, out = invoke(capsys, "verify-cert", str(path), "--cert",
+                       str(cert_path))
+    assert (code, out) == (0, "valid\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("decompose", fx("T_ID"), "--input", "ab"),
     ("simulate-oneway", fx("T_ID"), "--input", "ab"),

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import untwist.oneway
 import untwist.runs
@@ -12,12 +13,13 @@ from untwist.oneway import (FunctionalityError, MemberRecord,
                             decide_sweeping_bounded, parse_certificate,
                             simulate_oneway, verify_certificate)
 from untwist.runs import CapExceeded, InternalInconsistencyError, \
-    enumerate_runs
+    dump_run, enumerate_runs, parse_run_dump
 from untwist.transducer import (Transducer, Transition,
                                 check_functional_bounded, parse_transducer,
                                 words_upto)
 
-from .conftest import CORE_NAMES, FIXTURE_DIR, domain_words, spy
+from .conftest import CORE_NAMES, FIXTURE_DIR, domain_words, load_fixture, \
+    spy
 
 
 def test_simulate_copy_abc(t_copy_abc):
@@ -85,6 +87,48 @@ def test_simulate_detects_functionality_violation():
     ])
     with pytest.raises(FunctionalityError):
         simulate_oneway(t, "")
+
+
+# -- multi-character alphabets ------------------------------------------------
+
+def _renamed(t: Transducer, names: list[str]) -> Transducer:
+    """`t` with its symbols renamed, in sorted order, to `names`."""
+    new = dict(zip(sorted(set(t.input_symbols + t.output_symbols)), names))
+    return Transducer(t.name, [new[s] for s in t.input_symbols],
+                      [new[s] for s in t.output_symbols], t.states,
+                      t.initial, t.finals,
+                      [tr._replace(symbol=new.get(tr.symbol, tr.symbol),
+                                   output=tuple(new[o] for o in tr.output))
+                       for tr in t.transitions])
+
+
+# Distinct symbol names of one to three letters, at least one of them longer
+# than a character; enough for the fixture with the most symbols (eight).
+SYMBOL_NAMES = st.lists(st.text("abxy", min_size=1, max_size=3), min_size=8,
+                        max_size=8, unique=True).filter(
+    lambda names: any(len(n) > 1 for n in names))
+
+
+@pytest.mark.parametrize("name,passes", [
+    ("T_COPY_AB", 1), ("T_MIRROR", 1), ("T_THREECOMP", 2)])
+@given(names=SYMBOL_NAMES)
+@settings(max_examples=15, deadline=None)
+def test_dumps_and_certificates_round_trip_renamed(name, passes, names):
+    t = _renamed(load_fixture(name), names)
+    for raw in words_upto(t, 3):
+        assert t.parse_input_text(t.table.render(raw)) == raw
+        for run in enumerate_runs(t, raw):
+            text = dump_run(run)
+            assert dump_run(parse_run_dump(t, raw, text)) == text
+    if passes == 1:
+        v = decide_oneway_bounded(t, 3)
+    else:
+        v = decide_sweeping_bounded(t, passes, 3)
+    assert v.kind == "refuted"
+    text = certificate_text(v.certificate)
+    cert = parse_certificate(text)
+    assert certificate_text(cert) == text
+    assert verify_certificate(t, cert)
 
 
 # -- deciders ------------------------------------------------------------------
