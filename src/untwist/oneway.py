@@ -33,6 +33,18 @@ class FunctionalityError(Exception):
     """The transducer produced two outputs for one input."""
 
 
+def _check_functional(t: Transducer, raw: str, runs: list[Run]) -> None:
+    """Raise FunctionalityError when the runs on `raw` disagree on the
+    output, naming the first two outputs in run order, as
+    `check_functional_bounded` reports them."""
+    outputs = list(dict.fromkeys(run.output for run in runs))
+    if len(outputs) > 1:
+        render = t.table.render
+        raise FunctionalityError(
+            f"input {render(raw)!r} has outputs {render(outputs[0])!r} "
+            f"and {render(outputs[1])!r}")
+
+
 class TranscriptEntry(NamedTuple):
     position: int
     text: str
@@ -145,10 +157,7 @@ def simulate_oneway(t: Transducer, raw: str, *, bound: PeriodBound = None,
     if bound is None:
         bound = constants(t).bound_factored
     runs = enumerate_runs(t, raw, cap_runs=cap_runs)
-    outputs = {r.output for r in runs}
-    if len(outputs) > 1:
-        raise FunctionalityError(
-            f"two outputs on {t.table.render(raw)!r}")
+    _check_functional(t, raw, runs)
     for idx, run in enumerate(runs):
         outcome = build_decomposition(run, bound)
         if outcome.decomposition is not None:
@@ -392,18 +401,10 @@ class Verdict(NamedTuple):
 def _functional_runs(t: Transducer, max_len: int, cap_runs: int
                      ) -> Iterator[tuple[str, list[Run]]]:
     """Every input up to max_len with its runs, enumerated once and shared
-    across inputs with a common prefix.
-
-    Raises FunctionalityError at the first input whose runs disagree on the
-    output, naming the first two outputs in run order, as
-    `check_functional_bounded` reports them."""
-    render = t.table.render
+    across inputs with a common prefix; raises FunctionalityError at the
+    first input whose runs disagree on the output."""
     for raw, runs in runs_upto(t, max_len, cap_runs=cap_runs):
-        outputs = list(dict.fromkeys(run.output for run in runs))
-        if len(outputs) > 1:
-            raise FunctionalityError(
-                f"input {render(raw)!r} has outputs {render(outputs[0])!r} "
-                f"and {render(outputs[1])!r}")
+        _check_functional(t, raw, runs)
         yield raw, runs
 
 

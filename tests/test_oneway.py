@@ -85,8 +85,11 @@ def test_simulate_detects_functionality_violation():
         Transition("q0", "|-", "R", "q1", ("b",)),
         Transition("q1", "-|", "R", "f", ()),
     ])
-    with pytest.raises(FunctionalityError):
+    with pytest.raises(FunctionalityError) as exc:
         simulate_oneway(t, "")
+    # The deciders' message: the first two outputs in run order.
+    assert str(exc.value) == "input '' has outputs 'a' and 'b'" \
+        == _witness_message(t, 0)
 
 
 # -- multi-character alphabets ------------------------------------------------
