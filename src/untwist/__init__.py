@@ -17,8 +17,7 @@ _EXPORTS = {
     "effects": ("BOTTOM", "Effect", "Flow", "effect_of_interval",
                 "effect_product", "flow_of_interval", "flow_product",
                 "is_idempotent"),
-    "loops": ("Loop", "components_of", "enumerate_loops",
-              "predicted_pump_output", "pump", "trace_of"),
+    "loops": ("Loop", "components_of", "enumerate_loops", "pump", "trace_of"),
     "forest": ("FactorizationForest", "RamseyWitness", "build_forest",
                "ramsey_extract", "verify_forest"),
     "inversions": ("Inversion", "KInversion", "PeriodIndex",

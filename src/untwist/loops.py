@@ -101,8 +101,9 @@ def components_of(run: Run, loop: Loop) -> list[Component]:
         seen.update(cycle)
         nodes = tuple(sorted(cycle))
         # Component node sets are level intervals.
-        assert nodes == tuple(range(nodes[0], nodes[-1] + 1)), \
-            f"component nodes {nodes} of {loop} are not an interval"
+        if nodes != tuple(range(nodes[0], nodes[-1] + 1)):
+            raise InternalInconsistencyError(
+                f"component nodes {nodes} of {loop} are not an interval")
         ltr = nodes[0] % 2 == 0
         anchor = (loop.x1 if ltr else loop.x2, nodes[-1])
         cfs = tuple(f for f in factors if f.start[1] in cycle)
@@ -196,7 +197,9 @@ def pump(t: Transducer, run: Run, loop: Loop, copies: int
         cur = entry
         copy = 0 if factors[cur].start[0] == loop.x1 else copies - 1
         while True:
-            assert (cur, copy) not in consumed, "pump traversal revisited a copy"
+            if (cur, copy) in consumed:
+                raise InternalInconsistencyError(
+                    "pump traversal revisited a copy")
             consumed.add((cur, copy))
             out.extend(factor_transitions(cur))
             end_side = side_of[factors[cur].end[0] == loop.x1]
@@ -212,35 +215,17 @@ def pump(t: Transducer, run: Run, loop: Loop, copies: int
                 copy += 1
                 cur = start_map[("L", level)]
         j_exit = end_map[(end_side, level)]
-        assert not emitted_outside[j_exit + 1]
+        if emitted_outside[j_exit + 1]:
+            raise InternalInconsistencyError(
+                "pump traversal emitted an outside piece twice")
         emitted_outside[j_exit + 1] = True
         out.extend(outside[j_exit + 1])
         if j_exit + 1 == len(factors):
             break
         entry = j_exit + 1
-    assert len(consumed) == copies * len(factors), \
-        "pump traversal failed to consume every factor copy"
-    assert all(emitted_outside)
+    if len(consumed) != copies * len(factors) or not all(emitted_outside):
+        raise InternalInconsistencyError(
+            "pump traversal failed to consume every factor copy and "
+            "outside piece")
     word = pump_word(run, loop, copies)
     return word, replay(t, word, out)
-
-def predicted_pump_output(run: Run, loop: Loop,
-                          comps: list[Component], m: int) -> str:
-    """Trace-based prediction of the pumped output for an idempotent loop.
-
-    Iterating the loop m extra times iterates each component's trace m times
-    at its anchor: the output is out(p0) tr1^m out(p1) ... trk^m out(pk),
-    where the p's are the anchor-delimited pieces of the original run.
-    """
-    assert loop.idempotent
-    if m < 0:
-        raise ValueError("m must be non-negative")
-    idx = [run.loc_index[c.anchor] for c in comps]
-    assert idx == sorted(idx), "components must be listed in anchor order"
-    parts = [run.output_upto(idx[0]) if comps else run.output]
-    for i, comp in enumerate(comps):
-        parts.append(trace_of(run, loop, comp).output * m)
-        nxt = idx[i + 1] if i + 1 < len(comps) else len(run.steps)
-        parts.append(run.output_between(idx[i], nxt))
-    return "".join(parts)
-

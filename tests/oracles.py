@@ -13,7 +13,8 @@ per-component aggregates without listing the pairs.
 
 The helpers at the end check properties of the library's objects that the
 library itself never needs: powers of an effect, the factor pattern of a
-loop component, output-minimality, and a full re-check of a decomposition.
+loop component, the trace-based prediction of a pumped output,
+output-minimality, and a full re-check of a decomposition.
 """
 from __future__ import annotations
 
@@ -368,6 +369,27 @@ def component_factor_pattern(comp: Component) -> tuple[int, bool]:
     ok = (len(rest) == k2 + 1 and rest[0] == cross
           and all(kind == last for kind in rest[1:]))
     return k2, ok
+
+
+def predicted_pump_output(run: Run, loop: Loop,
+                          comps: list[Component], m: int) -> str:
+    """Trace-based prediction of the pumped output for an idempotent loop.
+
+    Iterating the loop m extra times iterates each component's trace m times
+    at its anchor: the output is out(p0) tr1^m out(p1) ... trk^m out(pk),
+    where the p's are the anchor-delimited pieces of the original run.
+    """
+    assert loop.idempotent
+    if m < 0:
+        raise ValueError("m must be non-negative")
+    idx = [run.loc_index[c.anchor] for c in comps]
+    assert idx == sorted(idx), "components must be listed in anchor order"
+    parts = [run.output_upto(idx[0]) if comps else run.output]
+    for i, comp in enumerate(comps):
+        parts.append(trace_of(run, loop, comp).output * m)
+        nxt = idx[i + 1] if i + 1 < len(comps) else len(run.steps)
+        parts.append(run.output_between(idx[i], nxt))
+    return "".join(parts)
 
 
 def subloops(run: Run, loop: Loop) -> list[Loop]:

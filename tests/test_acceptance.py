@@ -9,15 +9,15 @@ import time
 from untwist.effects import flow_of_interval, flow_product
 from untwist.forest import build_forest, verify_forest
 from untwist.inversions import fine_wilf_check, has_period
-from untwist.loops import (components_of, enumerate_loops,
-                           predicted_pump_output, pump)
+from untwist.loops import components_of, enumerate_loops, pump
 from untwist.oneway import (decide_oneway_bounded, decide_sweeping_bounded,
                             simulate_oneway, verify_certificate)
 from untwist.runs import enumerate_runs, validate_run
 from untwist.transducer import Transducer, Transition
 
 from .conftest import CORE_NAMES, domain_words
-from .oracles import component_factor_pattern, naive_runs, run_signature
+from .oracles import (component_factor_pattern, naive_runs,
+                      predicted_pump_output, run_signature)
 from .test_oneway import _mutate
 
 

@@ -1,13 +1,16 @@
+from types import SimpleNamespace
+
 import pytest
 
 from untwist.effects import effect_product
-from untwist.loops import (components_of, enumerate_loops,
-                           predicted_pump_output, pump, trace_of)
-from untwist.runs import InternalInconsistencyError, enumerate_runs, \
-    validate_run
+from untwist.loops import Loop, components_of, enumerate_loops, pump, \
+    trace_of
+from untwist.runs import Factor, InternalInconsistencyError, \
+    enumerate_runs, validate_run
 
 from .conftest import CORE_NAMES, domain_words
-from .oracles import component_factor_pattern, is_output_minimal, subloops
+from .oracles import (component_factor_pattern, is_output_minimal,
+                      predicted_pump_output, subloops)
 from .test_runs import FIG_RUN
 
 
@@ -190,6 +193,39 @@ def test_pump_nonidempotent_loop_still_valid(t_zigzag):
     # Doubling the non-idempotent cell behaves like the doubled loop.
     doubled, pumped2 = pump(t_zigzag, run, by_iv[(1, 3)], 1)
     assert doubled == raw and word == t_zigzag.parse_input_text("mmm")
+
+
+def _stub_run(factors):
+    """A run that intercepts `factors` on every interval, one step each."""
+    return SimpleNamespace(intercepted_factors=lambda x1, x2: factors,
+                           steps=[SimpleNamespace(transition=None)]
+                           * len(factors))
+
+
+# Factors on [1, 2] as (start, end) border points, that no run intercepts;
+# each sends the pump traversal into one of its checks.  Raised, not
+# asserted, so the checks also hold under python -O.
+@pytest.mark.parametrize("borders,message", [
+    ([((1, 0), (1, 0))], "failed to consume every factor copy"),
+    ([((1, 0), (1, 0)), ((1, 1), (2, 0)), ((2, 0), (2, 0))],
+     "revisited a copy"),
+    ([((1, 0), (1, 0)), ((2, 0), (1, 0)), ((1, 1), (2, 0))],
+     "emitted an outside piece twice"),
+])
+def test_pump_traversal_checks_raise(borders, message):
+    factors = [Factor("", (1, 2), start, end, (k, k + 1))
+               for k, (start, end) in enumerate(borders)]
+    with pytest.raises(InternalInconsistencyError, match=message):
+        pump(None, _stub_run(factors), Loop(1, 2, None, True), 2)
+
+
+def test_component_interval_check_raises():
+    # A flow whose cycle {0, 2} skips level 1 is no loop effect.
+    flow = SimpleNamespace(successor=lambda: {0: 2, 1: 1, 2: 0})
+    loop = Loop(1, 2, SimpleNamespace(flow=flow), True)
+    with pytest.raises(InternalInconsistencyError,
+                       match=r"component nodes \(0, 2\) .* not an interval"):
+        components_of(_stub_run([]), loop)
 
 
 def test_predicted_pump_output_m0(t_mirror):

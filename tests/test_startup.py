@@ -19,9 +19,9 @@ from untwist.transducer import Constants
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # `untwist.__all__` before the package resolved its names lazily, plus
-# `inversions_of`, exported since, less `check_p2`, `is_output_minimal` and
-# `validate_decomposition`, which only the tests use and which moved to
-# `tests/oracles.py`.
+# `inversions_of`, exported since, less `check_p2`, `is_output_minimal`,
+# `validate_decomposition` and `predicted_pump_output`, which only the tests
+# use and which moved to `tests/oracles.py`.
 PUBLIC_NAMES = (
     "BOTTOM", "BoundFactored", "CapExceeded", "Decomposition", "Effect",
     "FactorizationForest", "Flow", "Inversion", "KInversion", "Loop",
@@ -37,7 +37,7 @@ PUBLIC_NAMES = (
     "has_dividing_period", "inversion_word", "inversions", "inversions_of",
     "is_block",
     "is_diagonal", "is_idempotent", "k_inversion_safe",
-    "loops", "oneway", "parse_transducer", "predicted_pump_output", "pump",
+    "loops", "oneway", "parse_transducer", "pump",
     "ramsey_extract", "runs", "runs_upto", "serialize_transducer",
     "simulate_oneway", "smallest_period", "trace_of", "transducer",
     "validate", "validate_run",
