@@ -471,10 +471,15 @@ def decide_oneway_bounded(t: Transducer, max_len: int, *,
                    _certificate("oneway", t, *found, bound), stats)
 
 
+# The sweeping decider's search limits: the largest pass number it
+# enumerates, and the most k-inversion chains it lists on one run.
+CAP_PASSES = 8
+CAP_CHAINS = 10**6
+
+
 def decide_sweeping_bounded(t: Transducer, passes: Optional[int],
                             max_len: int, *, bound: PeriodBound = None,
-                            cap_runs: int = 10**5, cap_passes: int = 8,
-                            cap_chains: int = 10**6) -> Verdict:
+                            cap_runs: int = 10**5) -> Verdict:
     """Search for an unsafe k-inversion; passes=None asks about sweeping
     definability for the theoretical pass count, which is far beyond any
     enumerable k, so it reports bound-exceeded after a proxy search."""
@@ -486,18 +491,18 @@ def decide_sweeping_bounded(t: Transducer, passes: Optional[int],
     if symbolic:
         c = constants(t)
         note = (f"theoretical pass count 2*{c.h_max}*(2^{3 * c.e_max}+1) "
-                f"exceeds the enumeration cap {cap_passes}; the proxy "
-                f"search below bears on {cap_passes}-pass definability only")
-        passes = cap_passes
+                f"exceeds the enumeration cap {CAP_PASSES}; the proxy "
+                f"search below bears on {CAP_PASSES}-pass definability only")
+        passes = CAP_PASSES
     else:
         note = ""
         if passes < 1:
             raise ValueError("passes must be positive")
-        if passes > cap_passes:
+        if passes > CAP_PASSES:
             return Verdict("bound-exceeded", max_len, None, {},
-                           f"passes {passes} exceeds cap {cap_passes}")
+                           f"passes {passes} exceeds cap {CAP_PASSES}")
     found, stats = _first_unsafe_run(t, max_len, cap_runs, passes, bound,
-                                     cap_chains, "chains")
+                                     CAP_CHAINS, "chains")
     if found is None:
         kind = "bound-exceeded" if symbolic else "no-counterexample"
         return Verdict(kind, max_len, None, stats, note)

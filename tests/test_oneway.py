@@ -287,14 +287,16 @@ def test_k1_matches_oneway_on_fixtures(fixtures):
             assert v1.certificate.input_text == v2.certificate.input_text
 
 
-def test_symbolic_passes_reports_bound_exceeded(t_id):
-    v = decide_sweeping_bounded(t_id, None, 3, cap_passes=2)
+def test_symbolic_passes_reports_bound_exceeded(t_id, monkeypatch):
+    monkeypatch.setattr(untwist.oneway, "CAP_PASSES", 2)
+    v = decide_sweeping_bounded(t_id, None, 3)
     assert v.kind == "bound-exceeded"
     assert "theoretical pass count" in v.note
 
 
-def test_passes_above_cap_refused(t_id):
-    v = decide_sweeping_bounded(t_id, 99, 3, cap_passes=4)
+def test_passes_above_cap_refused(t_id, monkeypatch):
+    monkeypatch.setattr(untwist.oneway, "CAP_PASSES", 4)
+    v = decide_sweeping_bounded(t_id, 99, 3)
     assert v.kind == "bound-exceeded"
     assert "exceeds cap" in v.note
 
@@ -361,12 +363,13 @@ def test_later_nonfunctional_input_beats_refutation(decide):
         decide(t, 3, cap_runs=1)
 
 
-def test_later_nonfunctional_input_beats_chain_cap():
+def test_later_nonfunctional_input_beats_chain_cap(monkeypatch):
     t = _copy_ab_nonfunctional_from(3)
+    monkeypatch.setattr(untwist.oneway, "CAP_CHAINS", 0)
     with pytest.raises(CapExceeded, match="k-inversion cap 0 exceeded"):
-        decide_sweeping_bounded(t, 2, 2, cap_chains=0)
+        decide_sweeping_bounded(t, 2, 2)
     with pytest.raises(FunctionalityError) as exc:
-        decide_sweeping_bounded(t, 2, 3, cap_chains=0)
+        decide_sweeping_bounded(t, 2, 3)
     assert str(exc.value) == _witness_message(t, 3)
 
 
