@@ -58,12 +58,12 @@ class SymbolTable:
         ordered = sorted(set(symbols))
         if all(len(s) == 1 for s in ordered):
             enc = {s: s for s in ordered}
-            self.separator = ""
+            self._separator = ""
         else:
             enc = {s: chr(0xE000 + i) for i, s in enumerate(ordered)}
             # Once one symbol is longer than a character, every word is
             # written comma-separated, so `parse_input_text` reads it back.
-            self.separator = ","
+            self._separator = ","
         enc[LEFT_TOKEN] = LEFT_END
         enc[RIGHT_TOKEN] = RIGHT_END
         self._enc = enc
@@ -81,7 +81,7 @@ class SymbolTable:
     def render(self, chars: str) -> str:
         """Human form of an encoded word, its symbols joined by the table's
         separator."""
-        return self.separator.join(self.decode(chars))
+        return self._separator.join(self.decode(chars))
 
 
 class Transducer:
