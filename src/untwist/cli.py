@@ -49,7 +49,7 @@ def _load(path: str):
 def _runs(args, t) -> list:
     """The runs of `t` on the word given by --input."""
     return enumerate_runs(t, t.parse_input_text(args.input),
-                          cap_runs=args.cap_runs, cap_steps=args.cap_steps)
+                          cap_runs=args.cap_runs)
 
 
 def _run_at(runs: list, index: int):
@@ -226,39 +226,36 @@ def _build_parser() -> argparse.ArgumentParser:
 
     shared = {"--input": {"required": True},
               "--cap-runs": {"type": int, "default": 10**5},
-              "--cap-steps": {"type": int, "default": None},
               "--period-bound": {"default": "symbolic"}}
 
-    def command(name, *options, modes=()):
+    def command(name, *options, within=sub):
         """A subcommand taking a file and only the shared options it
         reads."""
-        sp = sub.add_parser(name)
-        if modes:
-            sp.add_argument("mode", choices=modes)
+        sp = within.add_parser(name)
         sp.add_argument("file")
         for option in options:
             sp.add_argument(option, **shared[option])
         return sp
 
-    caps = ("--cap-runs", "--cap-steps")
     command("parse")
     command("constants")
-    sp = command("run", "--input", *caps)
+    sp = command("run", "--input", "--cap-runs")
     sp.add_argument("--dump-runs", default=None)
-    command("analyze", "--input", *caps, "--period-bound")
-    sp = command("pump", "--input", *caps)
+    command("analyze", "--input", "--cap-runs", "--period-bound")
+    sp = command("pump", "--input", "--cap-runs")
     sp.add_argument("--copies", type=int, default=2)
     sp.add_argument("--run-index", type=int, default=0)
     sp.add_argument("--idempotent", action="store_true")
-    sp = command("decompose", "--input", *caps, "--period-bound")
+    sp = command("decompose", "--input", "--cap-runs", "--period-bound")
     sp.add_argument("--run-index", type=int, default=0)
     sp = command("simulate-oneway", "--input", "--cap-runs", "--period-bound")
     sp.add_argument("--transcript", action="store_true")
-    sp = command("decide", "--cap-runs", "--period-bound",
-                 modes=("oneway", "sweeping"))
-    sp.add_argument("--max-len", type=int, required=True)
-    sp.add_argument("--passes", type=int, default=None)
-    sp.add_argument("--cert", default=None)
+    modes = sub.add_parser("decide").add_subparsers(dest="mode", required=True)
+    for mode in ("oneway", "sweeping"):
+        sp = command(mode, "--cap-runs", "--period-bound", within=modes)
+        sp.add_argument("--max-len", type=int, required=True)
+        sp.add_argument("--cert", default=None)
+    sp.add_argument("--passes", type=int, default=None)     # sweeping only
     sp = command("verify-cert", "--period-bound")
     sp.add_argument("--cert", required=True)
     return p

@@ -267,6 +267,13 @@ def parse_certificate(text: str) -> RefutationCertificate:
     missing = sorted({"kind", "transducer", "sha256", "input"} - set(fields))
     if missing:
         raise ValueError(f"certificate lacks {', '.join(missing)}")
+    passes = fields.get("passes", "1")
+    if fields["kind"] not in ("oneway", "sweeping"):
+        raise ValueError(f"unknown certificate kind {fields['kind']!r}")
+    if not passes.isdecimal() or int(passes) < 1:
+        raise ValueError(f"passes {passes!r} is not a positive integer")
+    if fields["kind"] == "oneway" and int(passes) != 1:
+        raise ValueError(f"a oneway certificate has 1 pass, not {passes}")
     i += 1
     dump_lines = []
     while i < len(lines) and lines[i].startswith("  "):
@@ -310,7 +317,7 @@ def parse_certificate(text: str) -> RefutationCertificate:
     return RefutationCertificate(
         fields["kind"], fields["transducer"], fields["sha256"],
         fields["input"][1:-1], "\n".join(dump_lines) + "\n", tuple(members),
-        int(fields.get("passes", "1")))
+        int(passes))
 
 
 def verify_certificate(t: Transducer, cert: RefutationCertificate, *,

@@ -167,28 +167,6 @@ def _advance(loc: Location, direction: str) -> int:
     return x if direction == RIGHT else x - 1
 
 
-def _default_cap_steps(t: Transducer, omega: int) -> int:
-    # A normalized run has fewer than 2|Q| levels at each of the omega + 1
-    # cuts, so it never reaches this default.
-    return 10 * (2 * len(t.states) - 1) * (omega + 1)
-
-
-class _Frontier:
-    """The partial runs on a padded prefix p that have just reached cut |p|
-    for the first time, in canonical DFS order.
-
-    An entry is (state, steps, levels, seen): levels[x] is the next free
-    level at cut x and seen[x] the bitmask of the (state, level parity)
-    pairs there.  `cap` is the message of the CapExceeded the search meets
-    after the last entry, on every extension of p."""
-
-    __slots__ = ("entries", "cap")
-
-    def __init__(self, entries: tuple, cap: Optional[str] = None):
-        self.entries = entries
-        self.cap = cap
-
-
 class _PrefixSearch:
     """The canonical DFS over normalized runs, cut at input prefixes.
 
@@ -198,30 +176,31 @@ class _PrefixSearch:
     same on every word with that prefix.  The DFS on a word visits the
     frontier entries of each prefix in order and, between two of them, only
     nodes left of the prefix's cut; the runs of a word are therefore the
-    runs grown from each entry in turn, and a cap met between entries fires
-    after the earlier entries' subtrees, as in a DFS over the whole word.
+    runs grown from each entry in turn, in the order of a DFS over the whole
+    word, and the run cap fires at the same run.
+
+    The frontier of a padded prefix p is the tuple of the partial runs on p
+    that have just reached cut |p| for the first time, in canonical DFS
+    order.  An entry is (state, steps, levels, seen): levels[x] is the next
+    free level at cut x and seen[x] the bitmask of the (state, level parity)
+    pairs there.
     """
 
-    def __init__(self, t: Transducer, cap_runs: int, cap_steps: int):
-        for name, cap in (("run", cap_runs), ("step", cap_steps)):
-            if cap < 0:
-                raise ValueError(f"{name} cap {cap} is negative")
+    def __init__(self, t: Transducer, cap_runs: int):
+        if cap_runs < 0:
+            raise ValueError(f"run cap {cap_runs} is negative")
         self.t = t
         self.cap_runs = cap_runs
-        self.cap_steps = cap_steps
         self.state_cap = 2 * len(t.states)
         names = sorted({*t.states, t.initial,
                         *(tr.target for tr in t.transitions)})
         self.bits = {q: (1 << 2 * i, 2 << 2 * i) for i, q in enumerate(names)}
         # The frontier of the empty prefix: the initial location (0, 0).
-        self.start = _Frontier(
-            ((t.initial, [], [1], [self.bits[t.initial][0]]),))
+        self.start = ((t.initial, [], [1], [self.bits[t.initial][0]]),)
 
-    def extend(self, frontier: _Frontier, padded: str
-               ) -> Optional[_Frontier]:
+    def extend(self, frontier: tuple, padded: str) -> Optional[tuple]:
         """The frontier of padded, grown from the frontier of a shorter
-        prefix of it; None when no run on any extension of padded exists and
-        no cap fires."""
+        prefix of it; None when no run on any extension of padded exists."""
         entries = []
         bits = self.bits
 
@@ -229,16 +208,10 @@ class _PrefixSearch:
             levels, seen = levels.copy(), seen.copy()
             levels[-1], seen[-1] = 1, bits[state][0]
             entries.append((state, steps, levels, seen))
-        cap = frontier.cap
-        try:
-            self._walk(frontier, padded, arrive)
-        except CapExceeded as exc:
-            cap = str(exc)
-        if not entries and cap is None:
-            return None
-        return _Frontier(tuple(entries), cap)
+        self._walk(frontier, padded, arrive)
+        return tuple(entries) or None
 
-    def close(self, frontier: _Frontier, word: DelimitedInput) -> list[Run]:
+    def close(self, frontier: tuple, word: DelimitedInput) -> list[Run]:
         """The runs on word, grown from the frontier of a prefix of
         word.padded."""
         t, cap_runs = self.t, self.cap_runs
@@ -250,11 +223,9 @@ class _PrefixSearch:
                     raise CapExceeded(f"run cap {cap_runs} exceeded")
                 runs.append(Run(t, word, steps))
         self._walk(frontier, word.padded, arrive)
-        if frontier.cap is not None:
-            raise CapExceeded(frontier.cap)
         return runs
 
-    def _walk(self, frontier: _Frontier, padded: str, arrive) -> None:
+    def _walk(self, frontier: tuple, padded: str, arrive) -> None:
         """Continue each entry's DFS over padded until its branches first
         reach cut n = len(padded); each arrival there is passed to `arrive`
         in DFS order.
@@ -264,8 +235,8 @@ class _PrefixSearch:
         bounds the depth, so it always terminates."""
         n = len(padded)
         moves, bits = self.t.moves, self.bits
-        state_cap, cap_steps = self.state_cap, self.cap_steps
-        for state, steps, levels, seen in frontier.entries:
+        state_cap = self.state_cap
+        for state, steps, levels, seen in frontier:
             m = len(levels) - 1     # the entry sits at (m, 0)
             steps = steps.copy()
             levels = levels + [0] * (n - m)
@@ -287,9 +258,6 @@ class _PrefixSearch:
                     bit = bits[tr.target][parity]
                     if seen[x2] & bit:
                         continue    # normalization pruning
-                    if len(steps) >= cap_steps:
-                        raise CapExceeded(f"run length cap {cap_steps} "
-                                          "exceeded during enumeration")
                     target = (x2, y2)
                     step = Step(loc, target, tr, ri, out_enc)
                     if x2 == n:
@@ -311,22 +279,18 @@ class _PrefixSearch:
                         seen[x] ^= bits[s.transition.target][y % 2]
 
 
-def enumerate_runs(t: Transducer, raw: str, *, cap_runs: int = 10**5,
-                   cap_steps: Optional[int] = None) -> list[Run]:
+def enumerate_runs(t: Transducer, raw: str, *,
+                   cap_runs: int = 10**5) -> list[Run]:
     """All normalized successful runs on |-raw-|, in canonical DFS order."""
-    word = DelimitedInput.of(raw)
-    if cap_steps is None:
-        cap_steps = _default_cap_steps(t, word.omega)
-    search = _PrefixSearch(t, cap_runs, cap_steps)
-    return search.close(search.start, word)
+    search = _PrefixSearch(t, cap_runs)
+    return search.close(search.start, DelimitedInput.of(raw))
 
 
 # The most frontiers `runs_upto` keeps for one prefix length.
 _KEPT_FRONTIERS = 256
 
 
-def runs_upto(t: Transducer, max_len: int, *, cap_runs: int = 10**5,
-              cap_steps: Optional[int] = None
+def runs_upto(t: Transducer, max_len: int, *, cap_runs: int = 10**5
               ) -> Iterator[tuple[str, list[Run]]]:
     """Every word of `words_upto(t, max_len)`, in that order, with its runs
     as `enumerate_runs` gives them, or the CapExceeded it raises.
@@ -336,26 +300,22 @@ def runs_upto(t: Transducer, max_len: int, *, cap_runs: int = 10**5,
     survives is not extended, and its extensions come with no runs.
     Frontiers are kept for the prefixes up to the longest length that has
     at most _KEPT_FRONTIERS words; a longer prefix's frontier is held only
-    while the words that follow it in order share it, which bounds memory.
-    `cap_steps` defaults to the default of the longest word, which no
-    normalized run reaches."""
-    if cap_steps is None:
-        cap_steps = _default_cap_steps(t, max_len + 2)
-    search = _PrefixSearch(t, cap_runs, cap_steps)
+    while the words that follow it in order share it, which bounds memory."""
+    search = _PrefixSearch(t, cap_runs)
     letters = len(t.input_symbols)
     depth = 0
     while depth + 1 < max_len and letters ** (depth + 1) <= _KEPT_FRONTIERS:
         depth += 1
-    kept: dict[str, _Frontier] = {}     # live frontiers up to depth letters
-    path: list[tuple[str, Optional[_Frontier]]] = []   # longer, by length
+    kept: dict[str, tuple] = {}     # live frontiers up to depth letters
+    path: list[tuple[str, Optional[tuple]]] = []   # longer, by length
 
-    def grow(u: str) -> Optional[_Frontier]:
+    def grow(u: str) -> Optional[tuple]:
         if not u:
             return search.extend(search.start, LEFT_END)
         parent = frontier_of(u[:-1])
         return parent and search.extend(parent, LEFT_END + u)
 
-    def frontier_of(u: str) -> Optional[_Frontier]:
+    def frontier_of(u: str) -> Optional[tuple]:
         """The frontier of a prefix shorter than the current word."""
         if len(u) <= depth:
             return kept.get(u)

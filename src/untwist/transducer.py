@@ -8,7 +8,7 @@ characters STX/ETX so they can never collide with user symbols.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple
 
 from .bounds import DEFAULT_BIT_CAP, BoundFactored, compare_on
 
@@ -119,10 +119,12 @@ class Transducer:
         if text == "":
             return ""
         if "," in text or any(len(s) > 1 for s in self.input_symbols):
-            tokens = [t for t in text.split(",") if t != ""]
+            tokens = text.split(",")
         else:
             tokens = list(text)
         for t in tokens:
+            if t == "":
+                raise ValueError(f"input {text!r} has an empty symbol")
             if t not in self.input_symbols:
                 raise ValueError(f"symbol {t!r} is not in the input alphabet")
         return self.table.encode(tokens)
@@ -406,8 +408,7 @@ def words_upto(t: Transducer, max_len: int) -> Iterator[str]:
 
 
 def check_functional_bounded(t: Transducer, max_len: int, *,
-                             cap_runs: int = 10**5,
-                             cap_steps: Optional[int] = None):
+                             cap_runs: int = 10**5):
     """Exhaustively test single-valuedness on all inputs up to max_len.
 
     Returns either ("functional-up-to", max_len) or a witness triple
@@ -415,8 +416,7 @@ def check_functional_bounded(t: Transducer, max_len: int, *,
     """
     from . import runs as _runs  # local import: runs depends on this module
 
-    for word, runs in _runs.runs_upto(t, max_len, cap_runs=cap_runs,
-                                      cap_steps=cap_steps):
+    for word, runs in _runs.runs_upto(t, max_len, cap_runs=cap_runs):
         outs = []
         for run in runs:
             if run.output not in outs:

@@ -84,11 +84,12 @@ def _is_normalized(t: Transducer, raw: str, path: tuple) -> bool:
     return True
 
 
-def brute_runs(t: Transducer, raw: str, *, cap_runs: int = 10**5,
-               cap_steps: Optional[int] = None) -> list[Run]:
+def brute_runs(t: Transducer, raw: str, *,
+               cap_runs: int = 10**5) -> list[Run]:
     """All normalized successful runs on |-raw-|, in canonical DFS order,
-    by one DFS over the whole word: the runs, their order and the cap
-    points `enumerate_runs` and `runs_upto` must reproduce.
+    by one DFS over the whole word: the runs, their order and the run at
+    which the run cap fires, which `enumerate_runs` and `runs_upto` must
+    reproduce.
 
     The search prunes any extension that would repeat a (state, level parity)
     pair at one position, which both enforces normalization and bounds the
@@ -98,8 +99,6 @@ def brute_runs(t: Transducer, raw: str, *, cap_runs: int = 10**5,
     omega = word.omega
     padded = word.padded
     state_cap = 2 * len(t.states)
-    if cap_steps is None:
-        cap_steps = 10 * (2 * len(t.states) - 1) * (omega + 1)
 
     levels = [0] * (omega + 1)      # next free level per position
     seen: list[set] = [set() for _ in range(omega + 1)]
@@ -139,9 +138,6 @@ def brute_runs(t: Transducer, raw: str, *, cap_runs: int = 10**5,
             key = (tr.target, parity)
             if key in seen[x2]:
                 continue    # normalization pruning
-            if len(steps) >= cap_steps:
-                raise CapExceeded(
-                    f"run length cap {cap_steps} exceeded during enumeration")
             target = (x2, y2)
             steps.append(Step(loc, target, tr, ri, out_enc))
             levels[x2] += 1

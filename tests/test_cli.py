@@ -7,8 +7,9 @@ import pytest
 from untwist import cli, loops, oneway
 from untwist.cli import run_cli
 from untwist.decomposition import InternalInconsistencyError
+from untwist.runs import dump_run, enumerate_runs
 
-from .conftest import FIXTURE_DIR, spy
+from .conftest import FIXTURE_DIR, load_fixture, spy
 
 SCHEMA = {
     "type": "object",
@@ -253,7 +254,6 @@ def test_unexpected_exception_exit_70(tmp_path, monkeypatch, capsys):
      "--period-bound", "0"),
     # A negative cap is an argument error, not a cap that fires (exit 69).
     ("run", fx("T_COPY_AB"), "--input", "ab", "--cap-runs", "-1"),
-    ("run", fx("T_COPY_AB"), "--input", "ab", "--cap-steps", "-1"),
 ])
 def test_out_of_range_argument_exit_65(capsys, argv):
     code = run_cli(list(argv))
@@ -278,6 +278,13 @@ def test_out_of_range_argument_exit_65(capsys, argv):
     (("decide", "oneway", fx("T_ID"), "--max-len", "2"), "--cap-steps"),
     (("verify-cert", fx("T_ID"), "--cert", "missing.cert"), "--cap-runs"),
     (("verify-cert", fx("T_ID"), "--cert", "missing.cert"), "--cap-steps"),
+    (("decide", "oneway", fx("T_ID"), "--max-len", "2"), "--passes"),
+    # The step cap is gone everywhere: a normalized run is shorter than
+    # (2|Q| - 1) times the number of cuts, so no cap could fire first.
+    (("run", fx("T_ID"), "--input", "ab"), "--cap-steps"),
+    (("analyze", fx("T_ID"), "--input", "ab"), "--cap-steps"),
+    (("pump", fx("T_ID"), "--input", "ab"), "--cap-steps"),
+    (("decompose", fx("T_ID"), "--input", "ab"), "--cap-steps"),
 ])
 def test_unread_option_is_a_usage_error(capsys, argv, option):
     code = run_cli([*argv, option, "1"])
@@ -301,6 +308,56 @@ def test_verify_cert_cli(tmp_path, capsys):
     code, out = invoke(capsys, "verify-cert", fx("T_COPY_AB"),
                        "--cert", str(cert_path))
     assert code == 1 and out.strip() == "invalid"
+
+
+def _cert_error(capsys, name, cert_path):
+    code = run_cli(["verify-cert", fx(name), "--cert", str(cert_path)])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
+@pytest.mark.parametrize("edit,message", [
+    # A sweeping certificate of no passes has no member left to check.
+    (lambda text: text.replace("kind: oneway", "kind: sweeping")
+     .replace("passes: 1", "passes: 0").split("member 0")[0],
+     "error: passes '0' is not a positive integer\n"),
+    (lambda text: text.replace("kind: oneway", "kind: bogus"),
+     "error: unknown certificate kind 'bogus'\n"),
+    (lambda text: text.replace("passes: 1", "passes: 2"),
+     "error: a oneway certificate has 1 pass, not 2\n"),
+], ids=["no-passes", "unknown-kind", "oneway-two-passes"])
+def test_certificate_header_out_of_range_exit_65(tmp_path, capsys, edit,
+                                                 message):
+    cert_path = tmp_path / "cert.txt"
+    code, _ = invoke(capsys, "decide", "oneway", fx("T_COPY_AB"),
+                     "--max-len", "3", "--cert", str(cert_path))
+    assert code == 1
+    cert_path.write_text(edit(cert_path.read_text()))
+    assert _cert_error(capsys, "T_COPY_AB", cert_path) == (65, message)
+
+
+def test_memberless_certificate_of_the_identity_exit_65(tmp_path, capsys):
+    # The identity is one-way by construction, so no certificate of it may
+    # read valid; one of no passes names no inversion at all.
+    t = load_fixture("T_ID")
+    run = enumerate_runs(t, "ab")[0]
+    cert = oneway.RefutationCertificate(
+        "sweeping", t.name, oneway.transducer_digest(t), "ab",
+        dump_run(run), (), 0)
+    cert_path = tmp_path / "cert.txt"
+    cert_path.write_text(oneway.certificate_text(cert))
+    assert _cert_error(capsys, "T_ID", cert_path) == \
+        (65, "error: passes '0' is not a positive integer\n")
+
+
+@pytest.mark.parametrize("word", ["a,,b", ",a", "a,"])
+def test_empty_symbol_in_input_exit_65(capsys, word):
+    code = run_cli(["run", fx("T_ID"), "--input", word])
+    captured = capsys.readouterr()
+    assert code == 65
+    assert captured.out == ""
+    assert captured.err == f"error: input {word!r} has an empty symbol\n"
 
 
 @pytest.mark.parametrize("bound", ["1", "2"])

@@ -1,11 +1,11 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import untwist.runs
 from untwist.runs import (CapExceeded, LocationSet, Run, dump_run,
                           enumerate_runs, parse_run_dump, runs_upto,
                           validate_run)
-from untwist.transducer import parse_transducer, words_upto
+from untwist.transducer import parse_transducer, validate, words_upto
 
 from .conftest import CORE_NAMES, FIXTURE_NAMES, load_fixture
 from .oracles import (brute_runs, brute_subrun_output, naive_runs,
@@ -172,27 +172,40 @@ def test_validate_run_rejects_wrong_word(t_id):
     assert not validate_run(t_id, t_id.parse_input_text("ba"), run)
 
 
+def _assert_run_invariants(t, max_len):
+    """Every run up to max_len starts at (0, 0), ends past -|, is normalized
+    and crosses each cut an odd number of times, at most h_max = 2|Q| - 1;
+    so it has fewer than h_max steps per cut, which bounds every search."""
+    h_max = 2 * len(t.states) - 1
+    for raw, runs in runs_upto(t, max_len):
+        for run in runs:
+            assert run.locations[0] == (0, 0)
+            assert run.locations[-1][0] == run.word.omega
+            assert len(run.steps) < h_max * (run.word.omega + 1)
+            seen = set()
+            for x in range(run.word.omega + 1):
+                c = run.crossing(x)
+                assert len(c) % 2 == 1 and len(c) <= h_max
+            for i, loc in enumerate(run.locations):
+                parity = loc[1] % 2
+                key = (loc[0], run.states_at[i], parity)
+                assert key not in seen    # normalization
+                seen.add(key)
+            for s in run.steps:
+                expected = 0 if s.transition.direction == "R" else 1
+                assert s.target[1] % 2 == expected
+
+
 def test_run_invariants_small_inputs(fixtures):
-    from .conftest import domain_words
     for name in CORE_NAMES:
-        t = fixtures[name]
-        h_max = 2 * len(t.states) - 1
-        for raw, runs in domain_words(t, 4):
-            for run in runs:
-                assert run.locations[0] == (0, 0)
-                assert run.locations[-1][0] == run.word.omega
-                seen = set()
-                for x in range(run.word.omega + 1):
-                    c = run.crossing(x)
-                    assert len(c) % 2 == 1 and len(c) <= h_max
-                for i, loc in enumerate(run.locations):
-                    parity = loc[1] % 2
-                    key = (loc[0], run.states_at[i], parity)
-                    assert key not in seen    # normalization
-                    seen.add(key)
-                for s in run.steps:
-                    expected = 0 if s.transition.direction == "R" else 1
-                    assert s.target[1] % 2 == expected
+        _assert_run_invariants(fixtures[name], 4)
+
+
+@given(transducers(max_transitions=12))
+@settings(max_examples=60, deadline=None)
+def test_run_invariants_random(t):
+    assume(validate(t).ok)
+    _assert_run_invariants(t, 4)
 
 
 def test_dump_roundtrip(t_mirror):
@@ -275,8 +288,8 @@ def test_shared_enumeration_matches_per_word_dfs_random(t):
 
 # Two paths leave |-. q may switch to r at any letter, which gives a word
 # one run per switch point. z steps back over its first letter to |- and
-# then goes on as q, so a small step cap fires on z's detour while the
-# frontier after the first letter is being grown, after q's branches.
+# then goes on as q, so its runs grow from a later frontier entry than q's
+# and come after them.
 TWO_PATHS = parse_transducer("""
 transducer TWO_PATHS
 input a
@@ -299,26 +312,22 @@ t z3 a R q ""
 
 @pytest.mark.parametrize("caps,word,message", [
     ({"cap_runs": 1}, "a", "run cap 1 exceeded"),
-    ({"cap_runs": 1, "cap_steps": 3}, "a", "run cap 1 exceeded"),
-    ({"cap_runs": 2, "cap_steps": 3}, "a",
-     "run length cap 3 exceeded during enumeration"),
-    ({"cap_steps": 3}, "a", "run length cap 3 exceeded during enumeration"),
+    ({"cap_runs": 2}, "a", "run cap 2 exceeded"),
 ])
 def test_caps_fire_at_their_dfs_position(caps, word, message):
-    # The cap the per-word DFS meets first wins: on "a", q's second run
-    # comes before the step cap on z's detour, which comes before z's run.
+    # The run cap fires where the per-word DFS meets it: on "a", q's two
+    # runs come before z's run.
     expected = _assert_same_as_brute(TWO_PATHS, 3, **caps)
     assert expected[-1] == (word, message)
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
-@pytest.mark.parametrize("caps", [{"cap_runs": 0}, {"cap_steps": 4},
-                                  {"cap_runs": 1, "cap_steps": 12}])
+@pytest.mark.parametrize("caps", [{"cap_runs": 0}, {"cap_runs": 1}])
 def test_caps_fire_at_the_same_input(name, caps):
     _assert_same_as_brute(load_fixture(name), 4, **caps)
 
 
-@pytest.mark.parametrize("caps", [{"cap_runs": -1}, {"cap_steps": -1}])
+@pytest.mark.parametrize("caps", [{"cap_runs": -1}])
 def test_negative_caps_are_rejected(caps):
     # A negative cap is an argument error, not a cap that fires.
     t = load_fixture("T_COPY_AB")
@@ -329,8 +338,7 @@ def test_negative_caps_are_rejected(caps):
 
 
 @given(transducers(max_transitions=12),
-       st.sampled_from([{"cap_runs": 1}, {"cap_steps": 3},
-                        {"cap_runs": 1, "cap_steps": 6}]))
+       st.sampled_from([{"cap_runs": 0}, {"cap_runs": 1}, {"cap_runs": 2}]))
 @settings(max_examples=60, deadline=None)
 def test_caps_fire_at_the_same_input_random(t, caps):
     _assert_same_as_brute(t, 4, **caps)
