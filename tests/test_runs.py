@@ -322,7 +322,8 @@ def test_caps_fire_at_their_dfs_position(caps, word, message):
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
-@pytest.mark.parametrize("caps", [{"cap_runs": 0}, {"cap_runs": 1}])
+@pytest.mark.parametrize("caps", [{"cap_runs": 0}, {"cap_runs": 1},
+                                  {"cap_runs": 2}])
 def test_caps_fire_at_the_same_input(name, caps):
     _assert_same_as_brute(load_fixture(name), 4, **caps)
 
