@@ -16,7 +16,7 @@ from .bounds import PeriodBound, bound_admits, compare_on
 from .inversions import (INVERSION, AnchoredComponent, Inversion,
                          PeriodReport, first_unsafe_inversion, inversion_spans,
                          multi_pass_components, smallest_period)
-from .runs import InternalInconsistencyError, Location, LocationSet, Run
+from .runs import InternalInconsistencyError, Location, Run
 
 DIAGONAL = "diagonal"
 BLOCK = "block"
@@ -108,25 +108,12 @@ def block_interval(run: Run, cls: CoverageClass) -> tuple[Location, Location]:
     position and the earliest after it at the greatest anchor position."""
     xs = cls.anchor_positions
     x_min, x_max = xs[0], xs[-1]
-    l1 = None
-    for i in range(cls.start, -1, -1):
-        if run.locations[i][0] == x_min:
-            l1 = run.locations[i]
-            break
-    l2 = None
-    for i in range(cls.end, len(run.locations)):
-        if run.locations[i][0] == x_max:
-            l2 = run.locations[i]
-            break
-    if l1 is None or l2 is None:
+    before = run.visits[x_min][:bisect_right(run.visits[x_min], cls.start)]
+    after = run.visits[x_max][bisect_left(run.visits[x_max], cls.end):]
+    if not before or not after:
         raise InternalInconsistencyError(
             "bounding locations for a coverage class do not exist")
-    return l1, l2
-
-
-def _z_output_len(run: Run, lo: int, hi: int, x1: int, x2: int) -> int:
-    z = LocationSet((lo, hi), (x1, x2))
-    return len(run.subrun_output(z))
+    return run.locations[before[-1]], run.locations[after[0]]
 
 
 def is_diagonal(run: Run, l1: Location, l2: Location, bound: PeriodBound
@@ -135,7 +122,7 @@ def is_diagonal(run: Run, l1: Location, l2: Location, bound: PeriodBound
 
     Returns (True, witness locations per position) or (False, failing x).
     """
-    i1, i2 = run.loc_index[l1], run.loc_index[l2]
+    i1, i2 = run.index_of(l1), run.index_of(l2)
     x1, x2 = l1[0], l2[0]
     assert x1 <= x2 and i1 <= i2
     # Desk-scale fast path: a bound admitting the whole output admits any Z.
@@ -145,13 +132,11 @@ def is_diagonal(run: Run, l1: Location, l2: Location, bound: PeriodBound
     prev = i1
     for x in range(x1, x2 + 1):
         chosen = None
-        for i in range(prev, i2 + 1):
-            loc = run.locations[i]
-            if loc[0] != x:
-                continue
+        visits = run.visits[x]
+        for i in visits[bisect_left(visits, prev):bisect_right(visits, i2)]:
             if check_bounds:
-                up_left = _z_output_len(run, i, i2, 0, x)
-                down_right = _z_output_len(run, i1, i, x, omega)
+                up_left = len(run.subrun_output(i, i2, 0, x))
+                down_right = len(run.subrun_output(i1, i, x, omega))
                 if not (bound_admits(bound, up_left)
                         and bound_admits(bound, down_right)):
                     continue
@@ -171,12 +156,12 @@ def is_block(run: Run, l1: Location, l2: Location, bound: PeriodBound
     The split maximizes the periodic middle and then minimizes the head;
     ties are broken identically by the brute-force oracle in the tests.
     """
-    i1, i2 = run.loc_index[l1], run.loc_index[l2]
+    i1, i2 = run.index_of(l1), run.index_of(l2)
     x1, x2 = l1[0], l2[0]
     assert x1 <= x2
     omega = run.word.omega
-    left_word = run.subrun_output(LocationSet((i1, i2), (0, x1)))
-    right_word = run.subrun_output(LocationSet((i1, i2), (x2, omega)))
+    left_word = run.subrun_output(i1, i2, 0, x1)
+    right_word = run.subrun_output(i1, i2, x2, omega)
     if not (bound_admits(bound, len(left_word))
             and bound_admits(bound, len(right_word))):
         return False, None
@@ -218,7 +203,7 @@ def build_decomposition(run: Run, bound: PeriodBound) -> BuildOutcome:
             continue    # positionally flat; its locations live in a diagonal
         blocks.append(block_interval(run, cls))
     for (a1, b1), (a2, b2) in zip(blocks, blocks[1:]):
-        if not (b1[0] < a2[0] and run.loc_index[b1] <= run.loc_index[a2]):
+        if not (b1[0] < a2[0] and run.index_of(b1) <= run.index_of(a2)):
             raise InternalInconsistencyError(
                 f"blocks {b1}..{a2} are not consecutive")
 
@@ -243,7 +228,7 @@ def build_decomposition(run: Run, bound: PeriodBound) -> BuildOutcome:
     for k, (a, b) in enumerate(blocks):
         if cur != a:
             if k == 0 and cur == start and \
-                    not run.output_upto(run.loc_index[a]):
+                    not run.output_upto(run.index_of(a)):
                 # Silent lead-in: absorb it into the first block.
                 a = cur
             else:
@@ -256,8 +241,8 @@ def build_decomposition(run: Run, bound: PeriodBound) -> BuildOutcome:
             # Absorb the tail when the block's periodic pattern genuinely
             # continues through it (or it is silent).
             blk = pieces[-1]
-            i, j = run.loc_index[blk.start], len(run.steps)
-            tail = run.output_between(run.loc_index[cur], j)
+            i, j = run.index_of(blk.start), len(run.steps)
+            tail = run.output_between(run.index_of(cur), j)
             w = run.output_between(i, j)
             if not tail or (w and smallest_period(w) <= max(blk.block.period,
                                                             1)):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple
 
-from .runs import Run
+from .runs import InternalInconsistencyError, Run
 
 
 class _Bottom:
@@ -169,9 +169,15 @@ def is_idempotent(e) -> bool:
 # ---------------------------------------------------------------------------
 
 def flow_of_interval(run: Run, x1: int, x2: int) -> Flow:
+    """The flow of the factors the run's interval [x1, x2] intercepts; the
+    factors of a run always make a valid flow, so an invalid one is a bug."""
     h1, h2 = len(run.crossing(x1)), len(run.crossing(x2))
     edges = frozenset(f.edge for f in run.intercepted_factors(x1, x2))
-    return make_flow(h1, h2, edges)
+    if not flow_is_valid(h1, h2, edges):
+        raise InternalInconsistencyError(
+            f"the factors of [{x1},{x2}] make an invalid flow for borders "
+            f"({h1},{h2}): {sorted(edges)}")
+    return Flow(h1, h2, edges)
 
 
 def effect_of_interval(run: Run, x1: int, x2: int) -> Effect:

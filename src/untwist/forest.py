@@ -192,7 +192,7 @@ def ramsey_extract(run: Run, interval: tuple[int, int],
     reports not-found honestly.
     """
     x1, x2 = interval
-    lo, hi = run.loc_index[loc_lo], run.loc_index[loc_hi]
+    lo, hi = run.index_of(loc_lo), run.index_of(loc_hi)
     # Steps of the stripped subrun: both endpoints strictly inside the
     # location range and strictly between the border columns.
     sources: dict[int, set[int]] = {}
@@ -225,7 +225,7 @@ def ramsey_extract(run: Run, interval: tuple[int, int],
                     tr = trace_of(run, loop, comp)
                     if not tr.output:
                         continue
-                    anchor_idx = run.loc_index[comp.anchor]
+                    anchor_idx = run.index_of(comp.anchor)
                     if not (lo < anchor_idx < hi):
                         continue
                     if not (x1 < lx1 < lx2 < x2):

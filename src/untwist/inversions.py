@@ -81,14 +81,14 @@ def anchored_components(run: Run, loops: list[Loop]
             tr = trace_of(run, loop, comp)
             if tr.output:
                 out.append(AnchoredComponent(loop, comp, tr.output))
-    out.sort(key=lambda a: (run.loc_index[a.anchor], a.loop.x1, a.loop.x2,
+    out.sort(key=lambda a: (run.index_of(a.anchor), a.loop.x1, a.loop.x2,
                             a.component.min_node))
     return out
 
 
 def _pair_matches(run: Run, kind: str, a: AnchoredComponent,
                   b: AnchoredComponent) -> bool:
-    ia, ib = run.loc_index[a.anchor], run.loc_index[b.anchor]
+    ia, ib = run.index_of(a.anchor), run.index_of(b.anchor)
     if ia >= ib:        # anchors must be distinct and in run order
         return False
     xa, xb = a.anchor[0], b.anchor[0]
@@ -108,7 +108,7 @@ class _Sweep:
     def __init__(self, run: Run, anchored: list[AnchoredComponent]):
         self.anchored = anchored
         self.xs = [a.component.anchor[0] for a in anchored]
-        self.order = [run.loc_index[a.component.anchor] for a in anchored]
+        self.order = [run.index_of(a.component.anchor) for a in anchored]
         self.by_loop: dict[Loop, list[int]] = {}
         for pos, a in enumerate(anchored):
             self.by_loop.setdefault(a.loop, []).append(pos)
@@ -252,8 +252,8 @@ def inversion_spans(run: Run, anchored: list[AnchoredComponent]
 
 
 def inversion_word(run: Run, inv: Inversion) -> str:
-    i = run.loc_index[inv.first.anchor]
-    j = run.loc_index[inv.second.anchor]
+    i = run.index_of(inv.first.anchor)
+    j = run.index_of(inv.second.anchor)
     return inv.first.trace_output + run.output_between(i, j) \
         + inv.second.trace_output
 
@@ -352,7 +352,7 @@ class PeriodIndex:
         trace, out = a.trace_output, self.run.output
         r = (trace + trace).find(trace, 1)
         root = trace[:r]
-        off = self.run.out_prefix[self.run.loc_index[a.anchor]]
+        off = self.run.out_prefix[self.run.index_of(a.anchor)]
         side = self._sides[id(a)] = (a, r, root, off,
                                      out.startswith(root, off),
                                      out.endswith(root, 0, off))
@@ -523,10 +523,10 @@ def enumerate_k_inversions(run: Run, k: int, *,
                  for kind in (INVERSION, CO_INVERSION)]
     if not lists[0]:
         return      # every chain starts with an inversion
-    loc = run.loc_index
+    index_of = run.index_of
     # spans[i % 2]: (first anchor index, second anchor index, inv) for the
     # members of the kind depth i takes.
-    spans = [[(loc[inv.first.anchor], loc[inv.second.anchor], inv)
+    spans = [[(index_of(inv.first.anchor), index_of(inv.second.anchor), inv)
               for inv in invs] for invs in lists]
     # firsts/ends/members[i]: the members at depth i that complete a chain.
     firsts, ends, members = [None] * k, [None] * k, [None] * k

@@ -108,7 +108,7 @@ def components_of(run: Run, loop: Loop) -> list[Component]:
         anchor = (loop.x1 if ltr else loop.x2, nodes[-1])
         cfs = tuple(f for f in factors if f.start[1] in cycle)
         comps.append(Component(loop, nodes, ltr, anchor, cfs))
-    comps.sort(key=lambda c: run.loc_index[c.anchor])
+    comps.sort(key=lambda c: run.index_of(c.anchor))
     return comps
 
 

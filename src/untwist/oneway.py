@@ -76,15 +76,15 @@ def _replay_decomposition(run: Run, d: Decomposition
             transcript.append(TranscriptEntry(pos, text, note))
 
     for piece in d.pieces:
-        i1, i2 = run.loc_index[piece.start], run.loc_index[piece.end]
+        i1, i2 = run.index_of(piece.start), run.index_of(piece.end)
         x1, x2 = piece.start[0], piece.end[0]
         if piece.kind == DIAGONAL:
             witness = piece.witness
-            emit(x1, run.output_between(i1, run.loc_index[witness[0]]),
+            emit(x1, run.output_between(i1, run.index_of(witness[0])),
                  "diagonal entry")
             for x in range(x1, x2):
-                a = run.loc_index[witness[x - x1]]
-                b = run.loc_index[witness[x - x1 + 1]]
+                a = run.index_of(witness[x - x1])
+                b = run.index_of(witness[x - x1 + 1])
                 border = stored = guessed = 0
                 for s in run.steps[a:b]:
                     ps, pt = s.source[0], s.target[0]
@@ -97,7 +97,7 @@ def _replay_decomposition(run: Run, d: Decomposition
                 emit(x + 1, run.output_between(a, b),
                      f"diagonal step border={border} "
                      f"stored={stored} guessed={guessed}")
-            emit(x2, run.output_between(run.loc_index[witness[-1]], i2),
+            emit(x2, run.output_between(run.index_of(witness[-1]), i2),
                  "diagonal exit")
         else:
             data = piece.block
@@ -127,13 +127,8 @@ def _replay_decomposition(run: Run, d: Decomposition
                 emit(x, chunk, note)
                 done = target
 
-            lens = {}
-            for x in range(x1, x2 + 1):
-                n = 0
-                for s in run.steps[i1:i2]:
-                    if s.source[0] <= x and s.target[0] <= x:
-                        n += len(s.output)
-                lens[x] = n
+            lens = {x: len(run.subrun_output(i1, i2, 0, x))
+                    for x in range(x1, x2 + 1)}
             emit_upto(x1, lens[x1], "block entry")
             for x in range(x1 + 1, x2 + 1):
                 emit_upto(x, lens[x], "block step")
@@ -180,11 +175,11 @@ def transducer_digest(t: Transducer) -> str:
 class MemberRecord(NamedTuple):
     kind: str
     loop1: tuple[int, int]
-    nodes1: tuple[int, ...]
+    levels1: tuple[int, int]    # least and greatest level of the component
     anchor1: tuple[int, int]
     trace1: str
     loop2: tuple[int, int]
-    nodes2: tuple[int, ...]
+    levels2: tuple[int, int]
     anchor2: tuple[int, int]
     trace2: str
     word: str
@@ -216,9 +211,11 @@ def _member_record(run: Run, inv: Inversion, bound: PeriodBound
         mismatches.append((p, bad))
     return MemberRecord(
         inv.kind,
-        inv.first.loop.interval, inv.first.component.nodes,
+        inv.first.loop.interval,
+        (inv.first.component.min_node, inv.first.component.max_node),
         inv.first.anchor, table.render(inv.first.trace_output),
-        inv.second.loop.interval, inv.second.component.nodes,
+        inv.second.loop.interval,
+        (inv.second.component.min_node, inv.second.component.max_node),
         inv.second.anchor, table.render(inv.second.trace_output),
         table.render(w), tuple(mismatches))
 
@@ -236,12 +233,12 @@ def certificate_text(cert: RefutationCertificate) -> str:
     lines += ["  " + ln for ln in cert.run_dump.rstrip("\n").split("\n")]
     for m, rec in enumerate(cert.members):
         lines.append(f"member {m}: {rec.kind}")
-        for tag, loop, nodes, anchor, trace in (
-                ("1", rec.loop1, rec.nodes1, rec.anchor1, rec.trace1),
-                ("2", rec.loop2, rec.nodes2, rec.anchor2, rec.trace2)):
+        for tag, loop, levels, anchor, trace in (
+                ("1", rec.loop1, rec.levels1, rec.anchor1, rec.trace1),
+                ("2", rec.loop2, rec.levels2, rec.anchor2, rec.trace2)):
             lines.append(
                 f"  loop{tag}: [{loop[0]},{loop[1]}] levels "
-                f"[{nodes[0]},{nodes[-1]}] anchor ({anchor[0]},{anchor[1]})"
+                f"[{levels[0]},{levels[1]}] anchor ({anchor[0]},{anchor[1]})"
                 f' trace "{trace}"')
         lines.append(f'  word: "{rec.word}"')
         lines.append("  mismatches:")
@@ -299,7 +296,7 @@ def parse_certificate(text: str) -> RefutationCertificate:
             x1, x2 = map(int, loop_txt.lstrip("[").split(","))
             lv1, lv2 = map(int, levels_txt.split(","))
             ax, ay = map(int, anchor_txt.split(","))
-            parts.append(((x1, x2), tuple(range(lv1, lv2 + 1)), (ax, ay),
+            parts.append(((x1, x2), (lv1, lv2), (ax, ay),
                           trace_txt.strip()[1:-1]))
         _, word = lines[i + 3].strip().split(": ", 1)
         if lines[i + 4].strip() != "mismatches:":
@@ -349,9 +346,9 @@ def verify_certificate(t: Transducer, cert: RefutationCertificate, *,
         if rec.kind != expect_kind:
             return False
         sides = []
-        for loop_iv, nodes, anchor, trace in (
-                (rec.loop1, rec.nodes1, rec.anchor1, rec.trace1),
-                (rec.loop2, rec.nodes2, rec.anchor2, rec.trace2)):
+        for loop_iv, levels, anchor, trace in (
+                (rec.loop1, rec.levels1, rec.anchor1, rec.trace1),
+                (rec.loop2, rec.levels2, rec.anchor2, rec.trace2)):
             x1, x2 = loop_iv
             if not (1 <= x1 < x2 <= run.word.omega - 1):
                 return False
@@ -361,8 +358,10 @@ def verify_certificate(t: Transducer, cert: RefutationCertificate, *,
             if not is_idempotent(e):
                 return False
             loop = Loop(x1, x2, e, True)
+            # Component nodes are level intervals (`components_of` raises
+            # otherwise), so the two ends name the component.
             comp = next((c for c in components_of(run, loop)
-                         if c.nodes == nodes), None)
+                         if (c.min_node, c.max_node) == levels), None)
             if comp is None or comp.anchor != anchor:
                 return False
             tr = trace_of(run, loop, comp)
@@ -373,9 +372,9 @@ def verify_certificate(t: Transducer, cert: RefutationCertificate, *,
         if not _pair_matches(run, rec.kind, first, second):
             return False
         if prev_second is not None \
-                and run.loc_index[first.anchor] < prev_second:
+                and run.index_of(first.anchor) < prev_second:
             return False
-        prev_second = run.loc_index[second.anchor]
+        prev_second = run.index_of(second.anchor)
         w = inversion_word(run, Inversion(rec.kind, first, second))
         if table.render(w) != rec.word:
             return False

@@ -5,7 +5,8 @@ crossing-sequence picture: locations are (cut position, level) pairs, a
 rightward step over the symbol between cuts x and x+1 arrives at (x+1, even
 level), a leftward step over that symbol arrives at (x, odd level).  A step's
 "read index" is the 0-based position of the symbol it consumes in the padded
-word; factor interception reduces to a range condition on read indices.
+word.  Level y at cut x is the run's visit number y to cut x, so the run-order
+list of the visits to each cut indexes every location on it.
 """
 from __future__ import annotations
 
@@ -59,13 +60,6 @@ class Factor(NamedTuple):
         return (self.start[1], self.end[1])
 
 
-class LocationSet(NamedTuple):
-    """Z = K ∩ (I × N) for a location interval K and position interval I."""
-
-    loc_range: tuple[int, int]    # inclusive run-order index range of K
-    interval: tuple[int, int]     # inclusive position interval I
-
-
 class Run:
     """A successful (normalized, unless built by pumping) two-way run."""
 
@@ -77,19 +71,29 @@ class Run:
         self.locations = ((0, 0), *[s.target for s in self.steps])
         self.states_at = (transducer.initial,
                           *[s.transition.target for s in self.steps])
-        self.loc_index = dict(zip(self.locations, range(len(self.locations))))
+        # visits[x]: the run-order indices of the locations at cut x.  Level
+        # y at cut x is visit number y there, so visits[x][y] indexes (x, y)
+        # and the states at visits[x] are the crossing sequence at x.
         crossings: list[list[str]] = [[] for _ in range(word.omega + 1)]
-        for (x, _), state in zip(self.locations, self.states_at):
+        visits: list[list[int]] = [[] for _ in range(word.omega + 1)]
+        for i, ((x, _), state) in enumerate(zip(self.locations,
+                                                self.states_at)):
             crossings[x].append(state)
+            visits[x].append(i)
         self._crossings = tuple(map(tuple, crossings))
+        self.visits = tuple(map(tuple, visits))
         outputs = [s.output for s in self.steps]
         self.output = "".join(outputs)
         self.out_prefix = (0, *accumulate(map(len, outputs)))
 
     # -- basic queries ------------------------------------------------------
 
+    def index_of(self, loc: Location) -> int:
+        """The run-order index of location loc."""
+        return self.visits[loc[0]][loc[1]]
+
     def state_at(self, loc: Location) -> str:
-        return self.states_at[self.loc_index[loc]]
+        return self.states_at[self.index_of(loc)]
 
     def crossing(self, x: int) -> tuple[str, ...]:
         return self._crossings[x]
@@ -107,42 +111,32 @@ class Run:
     # -- factors and subruns -------------------------------------------------
 
     def intercepted_factors(self, x1: int, x2: int) -> list[Factor]:
-        """Maximal fragments whose steps all read symbols in [x1, x2)."""
+        """Maximal fragments whose steps all read symbols in [x1, x2).
+
+        The head crosses one cut per step, so between two consecutive visits
+        to the borders x1 and x2 the run stays strictly inside the interval
+        or strictly outside it; the fragment is a factor when its first step
+        reads inside.  A step that reaches a border from inside lands on the
+        level parity whose next step reads outside, so factors never join."""
         assert 0 <= x1 < x2 <= self.word.omega
+        borders = sorted(self.visits[x1] + self.visits[x2])
         factors = []
-        i, n = 0, len(self.steps)
-        while i < n:
+        for i, j in zip(borders, borders[1:]):
             if x1 <= self.steps[i].read_index < x2:
-                j = i
-                while j < n and x1 <= self.steps[j].read_index < x2:
-                    j += 1
-                start, end = self.steps[i].source, self.steps[j - 1].target
+                start, end = self.locations[i], self.locations[j]
                 kind = ("L" if start[0] == x1 else "R") + \
                        ("L" if end[0] == x1 else "R")
-                # Fragment borders always sit on the interval borders.
-                assert start[0] in (x1, x2) and end[0] in (x1, x2)
                 factors.append(Factor(kind, (x1, x2), start, end, (i, j)))
-                i = j
-            else:
-                i += 1
         return factors
 
     def factor_output(self, f: Factor) -> str:
         return self.output_between(f.step_range[0], f.step_range[1])
 
-    def subrun_output(self, z: LocationSet) -> str:
-        """Concatenated outputs of steps with both endpoints in Z, run order."""
-        lo, hi = z.loc_range
-        x1, x2 = z.interval
-        parts = []
-        for i in range(lo, hi):
-            s = self.steps[i]
-            # Step i joins location index i to i+1; both must lie in K.
-            if i + 1 > hi:
-                break
-            if x1 <= s.source[0] <= x2 and x1 <= s.target[0] <= x2:
-                parts.append(s.output)
-        return "".join(parts)
+    def subrun_output(self, lo: int, hi: int, x1: int, x2: int) -> str:
+        """Concatenated outputs, in run order, of the steps between location
+        indices lo and hi whose endpoints both lie at cuts in [x1, x2]."""
+        return "".join(s.output for s in self.steps[lo:hi]
+                       if x1 <= s.source[0] <= x2 and x1 <= s.target[0] <= x2)
 
     def __repr__(self) -> str:
         return (f"Run({self.transducer.name!r}, "

@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's own search and bookkeeping: the run
 oracle walks raw configurations and filters afterwards, the DFS oracle
-searches each word on its own, from scratch, the period oracle
-tries every shift, the subrun oracle filters steps one by one, the
-inversion oracle tests every pair of anchored components, and the chain
+searches each word on its own, from scratch, the period oracle tries every
+shift, the factor oracle scans every step of the run where the library reads
+the visits to the two borders, the subrun oracle filters steps one by one,
+the inversion oracle tests every pair of anchored components, and the chain
 oracle tries every member at every depth.
 
 The list versions of the periodicity check and the coverage classes scan
@@ -31,7 +32,7 @@ from untwist.inversions import (CO_INVERSION, INVERSION, Inversion,
                                 inversions_of, period_report)
 from untwist.loops import (Component, Loop, components_of, enumerate_loops,
                            trace_of)
-from untwist.runs import CapExceeded, DelimitedInput, Run, Step
+from untwist.runs import CapExceeded, DelimitedInput, Factor, Run, Step
 from untwist.transducer import RIGHT, Transducer
 
 
@@ -178,6 +179,28 @@ def brute_smallest_period(word: str) -> int:
     raise AssertionError("unreachable for non-empty words")
 
 
+def brute_intercepted_factors(run: Run, x1: int, x2: int) -> list[Factor]:
+    """The maximal fragments of consecutive steps that read symbols in
+    [x1, x2), by a scan over every step of the run."""
+    factors = []
+    i, n = 0, len(run.steps)
+    while i < n:
+        if x1 <= run.steps[i].read_index < x2:
+            j = i
+            while j < n and x1 <= run.steps[j].read_index < x2:
+                j += 1
+            start, end = run.steps[i].source, run.steps[j - 1].target
+            # Fragment borders always sit on the interval borders.
+            assert start[0] in (x1, x2) and end[0] in (x1, x2)
+            kind = ("L" if start[0] == x1 else "R") + \
+                   ("L" if end[0] == x1 else "R")
+            factors.append(Factor(kind, (x1, x2), start, end, (i, j)))
+            i = j
+        else:
+            i += 1
+    return factors
+
+
 def brute_subrun_output(run: Run, lo: int, hi: int, x1: int, x2: int) -> str:
     parts = []
     for i, step in enumerate(run.steps):
@@ -239,8 +262,8 @@ def list_coverage_classes(run: Run, inversions: list[Inversion]
         return []
     intervals: dict[tuple[int, int], Inversion] = {}
     for inv in inversions:
-        key = (run.loc_index[inv.first.anchor],
-               run.loc_index[inv.second.anchor])
+        key = (run.index_of(inv.first.anchor),
+               run.index_of(inv.second.anchor))
         intervals.setdefault(key, inv)
     maximal: list[tuple[tuple[int, int], Inversion]] = []
     reach = -1
@@ -276,15 +299,15 @@ def brute_coverage_classes(run: Run) -> list[CoverageClass]:
     inversions = brute_inversions(run, INVERSION)
     intervals: dict[tuple[int, int], Inversion] = {}
     for inv in inversions:
-        key = (run.loc_index[inv.first.anchor],
-               run.loc_index[inv.second.anchor])
+        key = (run.index_of(inv.first.anchor),
+               run.index_of(inv.second.anchor))
         intervals.setdefault(key, inv)
     items = sorted(intervals.items())
     maximal = [((s, e), inv) for (s, e), inv in items
                if not any(s2 <= s and e <= e2 and (s2, e2) != (s, e)
                           for (s2, e2), _ in items)]
-    anchors = {run.loc_index[inv.first.anchor] for inv in inversions} \
-        | {run.loc_index[inv.second.anchor] for inv in inversions}
+    anchors = {run.index_of(inv.first.anchor) for inv in inversions} \
+        | {run.index_of(inv.second.anchor) for inv in inversions}
     classes = []
     i = 0
     while i < len(maximal):
@@ -329,8 +352,8 @@ def brute_k_inversions(run: Run, k: int, *, cap: int = 10**6):
         kind = INVERSION if i % 2 == 0 else CO_INVERSION
         for inv in members_by_kind[kind]:
             if chain:
-                prev_end = run.loc_index[chain[-1].second.anchor]
-                if run.loc_index[inv.first.anchor] < prev_end:
+                prev_end = run.index_of(chain[-1].second.anchor)
+                if run.index_of(inv.first.anchor) < prev_end:
                     continue
             chain.append(inv)
             yield from rec(i + 1, chain)
@@ -378,7 +401,7 @@ def predicted_pump_output(run: Run, loop: Loop,
     assert loop.idempotent
     if m < 0:
         raise ValueError("m must be non-negative")
-    idx = [run.loc_index[c.anchor] for c in comps]
+    idx = [run.index_of(c.anchor) for c in comps]
     assert idx == sorted(idx), "components must be listed in anchor order"
     parts = [run.output_upto(idx[0]) if comps else run.output]
     for i, comp in enumerate(comps):
@@ -425,7 +448,7 @@ def validate_decomposition(run: Run, d: Decomposition) -> bool:
     if any(a >= b for a, b in zip(xs, xs[1:])):
         return False
     for p in d.pieces:
-        if run.loc_index[p.start] > run.loc_index[p.end]:
+        if run.index_of(p.start) > run.index_of(p.end):
             return False
         if p.kind == DIAGONAL:
             ok, _ = is_diagonal(run, p.start, p.end, d.bound)

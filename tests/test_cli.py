@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -7,7 +10,7 @@ import pytest
 from untwist import cli, loops, oneway
 from untwist.cli import run_cli
 from untwist.decomposition import InternalInconsistencyError
-from untwist.runs import dump_run, enumerate_runs
+from untwist.runs import Run, dump_run, enumerate_runs
 
 from .conftest import FIXTURE_DIR, load_fixture, spy
 
@@ -478,6 +481,51 @@ def test_unparsable_run_or_input_exit_65(tmp_path, capsys, old, new, error):
     code = run_cli(["verify-cert", fx("T_COPY_AB"), "--cert", str(cert_path)])
     assert code == 65
     assert capsys.readouterr().err.startswith(error)
+
+
+def test_wide_level_interval_is_invalid_in_bounded_memory(tmp_path, capsys):
+    # A certificate keeps a level interval as its two ends, so three million
+    # levels are read as two numbers and name no component.  The peak is the
+    # child's own VmHWM, as in the long-copy memory test.
+    cert_path = tmp_path / "cert.txt"
+    code, _ = invoke(capsys, "decide", "oneway", fx("T_COPY_AB"),
+                     "--max-len", "3", "--cert", str(cert_path))
+    assert code == 1
+    text = cert_path.read_text()
+    assert "levels [0,0]" in text
+    cert_path.write_text(text.replace("levels [0,0]", "levels [0,3000000]"))
+    argv = ["verify-cert", fx("T_COPY_AB"), "--cert", str(cert_path)]
+    child = (
+        "from untwist.cli import run_cli\n"
+        f"code = run_cli({argv!r})\n"
+        "with open('/proc/self/status') as f:\n"
+        "    hwm = next(l.split()[1] for l in f if l.startswith('VmHWM:'))\n"
+        "print(code, hwm)\n")
+    root = FIXTURE_DIR.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run([sys.executable, "-c", child], env=env, cwd=root,
+                         capture_output=True, text=True, check=True,
+                         timeout=120).stdout.splitlines()
+    assert out[0] == "invalid"
+    code, peak_kb = map(int, out[1].split())
+    assert code == 1
+    assert peak_kb < 100 * 1024
+
+
+def test_invalid_flow_of_a_run_exit_70(tmp_path, monkeypatch, capsys):
+    # The factors of a run always make a valid flow, so an invalid one is a
+    # bug of the checker, not bad input (exit 65) in the certificate.
+    cert_path = tmp_path / "cert.txt"
+    code, _ = invoke(capsys, "decide", "oneway", fx("T_COPY_AB"),
+                     "--max-len", "3", "--cert", str(cert_path))
+    assert code == 1
+    monkeypatch.setattr(Run, "intercepted_factors", lambda run, x1, x2: [])
+    code = run_cli(["verify-cert", fx("T_COPY_AB"), "--cert", str(cert_path)])
+    captured = capsys.readouterr()
+    assert code == 70
+    assert captured.out == ""
+    assert captured.err == ("internal error: the factors of [1,2] make an "
+                            "invalid flow for borders (3,3): []\n")
 
 
 def test_analyze_derives_each_loop_once(monkeypatch, capsys):

@@ -49,15 +49,15 @@ def test_chain_condition(t_running, t_copy_ab):
     for t, text in ((t_running, "b#abcabc#ca#abcabc"), (t_copy_ab, "abab")):
         run = enumerate_runs(t, t.parse_input_text(text))[0]
         for cls in coverage_classes(run, multi_pass_components(run)):
-            idx = run.loc_index
+            idx = run.index_of
             chain = cls.chain
-            assert idx[chain[0].first.anchor] == cls.start
-            reach = idx[chain[0].second.anchor]
+            assert idx(chain[0].first.anchor) == cls.start
+            reach = idx(chain[0].second.anchor)
             for prev, nxt in zip(chain, chain[1:]):
-                assert idx[prev.first.anchor] <= idx[nxt.first.anchor]
-                assert idx[nxt.first.anchor] <= idx[prev.second.anchor]
-                assert idx[prev.second.anchor] <= idx[nxt.second.anchor]
-                reach = idx[nxt.second.anchor]
+                assert idx(prev.first.anchor) <= idx(nxt.first.anchor)
+                assert idx(nxt.first.anchor) <= idx(prev.second.anchor)
+                assert idx(prev.second.anchor) <= idx(nxt.second.anchor)
+                reach = idx(nxt.second.anchor)
             assert reach == cls.end
 
 
@@ -66,8 +66,8 @@ def test_every_covered_location_in_a_class(t_copy_ab):
     classes = coverage_classes(run, multi_pass_components(run))
     covered = set()
     for inv in inversions_of(run):
-        covered.update(range(run.loc_index[inv.first.anchor],
-                             run.loc_index[inv.second.anchor] + 1))
+        covered.update(range(run.index_of(inv.first.anchor),
+                             run.index_of(inv.second.anchor) + 1))
     in_classes = set()
     for cls in classes:
         in_classes.update(range(cls.start, cls.end + 1))
@@ -84,8 +84,8 @@ def test_block_interval_collapsed_case(t_copy_ab):
     assert cls.anchor_positions == (1,)
     l1, l2 = block_interval(run, cls)
     assert l1[0] == l2[0] == 1
-    assert run.loc_index[l1] <= cls.start
-    assert run.loc_index[l2] >= cls.end
+    assert run.index_of(l1) <= cls.start
+    assert run.index_of(l2) >= cls.end
 
 
 def test_block_interval_passes_is_block(t_running):
@@ -123,7 +123,7 @@ def test_diagonal_zigzag_shape_with_symbolic_bound(t_zigzag):
     ok, witness = is_diagonal(run, run.locations[0], run.locations[-1],
                               bound_of(t_zigzag))
     assert ok
-    idx = [run.loc_index[w] for w in witness]
+    idx = [run.index_of(w) for w in witness]
     assert idx == sorted(idx)
 
 
@@ -142,7 +142,7 @@ def test_block_canonical_split_matches_brute_force(t_copy_ab):
     bound = 3
     ok, data = is_block(run, l1, l2, bound)
     if ok:
-        w = run.output_between(run.loc_index[l1], run.loc_index[l2])
+        w = run.output_between(run.index_of(l1), run.index_of(l2))
         best = None
         for i in range(len(w) + 1):
             for j in range(i, len(w) + 1):
@@ -233,7 +233,7 @@ def test_covered_locations_inside_blocks_or_flat(t_running, t_copy_abc):
                     (t_copy_abc, "abcabc")):
         run = enumerate_runs(t, t.parse_input_text(text))[0]
         d = build_decomposition(run, bound_of(t)).decomposition
-        block_ranges = [(run.loc_index[p.start], run.loc_index[p.end])
+        block_ranges = [(run.index_of(p.start), run.index_of(p.end))
                         for p in d.pieces if p.kind == BLOCK]
         for cls in coverage_classes(run, multi_pass_components(run)):
             if cls.anchor_positions[0] == cls.anchor_positions[-1]:

@@ -113,10 +113,10 @@ def test_extract_witness_on_pumped_copy_run(t_copy_ab):
     assert res.witness is not None
     w = res.witness
     x1, x2 = 0, run.word.omega
-    lo, hi = run.loc_index[run.locations[0]], run.loc_index[run.locations[-1]]
+    lo, hi = run.index_of(run.locations[0]), run.index_of(run.locations[-1])
     # The three guarantees, re-checked by independent predicates.
     assert x1 < w.loop.x1 < w.loop.x2 < x2
-    assert lo < run.loc_index[w.anchor] < hi
+    assert lo < run.index_of(w.anchor) < hi
     assert w.trace_output != ""
     assert run.crossing(w.loop.x1) == run.crossing(w.loop.x2)
     e = effect_of_interval(run, w.loop.x1, w.loop.x2)

@@ -50,7 +50,7 @@ def test_copy_ab_has_figure_shaped_inversion(t_copy_ab):
     inv = separated[0]
     # First anchor later in position, earlier in the run.
     assert inv.first.anchor[0] >= inv.second.anchor[0]
-    assert run.loc_index[inv.first.anchor] < run.loc_index[inv.second.anchor]
+    assert run.index_of(inv.first.anchor) < run.index_of(inv.second.anchor)
 
 
 def test_inversion_bullets_recheck(fixtures):
@@ -66,8 +66,8 @@ def test_inversion_bullets_recheck(fixtures):
                         assert side.trace_output != ""
                         assert run.crossing(side.loop.x1) == \
                             run.crossing(side.loop.x2)
-                    assert run.loc_index[inv.first.anchor] < \
-                        run.loc_index[inv.second.anchor]
+                    assert run.index_of(inv.first.anchor) < \
+                        run.index_of(inv.second.anchor)
                     assert inv.first.anchor[0] >= inv.second.anchor[0]
                     a, b = inv.first.loop, inv.second.loop
                     assert a == b or b.x2 <= a.x1
@@ -77,8 +77,8 @@ def test_inversion_word_concatenation(t_copy_ab):
     run = enumerate_runs(t_copy_ab, t_copy_ab.parse_input_text("ab"))[0]
     for inv in inversions_of(run):
         w = inversion_word(run, inv)
-        i = run.loc_index[inv.first.anchor]
-        j = run.loc_index[inv.second.anchor]
+        i = run.index_of(inv.first.anchor)
+        j = run.index_of(inv.second.anchor)
         assert w == inv.first.trace_output + run.output_between(i, j) \
             + inv.second.trace_output
         assert len(w) == len(inv.first.trace_output) \
@@ -350,7 +350,8 @@ def test_period_index_unit_cases(tr1, out, s, e, tr2, bound, safe):
     assert (has_dividing_period(tr1 + out[s:e] + tr2, len(tr1), len(tr2),
                                 bound) is not None) == safe
     run = SimpleNamespace(output=out, out_prefix=range(len(out) + 1),
-                          loc_index={(k, 0): k for k in range(len(out) + 1)})
+                          index_of={(k, 0): k
+                                    for k in range(len(out) + 1)}.__getitem__)
     inv = SimpleNamespace(
         first=SimpleNamespace(trace_output=tr1, anchor=(s, 0)),
         second=SimpleNamespace(trace_output=tr2, anchor=(e, 0)))
@@ -433,8 +434,8 @@ def test_chain_anchor_ordering(t_copy_ab):
     for ki in enumerate_k_inversions(run, 2):
         assert ki.members[0].kind == INVERSION
         assert ki.members[1].kind == CO_INVERSION
-        assert run.loc_index[ki.members[0].second.anchor] <= \
-            run.loc_index[ki.members[1].first.anchor]
+        assert run.index_of(ki.members[0].second.anchor) <= \
+            run.index_of(ki.members[1].first.anchor)
 
 
 def test_safety_monotone_under_safe_extension(t_copy_abc):

@@ -87,18 +87,18 @@ def test_component_top_level_balance(t_threecomp, t_copy_ab):
             for comp in components_of(run, loop):
                 lo, hi = comp.min_node, comp.max_node
                 start = (loop.x1 if comp.left_to_right else loop.x2, lo)
-                lo_idx = run.loc_index[start]
+                lo_idx = run.index_of(start)
 
                 def balanced(y: int) -> bool:
                     end = (loop.x2 if comp.left_to_right else loop.x1, y)
-                    if end not in run.loc_index:
+                    if y >= len(run.visits[end[0]]):
                         return False
-                    hi_idx = run.loc_index[end]
+                    hi_idx = run.index_of(end)
                     counts = {"LL": 0, "RR": 0}
                     for f in factors:
                         if f.kind in counts \
-                                and lo_idx <= run.loc_index[f.start] \
-                                and run.loc_index[f.end] <= hi_idx:
+                                and lo_idx <= run.index_of(f.start) \
+                                and run.index_of(f.end) <= hi_idx:
                             counts[f.kind] += 1
                     return counts["LL"] == counts["RR"]
 

@@ -180,33 +180,33 @@ def _mutate(cert: RefutationCertificate, rng: random.Random
     choice = rng.randrange(7)
     if choice == 0:
         rec = MemberRecord(rec.kind, (rec.loop1[0] + 1, rec.loop1[1] + 1),
-                           rec.nodes1, rec.anchor1, rec.trace1, rec.loop2,
-                           rec.nodes2, rec.anchor2, rec.trace2, rec.word,
+                           rec.levels1, rec.anchor1, rec.trace1, rec.loop2,
+                           rec.levels2, rec.anchor2, rec.trace2, rec.word,
                            rec.mismatches)
     elif choice == 1:
-        rec = MemberRecord(rec.kind, rec.loop1, rec.nodes1,
+        rec = MemberRecord(rec.kind, rec.loop1, rec.levels1,
                            (rec.anchor1[0], rec.anchor1[1] + 2), rec.trace1,
-                           rec.loop2, rec.nodes2, rec.anchor2, rec.trace2,
+                           rec.loop2, rec.levels2, rec.anchor2, rec.trace2,
                            rec.word, rec.mismatches)
     elif choice == 2:
-        rec = MemberRecord(rec.kind, rec.loop1, rec.nodes1, rec.anchor1,
-                           rec.trace1 + "a", rec.loop2, rec.nodes2,
+        rec = MemberRecord(rec.kind, rec.loop1, rec.levels1, rec.anchor1,
+                           rec.trace1 + "a", rec.loop2, rec.levels2,
                            rec.anchor2, rec.trace2, rec.word, rec.mismatches)
     elif choice == 3:
-        rec = MemberRecord(rec.kind, rec.loop1, rec.nodes1, rec.anchor1,
-                           rec.trace1, rec.loop2, rec.nodes2, rec.anchor2,
+        rec = MemberRecord(rec.kind, rec.loop1, rec.levels1, rec.anchor1,
+                           rec.trace1, rec.loop2, rec.levels2, rec.anchor2,
                            rec.trace2, rec.word[960:] or rec.word[1:],
                            rec.mismatches)
     elif choice == 4:
         mism = tuple((p, _agreeing_index(rec.word, p))
                      for p, i in rec.mismatches)
-        rec = MemberRecord(rec.kind, rec.loop1, rec.nodes1, rec.anchor1,
-                           rec.trace1, rec.loop2, rec.nodes2, rec.anchor2,
+        rec = MemberRecord(rec.kind, rec.loop1, rec.levels1, rec.anchor1,
+                           rec.trace1, rec.loop2, rec.levels2, rec.anchor2,
                            rec.trace2, rec.word, mism)
     elif choice == 5:
         mism = rec.mismatches[1:] or ((99, 0),)
-        rec = MemberRecord(rec.kind, rec.loop1, rec.nodes1, rec.anchor1,
-                           rec.trace1, rec.loop2, rec.nodes2, rec.anchor2,
+        rec = MemberRecord(rec.kind, rec.loop1, rec.levels1, rec.anchor1,
+                           rec.trace1, rec.loop2, rec.levels2, rec.anchor2,
                            rec.trace2, rec.word, mism)
     else:
         return RefutationCertificate(cert.kind, cert.transducer_name,
@@ -240,8 +240,8 @@ def test_certificate_fails_after_state_renaming(t_copy_ab):
 def test_mismatch_index_shift_detected(t_copy_ab):
     cert = decide_oneway_bounded(t_copy_ab, 6).certificate
     rec = cert.members[0]
-    shifted = MemberRecord(rec.kind, rec.loop1, rec.nodes1, rec.anchor1,
-                           rec.trace1, rec.loop2, rec.nodes2, rec.anchor2,
+    shifted = MemberRecord(rec.kind, rec.loop1, rec.levels1, rec.anchor1,
+                           rec.trace1, rec.loop2, rec.levels2, rec.anchor2,
                            rec.trace2, rec.word,
                            tuple((p, _agreeing_index(rec.word, p))
                                  for p, i in rec.mismatches))

@@ -73,7 +73,7 @@ class StubRun:
     def __init__(self, output, anchors, offsets, omega=8):
         self.output = output
         self.locations = list(anchors)
-        self.loc_index = {loc: k for k, loc in enumerate(anchors)}
+        self.index_of = {loc: k for k, loc in enumerate(anchors)}.__getitem__
         self.out_prefix = list(offsets)
         self.word = type("Word", (), {"omega": omega})
 

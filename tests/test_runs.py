@@ -2,14 +2,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import untwist.runs
-from untwist.runs import (CapExceeded, LocationSet, Run, dump_run,
-                          enumerate_runs, parse_run_dump, runs_upto,
-                          validate_run)
+from untwist.runs import (CapExceeded, Run, dump_run, enumerate_runs,
+                          parse_run_dump, runs_upto, validate_run)
 from untwist.transducer import parse_transducer, validate, words_upto
 
-from .conftest import CORE_NAMES, FIXTURE_NAMES, load_fixture
-from .oracles import (brute_runs, brute_subrun_output, naive_runs,
-                      run_signature)
+from .conftest import CORE_NAMES, FIXTURE_NAMES, domain_words, load_fixture
+from .oracles import (brute_intercepted_factors, brute_runs,
+                      brute_subrun_output, naive_runs, run_signature)
 from .test_transducer import transducers
 
 # Nine-state machine reproducing the crossing-sequence presentation figure:
@@ -119,22 +118,51 @@ def test_factors_partition_inside_steps(t_zigzag, t_copy_ab):
                 assert seen == inside
 
 
+def _assert_factors_match_step_scan(run):
+    """Every location's index, and the factors of every interval, agree
+    with a scan over all of the run's steps."""
+    for i, loc in enumerate(run.locations):
+        assert run.index_of(loc) == i
+    omega = run.word.omega
+    for x1 in range(omega):
+        for x2 in range(x1 + 1, omega + 1):
+            assert run.intercepted_factors(x1, x2) == \
+                brute_intercepted_factors(run, x1, x2), (run, x1, x2)
+
+
+def test_factors_match_step_scan_on_fixtures(fixtures):
+    runs = 0
+    for name in FIXTURE_NAMES:
+        t = fixtures[name]
+        for _, word_runs in domain_words(t, 5 if name == "T_RUNNING" else 6):
+            for run in word_runs:
+                _assert_factors_match_step_scan(run)
+                runs += 1
+    assert runs == 1763
+
+
+@given(transducers(max_transitions=12))
+@settings(max_examples=60, deadline=None)
+def test_factors_match_step_scan_random(t):
+    assume(validate(t).ok)
+    for _, runs in runs_upto(t, 4):
+        for run in runs:
+            _assert_factors_match_step_scan(run)
+
+
 def test_subrun_output_trivial_cases(t_mirror):
     run = enumerate_runs(t_mirror, t_mirror.parse_input_text("ab"))[0]
     omega = run.word.omega
-    all_locs = LocationSet((0, len(run.steps)), (0, omega))
-    assert run.subrun_output(all_locs) == run.output
-    single = LocationSet((2, 2), (0, omega))
-    assert run.subrun_output(single) == ""
+    assert run.subrun_output(0, len(run.steps), 0, omega) == run.output
+    assert run.subrun_output(2, 2, 0, omega) == ""
 
 
 def test_subrun_output_matches_filter_oracle(t_copy_abc):
     run = enumerate_runs(t_copy_abc, t_copy_abc.parse_input_text("abc"))[0]
     n = len(run.steps)
-    z = LocationSet((0, n), (1, 2))
-    assert run.subrun_output(z) == brute_subrun_output(run, 0, n, 1, 2)
-    for lo, hi, x1, x2 in [(0, n, 0, 2), (3, 9, 1, 3), (2, n - 1, 2, 4)]:
-        got = run.subrun_output(LocationSet((lo, hi), (x1, x2)))
+    for lo, hi, x1, x2 in [(0, n, 1, 2), (0, n, 0, 2), (3, 9, 1, 3),
+                           (2, n - 1, 2, 4)]:
+        got = run.subrun_output(lo, hi, x1, x2)
         assert got == brute_subrun_output(run, lo, hi, x1, x2)
 
 
@@ -144,8 +172,8 @@ def test_subrun_on_location_interval_equals_factor_output(t_copy_ab):
     n = len(run.steps)
     for i in range(n):
         for j in range(i, n + 1):
-            z = LocationSet((i, j), (0, omega))
-            assert run.subrun_output(z) == run.output_between(i, j)
+            assert run.subrun_output(i, j, 0, omega) == \
+                run.output_between(i, j)
 
 
 def test_validate_run_accepts_enumerated(fixtures):
