@@ -51,9 +51,6 @@ class Flow(NamedTuple):
             parts[_edge_kind(e)].add(e)
         return {k: frozenset(v) for k, v in parts.items()}
 
-    def successor(self) -> dict[int, int]:
-        return {y: z for y, z in self.edges}
-
     def __str__(self) -> str:
         p = self.partition()
         fmt = lambda key: ",".join(f"({a},{b})" for a, b in sorted(p[key]))

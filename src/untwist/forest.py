@@ -222,14 +222,14 @@ def ramsey_extract(run: Run, interval: tuple[int, int],
                 for comp in components_of(run, loop):
                     if level not in comp.nodes:
                         continue
-                    tr = trace_of(run, loop, comp)
-                    if not tr.output:
+                    trace = trace_of(run, comp)
+                    if not trace:
                         continue
                     anchor_idx = run.index_of(comp.anchor)
                     if not (lo < anchor_idx < hi):
                         continue
                     if not (x1 < lx1 < lx2 < x2):
                         continue
-                    w = RamseyWitness(loop, comp, comp.anchor, tr.output)
+                    w = RamseyWitness(loop, comp, comp.anchor, trace)
                     return ExtractionResult(w, level, xs, h, achieved)
     return ExtractionResult(None, level, xs, h, achieved)

@@ -78,9 +78,9 @@ def anchored_components(run: Run, loops: list[Loop]
     out = []
     for loop in loops:
         for comp in components_of(run, loop):
-            tr = trace_of(run, loop, comp)
-            if tr.output:
-                out.append(AnchoredComponent(loop, comp, tr.output))
+            trace = trace_of(run, comp)
+            if trace:
+                out.append(AnchoredComponent(loop, comp, trace))
     out.sort(key=lambda a: (run.index_of(a.anchor), a.loop.x1, a.loop.x2,
                             a.component.min_node))
     return out

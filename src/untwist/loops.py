@@ -3,7 +3,9 @@
 Loops are intervals with equal border crossing sequences, kept strictly
 inside the delimiters so that pumping always produces a well-formed input
 (duplicating a delimiter would not).  Components of a loop are the cycles of
-its flow; for idempotent loops their factors follow the k*LL, 1*LR, k*RR
+its flow, and a component's factors are its cycle's edges in cycle order from
+the anchor, so its trace is their outputs joined.  For idempotent loops the
+factors, in run order (sorted by step range), follow the k*LL, 1*LR, k*RR
 pattern (mirrored for right-to-left components), the lone crossing factor
 starts at the anchor, and iterating the loop iterates each component's trace.
 """
@@ -39,7 +41,9 @@ class Component(NamedTuple):
     nodes: tuple[int, ...]          # contiguous level interval, ascending
     left_to_right: bool
     anchor: Location
-    factors: tuple[Factor, ...]     # (L,C)-factors in run order
+    # (L,C)-factors in cycle order from the anchor; in run order (sorted by
+    # step range) they follow the k*LL, 1*LR, k*RR pattern.
+    factors: tuple[Factor, ...]
 
     @property
     def min_node(self) -> int:
@@ -48,12 +52,6 @@ class Component(NamedTuple):
     @property
     def max_node(self) -> int:
         return self.nodes[-1]
-
-
-class Trace(NamedTuple):
-    component: Component
-    cycle_factors: tuple[Factor, ...]   # cycle order, crossing factor first
-    output: str
 
 
 def enumerate_loops(run: Run, *, idempotent_only: bool = False,
@@ -82,62 +80,55 @@ def enumerate_loops(run: Run, *, idempotent_only: bool = False,
 
 
 def components_of(run: Run, loop: Loop) -> list[Component]:
-    """Cycles of the loop's flow, ordered by the run order of their anchors."""
-    succ = loop.effect.flow.successor()
-    factors = run.intercepted_factors(loop.x1, loop.x2)
-    by_start_level = {}
-    for f in factors:
-        by_start_level[f.start[1]] = f
-    seen: set[int] = set()
+    """Cycles of the loop's flow, ordered by the run order of their anchors.
+
+    Each cycle is walked once from its greatest level, the anchor's.  Its
+    edge (y, z) is the factor that leaves the border visit
+    (x1 if y is even else x2, y) and reaches (x2 if z is even else x1, z)."""
+    x1, x2 = loop.x1, loop.x2
+    succ = dict(loop.effect.flow.edges)
     comps = []
-    for y in sorted(succ):
-        if y in seen:
+    # From the top down, each unvisited level is its cycle's greatest.
+    for top in sorted(succ, reverse=True):
+        if top not in succ:
             continue
-        cycle = [y]
-        z = succ[y]
-        while z != y:
+        cycle = [top]
+        z = succ.pop(top)
+        while z != top:
             cycle.append(z)
-            z = succ[z]
-        seen.update(cycle)
+            z = succ.pop(z)
         nodes = tuple(sorted(cycle))
         # Component node sets are level intervals.
         if nodes != tuple(range(nodes[0], nodes[-1] + 1)):
             raise InternalInconsistencyError(
                 f"component nodes {nodes} of {loop} are not an interval")
         ltr = nodes[0] % 2 == 0
-        anchor = (loop.x1 if ltr else loop.x2, nodes[-1])
-        cfs = tuple(f for f in factors if f.start[1] in cycle)
-        comps.append(Component(loop, nodes, ltr, anchor, cfs))
+        factors = tuple(
+            run.factor(x1, x2, run.index_of((x1 if y % 2 == 0 else x2, y)),
+                       run.index_of((x2 if z % 2 == 0 else x1, z)))
+            for y, z in zip(cycle, cycle[1:] + cycle[:1]))
+        comps.append(Component(loop, nodes, ltr, (x1 if ltr else x2, top),
+                               factors))
     comps.sort(key=lambda c: run.index_of(c.anchor))
     return comps
 
 
-def trace_of(run: Run, loop: Loop, comp: Component) -> Trace:
-    """Concatenate the component's factors in cycle order from the anchor."""
-    succ = loop.effect.flow.successor()
-    by_start = {f.start[1]: f for f in comp.factors}
-    order = []
-    y = comp.max_node
-    while True:
-        f = by_start[y]
-        order.append(f)
-        y = succ[y]
-        if y == comp.max_node:
-            break
+def trace_of(run: Run, comp: Component) -> str:
+    """The component's trace: its factors' outputs, joined from the anchor."""
+    factors, loop = comp.factors, comp.loop
     # The first factor is the crossing one, leaving from the anchor.
-    if order[0].start != comp.anchor or order[0].kind not in ("LR", "RL"):
+    if factors[0].start != comp.anchor or factors[0].kind not in ("LR", "RL"):
         raise InternalInconsistencyError(
             f"the trace of {comp.nodes} on {loop} does not start with the "
             f"crossing factor at its anchor {comp.anchor}")
     # Consecutive factors concatenate: matching states and level parity.
-    for a, b in zip(order, order[1:]):
+    for a, b in zip(factors, factors[1:]):
         if a.end[1] != b.start[1] or \
                 run.state_at(a.end) != run.state_at(b.start):
             raise InternalInconsistencyError(
                 f"factors ending at {a.end} and starting at {b.start} of a "
                 f"trace on {loop} do not concatenate")
-    out = "".join(run.factor_output(f) for f in order)
-    return Trace(comp, tuple(order), out)
+    return "".join(run.factor_output(f) for f in factors)
 
 
 # ---------------------------------------------------------------------------

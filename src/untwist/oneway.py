@@ -364,10 +364,10 @@ def verify_certificate(t: Transducer, cert: RefutationCertificate, *,
                          if (c.min_node, c.max_node) == levels), None)
             if comp is None or comp.anchor != anchor:
                 return False
-            tr = trace_of(run, loop, comp)
-            if table.render(tr.output) != trace or not tr.output:
+            output = trace_of(run, comp)
+            if table.render(output) != trace or not output:
                 return False
-            sides.append(AnchoredComponent(loop, comp, tr.output))
+            sides.append(AnchoredComponent(loop, comp, output))
         first, second = sides
         if not _pair_matches(run, rec.kind, first, second):
             return False

@@ -120,14 +120,16 @@ class Run:
         level parity whose next step reads outside, so factors never join."""
         assert 0 <= x1 < x2 <= self.word.omega
         borders = sorted(self.visits[x1] + self.visits[x2])
-        factors = []
-        for i, j in zip(borders, borders[1:]):
-            if x1 <= self.steps[i].read_index < x2:
-                start, end = self.locations[i], self.locations[j]
-                kind = ("L" if start[0] == x1 else "R") + \
-                       ("L" if end[0] == x1 else "R")
-                factors.append(Factor(kind, (x1, x2), start, end, (i, j)))
-        return factors
+        return [self.factor(x1, x2, i, j) for i, j in zip(borders, borders[1:])
+                if x1 <= self.steps[i].read_index < x2]
+
+    def factor(self, x1: int, x2: int, i: int, j: int) -> Factor:
+        """The factor of [x1, x2] that leaves the border visit at location
+        index i and next reaches a border at location index j."""
+        start, end = self.locations[i], self.locations[j]
+        kind = ("L" if start[0] == x1 else "R") + \
+               ("L" if end[0] == x1 else "R")
+        return Factor(kind, (x1, x2), start, end, (i, j))
 
     def factor_output(self, f: Factor) -> str:
         return self.output_between(f.step_range[0], f.step_range[1])

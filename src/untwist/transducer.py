@@ -251,9 +251,11 @@ def parse_transducer(text: str) -> Transducer:
             if s in (LEFT_TOKEN, RIGHT_TOKEN):
                 raise ParseError(f"symbol {s!r} is reserved for a delimiter",
                                  lineno)
-            # Words over multi-character symbols are written comma-separated.
-            if "," in s:
-                raise ParseError(f"symbol {s!r} contains ','", lineno)
+            # Words over multi-character symbols are written comma-separated,
+            # and outputs and words are quoted.
+            for ch in ',"':
+                if ch in s:
+                    raise ParseError(f"symbol {s!r} contains {ch!r}", lineno)
 
     lineno, in_syms = expect(1, "input")
     check_symbols(in_syms, lineno)

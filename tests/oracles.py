@@ -378,7 +378,7 @@ def effect_power(e, n: int):
 def component_factor_pattern(comp: Component) -> tuple[int, bool]:
     """Check the k*LL, 1*LR, k*RR run-order pattern (mirrored when
     right-to-left); returns (k, ok)."""
-    kinds = [f.kind for f in comp.factors]
+    kinds = [f.kind for f in sorted(comp.factors, key=lambda f: f.step_range)]
     first, cross, last = ("LL", "LR", "RR") if comp.left_to_right else \
         ("RR", "RL", "LL")
     k2, rest = 0, list(kinds)
@@ -405,7 +405,7 @@ def predicted_pump_output(run: Run, loop: Loop,
     assert idx == sorted(idx), "components must be listed in anchor order"
     parts = [run.output_upto(idx[0]) if comps else run.output]
     for i, comp in enumerate(comps):
-        parts.append(trace_of(run, loop, comp).output * m)
+        parts.append(trace_of(run, comp) * m)
         nxt = idx[i + 1] if i + 1 < len(comps) else len(run.steps)
         parts.append(run.output_between(idx[i], nxt))
     return "".join(parts)
@@ -424,7 +424,7 @@ def is_output_minimal(run: Run, loop: Loop, comp: Component) -> bool:
     spans = [f.step_range for f in comp.factors]
     for inner in subloops(run, loop):
         for ic in components_of(run, inner):
-            if not trace_of(run, inner, ic).output:
+            if not trace_of(run, ic):
                 continue
             for f in ic.factors:
                 i, k = f.step_range

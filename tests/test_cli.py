@@ -165,6 +165,20 @@ def test_comma_in_symbol_exit_65(tmp_path, capsys, alphabets, lineno):
         f"error: line {lineno}: symbol 'x,y' contains ','\n"
 
 
+@pytest.mark.parametrize("alphabets,lineno", [
+    ('input b"\\#" b\noutput b', 2), ('input b\noutput b"\\#" b', 3)])
+def test_quote_in_symbol_exit_65(tmp_path, capsys, alphabets, lineno):
+    # A quote inside a symbol would close a quoted output or word early, so
+    # the canonical text would not parse back.
+    path = tmp_path / "quote.tdx"
+    path.write_text(f"transducer C\n{alphabets}\nstates q\ninitial q\n"
+                    'final q\nt q |- R q ""\nt q b R q "b"\n'
+                    't q -| R q ""\n')
+    assert run_cli(["parse", str(path)]) == 65
+    assert capsys.readouterr().err == \
+        f"error: line {lineno}: symbol 'b\"#\"' contains '\"'\n"
+
+
 def test_refuted_length_counts_symbols(tmp_path, capsys):
     path = tmp_path / "copy_multi.tdx"
     path.write_text(COPY_MULTI)
@@ -221,7 +235,7 @@ def test_unexpected_exception_exit_70(tmp_path, monkeypatch, capsys):
                      "--max-len", "6", "--cert", str(cert_path))
     assert code == 1
 
-    def broken(run, loop, comp):
+    def broken(run, comp):
         raise AssertionError("checker bug")
     monkeypatch.setattr(oneway, "trace_of", broken)
     code = run_cli(["verify-cert", fx("T_COPY_AB"), "--cert", str(cert_path)])

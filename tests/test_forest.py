@@ -124,7 +124,7 @@ def test_extract_witness_on_pumped_copy_run(t_copy_ab):
     comp = next(c for c in components_of(run, w.loop)
                 if c.nodes == w.component.nodes)
     assert comp.anchor == w.anchor
-    assert trace_of(run, w.loop, comp).output == w.trace_output
+    assert trace_of(run, comp) == w.trace_output
 
 
 def test_extraction_completeness_on_pumped_runs(t_copy_ab):

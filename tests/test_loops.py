@@ -1,17 +1,20 @@
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given, settings
 
 from untwist.effects import effect_product
 from untwist.loops import Loop, components_of, enumerate_loops, pump, \
     trace_of
 from untwist.runs import Factor, InternalInconsistencyError, \
-    enumerate_runs, validate_run
+    enumerate_runs, runs_upto, validate_run
+from untwist.transducer import validate
 
-from .conftest import CORE_NAMES, domain_words
-from .oracles import (component_factor_pattern, is_output_minimal,
-                      predicted_pump_output, subloops)
+from .conftest import CORE_NAMES, FIXTURE_NAMES, domain_words
+from .oracles import (brute_intercepted_factors, component_factor_pattern,
+                      is_output_minimal, predicted_pump_output, subloops)
 from .test_runs import FIG_RUN
+from .test_transducer import transducers
 
 
 def test_t_id_loops_all_idempotent(t_id):
@@ -47,7 +50,7 @@ def test_three_component_loop_traces(t_threecomp):
     assert [c.nodes for c in comps] == [(0, 1, 2), (3, 4, 5), (6,)]
     assert [c.left_to_right for c in comps] == [True, False, True]
     assert [c.anchor for c in comps] == [(1, 2), (2, 5), (1, 6)]
-    traces = [trace_of(run, loop, c).output for c in comps]
+    traces = [trace_of(run, c) for c in comps]
     assert traces == ["jik", "qpr", "g"]
 
 
@@ -74,6 +77,46 @@ def test_component_shapes_on_fixtures(fixtures):
                         assert nodes == tuple(range(nodes[0], nodes[-1] + 1))
                         _, ok = component_factor_pattern(comp)
                         assert ok, (name, raw, loop, comp)
+
+
+def _assert_components_match_step_scan(run) -> int:
+    """Check each idempotent loop's components against the step scan: the
+    components' factors together are the loop's factors, and each component
+    holds the factors that start on its nodes, in cycle order from its
+    anchor.  Returns the number of loops checked."""
+    loops = enumerate_loops(run, idempotent_only=True)
+    for loop in loops:
+        scanned = brute_intercepted_factors(run, loop.x1, loop.x2)
+        comps = components_of(run, loop)
+        assert sorted((f for c in comps for f in c.factors),
+                      key=lambda f: f.step_range) == scanned, (run, loop)
+        for comp in comps:
+            factors = comp.factors
+            assert set(factors) == \
+                {f for f in scanned if f.start[1] in comp.nodes}
+            assert factors[0].start == comp.anchor
+            for a, b in zip(factors, factors[1:] + factors[:1]):
+                assert a.end[1] == b.start[1], (run, loop, comp)
+    return len(loops)
+
+
+def test_components_match_step_scan_on_fixtures(fixtures):
+    loops = 0
+    for name in FIXTURE_NAMES:
+        t = fixtures[name]
+        for _, word_runs in domain_words(t, 5 if name == "T_RUNNING" else 6):
+            for run in word_runs:
+                loops += _assert_components_match_step_scan(run)
+    assert loops == 11290
+
+
+@given(transducers(max_transitions=12))
+@settings(max_examples=60, deadline=None)
+def test_components_match_step_scan_random(t):
+    assume(validate(t).ok)
+    for _, runs in runs_upto(t, 4):
+        for run in runs:
+            _assert_components_match_step_scan(run)
 
 
 def test_component_top_level_balance(t_threecomp, t_copy_ab):
@@ -221,7 +264,7 @@ def test_pump_traversal_checks_raise(borders, message):
 
 def test_component_interval_check_raises():
     # A flow whose cycle {0, 2} skips level 1 is no loop effect.
-    flow = SimpleNamespace(successor=lambda: {0: 2, 1: 1, 2: 0})
+    flow = SimpleNamespace(edges=frozenset({(0, 2), (1, 1), (2, 0)}))
     loop = Loop(1, 2, SimpleNamespace(flow=flow), True)
     with pytest.raises(InternalInconsistencyError,
                        match=r"component nodes \(0, 2\) .* not an interval"):
@@ -239,27 +282,24 @@ def test_trace_output_is_sum_of_factor_outputs(t_threecomp):
     run = enumerate_runs(t_threecomp, t_threecomp.parse_input_text("mm"))[0]
     for loop in enumerate_loops(run, idempotent_only=True):
         for comp in components_of(run, loop):
-            tr = trace_of(run, loop, comp)
-            assert sorted(tr.cycle_factors, key=lambda f: f.step_range) == \
-                sorted(comp.factors, key=lambda f: f.step_range)
-            assert len(tr.output) == sum(
-                len(run.factor_output(f)) for f in comp.factors)
-
+            assert len(trace_of(run, comp)) == sum(
+                len(run.factor_output(f))
+                for f in brute_intercepted_factors(run, loop.x1, loop.x2)
+                if f.start[1] in comp.nodes)
 
 
 def test_trace_of_checks_raise(t_threecomp):
     # Raised, not asserted, so the checks also hold under python -O.
     run = enumerate_runs(t_threecomp, t_threecomp.parse_input_text("m"))[0]
-    loop, comp = next((l, c) for l in enumerate_loops(run,
-                                                      idempotent_only=True)
-                      for c in components_of(run, l) if len(c.factors) > 1)
+    comp = next(c for l in enumerate_loops(run, idempotent_only=True)
+                for c in components_of(run, l) if len(c.factors) > 1)
     with pytest.raises(InternalInconsistencyError, match="crossing factor"):
-        trace_of(run, loop, comp._replace(anchor=(0, 0)))
+        trace_of(run, comp._replace(anchor=(0, 0)))
     # The crossing factor now ends on a level no other factor starts on.
     factors = tuple(f._replace(end=(f.end[0], f.end[1] + 7))
                     if f.start == comp.anchor else f for f in comp.factors)
     with pytest.raises(InternalInconsistencyError, match="concatenate"):
-        trace_of(run, loop, comp._replace(factors=factors))
+        trace_of(run, comp._replace(factors=factors))
 
 # -- output minimality ---------------------------------------------------------
 
@@ -282,7 +322,7 @@ def test_wide_loop_pairs_not_output_minimal(t_copy_ab):
     wide = by_iv[(1, 3)]
     comps = components_of(run, wide)
     copying = [c for c in comps
-               if trace_of(run, wide, c).output]
+               if trace_of(run, c)]
     assert copying
     for comp in copying:
         assert not is_output_minimal(run, wide, comp)
@@ -302,5 +342,4 @@ def test_output_minimal_trace_within_achieved_bound(fixtures):
                 for loop in enumerate_loops(run, idempotent_only=True):
                     for comp in components_of(run, loop):
                         if is_output_minimal(run, loop, comp):
-                            tr = trace_of(run, loop, comp)
-                            assert len(tr.output) <= achieved
+                            assert len(trace_of(run, comp)) <= achieved

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import untwist.effects
 import untwist.oneway
 import untwist.runs
 from untwist.decomposition import (DIAGONAL, Decomposition, Piece,
@@ -28,6 +29,24 @@ def test_simulate_copy_abc(t_copy_abc):
     assert t_copy_abc.table.render(res.output) == "abcabcabcabc"
     positions = [e.position for e in res.transcript]
     assert positions == sorted(positions)
+
+
+def test_loop_factors_are_built_once(t_copy_abc, monkeypatch):
+    # Each loop's factors are merged once, for its effect; its components
+    # read them off the flow's edges.
+    effects_calls = spy(monkeypatch, untwist.effects, "effect_of_interval")
+    factor_calls = []
+    orig = untwist.runs.Run.intercepted_factors
+
+    def recorded(run, x1, x2):
+        factor_calls.append((x1, x2))
+        return orig(run, x1, x2)
+    monkeypatch.setattr(untwist.runs.Run, "intercepted_factors", recorded)
+    res = simulate_oneway(t_copy_abc,
+                          t_copy_abc.parse_input_text("abc" * 16))
+    assert res.present
+    assert len(effects_calls) > 0
+    assert len(factor_calls) == len(effects_calls)
 
 
 def test_replay_checks_raise(t_running, t_id):
@@ -105,10 +124,14 @@ def _renamed(t: Transducer, names: list[str]) -> Transducer:
                        for tr in t.transitions])
 
 
-# Distinct symbol names of one to three letters, at least one of them longer
-# than a character; enough for the fixture with the most symbols (eight).
-SYMBOL_NAMES = st.lists(st.text("abxy", min_size=1, max_size=3), min_size=8,
-                        max_size=8, unique=True).filter(
+# Distinct symbol names of one to three characters, at least one of them
+# longer than a character; enough for the fixture with the most symbols
+# (eight).  Besides letters they use the characters that run-dump and
+# certificate lines use as separators, but not the end markers.
+SYMBOL_NAMES = st.lists(
+    st.text("abxy/->:()[]#|", min_size=1, max_size=3).filter(
+        lambda name: name not in ("|-", "-|")),
+    min_size=8, max_size=8, unique=True).filter(
     lambda names: any(len(n) > 1 for n in names))
 
 

@@ -111,7 +111,7 @@ def _records():
 
 def test_records_refuse_attribute_assignment():
     records = list(_records())
-    assert len(records) == 31 and Effect in records
+    assert len(records) == 30 and Effect in records
     for cls in records:
         record = cls._make([None] * len(cls._fields))
         with pytest.raises(AttributeError):
