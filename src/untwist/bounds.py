@@ -1,20 +1,13 @@
 """Size constants derived from a transducer, and the symbolic master bound.
 
 The master bound grows like 2^(3 * effect_count) and is astronomically large
-for machines with two or more states, so it is kept in factored form and only
-materialized when the exponent fits under a configurable bit cap.  All
+for machines with two or more states, so it is kept in factored form.  All
 comparisons against word lengths go through :meth:`BoundFactored.admits`,
-which never materializes more than it has to.
+which builds the bound only when 2^exponent is at most the compared length.
 """
 from __future__ import annotations
 
 from typing import NamedTuple, Union
-
-DEFAULT_BIT_CAP = 1 << 20
-
-
-class BoundOverflowError(Exception):
-    """Materializing a bound whose exponent exceeds the bit cap."""
 
 
 class BoundFactored(NamedTuple):
@@ -24,34 +17,13 @@ class BoundFactored(NamedTuple):
     h_max: int
     exponent: int
 
-    def materialize(self, bit_cap: int = DEFAULT_BIT_CAP) -> int:
-        if self.c_max == 0 or self.h_max == 0:
-            return 0
-        if self.exponent > bit_cap:
-            raise BoundOverflowError(
-                f"bound exponent {self.exponent} exceeds bit cap {bit_cap}")
-        return self.c_max * self.h_max * ((1 << self.exponent) + 4)
-
     def admits(self, n: int) -> bool:
-        """Exact test for n <= bound, without materializing huge powers."""
-        if n <= 0:
-            return True
-        if self.c_max == 0 or self.h_max == 0:
-            return False
-        # c, h >= 1, so bound >= 2^exponent; n <= 2^exponent iff it fits.
-        if n.bit_length() <= self.exponent:
-            return True
-        # Here exponent < bit_length(n), so the value is small enough to build.
-        return n <= self.materialize(bit_cap=max(self.exponent, 64))
-
-    def bit_length(self) -> int:
-        if self.c_max == 0 or self.h_max == 0:
-            return 0
-        # (c*h) * 2^exponent dominates; the +4*c*h term never carries past it
-        # unless exponent is tiny, in which case we can afford to materialize.
-        if self.exponent <= 64:
-            return self.materialize().bit_length()
-        return (self.c_max * self.h_max).bit_length() + self.exponent
+        """Exact test for n <= bound.  A nonzero bound is at least
+        2^exponent, so it admits any n of at most `exponent` bits, and it is
+        built only when 2^exponent <= n."""
+        ch = self.c_max * self.h_max
+        return n <= 0 or (ch > 0 and (n.bit_length() <= self.exponent
+                                      or n <= ch * ((1 << self.exponent) + 4)))
 
     def __str__(self) -> str:
         return f"{self.c_max}*{self.h_max}*(2^{self.exponent}+4)"

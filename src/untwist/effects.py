@@ -2,9 +2,9 @@
 
 A flow is a functional graph on crossing-sequence levels; its edges record
 how the factors intercepted by an interval connect the two borders.  Effects
-pair a flow with the two border crossing sequences.  Products follow the
-four composition clauses with graph product and reflexive-transitive star;
-the dummy absorbing element is exposed as BOTTOM.
+pair a flow with the two border crossing sequences.  A product follows each
+path from an outer border through both flows, across the shared border, to
+where it leaves; the dummy absorbing element is exposed as BOTTOM.
 """
 from __future__ import annotations
 
@@ -40,10 +40,6 @@ class Flow(NamedTuple):
     h2: int
     edges: frozenset[Edge]
 
-    @property
-    def node_count(self) -> int:
-        return max(self.h1, self.h2)
-
     def partition(self) -> dict[str, frozenset[Edge]]:
         parts: dict[str, set[Edge]] = {"LL": set(), "LR": set(),
                                        "RL": set(), "RR": set()}
@@ -51,87 +47,46 @@ class Flow(NamedTuple):
             parts[_edge_kind(e)].add(e)
         return {k: frozenset(v) for k, v in parts.items()}
 
-    def __str__(self) -> str:
-        p = self.partition()
-        fmt = lambda key: ",".join(f"({a},{b})" for a, b in sorted(p[key]))
-        return (f"flow{{LL:{fmt('LL')}, LR:{fmt('LR')}, "
-                f"RL:{fmt('RL')}, RR:{fmt('RR')}}}")
-
 
 def flow_is_valid(h1: int, h2: int, edges: frozenset[Edge]) -> bool:
     """Degree discipline: out-edges on even levels < h1 and odd levels < h2,
     in-edges on odd levels < h1 and even levels < h2, one each, nothing else.
     """
-    n = max(h1, h2)
-    out_deg = {y: 0 for y in range(n)}
-    in_deg = {y: 0 for y in range(n)}
-    for y, z in edges:
-        if not (0 <= y < n and 0 <= z < n):
-            return False
-        out_deg[y] += 1
-        in_deg[z] += 1
-    for y in range(n):
-        want_out = 1 if ((y % 2 == 0 and y < h1) or (y % 2 == 1 and y < h2)) \
-            else 0
-        want_in = 1 if ((y % 2 == 1 and y < h1) or (y % 2 == 0 and y < h2)) \
-            else 0
-        if out_deg[y] != want_out or in_deg[y] != want_in:
-            return False
-    return True
-
-
-def make_flow(h1: int, h2: int, edges) -> Flow:
-    edges = frozenset(edges)
-    if not flow_is_valid(h1, h2, edges):
-        raise ValueError(f"invalid flow for borders ({h1},{h2}): {set(edges)}")
-    return Flow(h1, h2, edges)
-
-
-def _compose(a: frozenset[Edge], b: frozenset[Edge]) -> frozenset[Edge]:
-    by_src: dict[int, list[int]] = {}
-    for y, z in b:
-        by_src.setdefault(y, []).append(z)
-    return frozenset((y, w) for y, z in a for w in by_src.get(z, ()))
-
-
-def _star(edges: frozenset[Edge], universe: int) -> frozenset[Edge]:
-    """Reflexive-transitive closure; every level below `universe` is a node."""
-    reach = {y: {y} for y in range(universe)}
-    succ: dict[int, list[int]] = {}
-    for y, z in edges:
-        succ.setdefault(y, []).append(z)
-    changed = True
-    while changed:
-        changed = False
-        for y in range(universe):
-            new = set()
-            for z in reach[y]:
-                for w in succ.get(z, ()):
-                    if w not in reach[y]:
-                        new.add(w)
-            if new:
-                reach[y] |= new
-                changed = True
-    return frozenset((y, z) for y in range(universe) for z in reach[y])
+    levels = range(max(h1, h2))
+    return (sorted(y for y, _ in edges) == [y for y in levels
+                                            if y < (h1, h2)[y % 2]]
+            and sorted(z for _, z in edges) == [z for z in levels
+                                                if z < (h2, h1)[z % 2]])
 
 
 def flow_product(f, g):
-    """The composition F∘G, or BOTTOM when no valid flow satisfies it."""
-    if f is BOTTOM or g is BOTTOM:
+    """The composition F∘G, or BOTTOM when no valid flow satisfies it.
+
+    Each path starts on an outer border, at an even level into F or an odd
+    level into G, switches flows whenever an edge ends on the shared border
+    (an even target in F, an odd one in G), and gives the product edge from
+    its start to the level where it leaves on an outer border.  A path never
+    meets a shared level twice, so more than f.h2 switches mean the inputs
+    were no flows."""
+    if f is BOTTOM or g is BOTTOM or f.h2 != g.h1:
         return BOTTOM
-    if f.h2 != g.h1:
-        return BOTTOM
-    universe = max(f.node_count, g.node_count)
-    fp, gp = f.partition(), g.partition()
-    left_turns = _star(_compose(gp["LL"], fp["RR"]), universe)
-    right_turns = _star(_compose(fp["RR"], gp["LL"]), universe)
-    lr = _compose(_compose(fp["LR"], left_turns), gp["LR"])
-    rl = _compose(_compose(gp["RL"], right_turns), fp["RL"])
-    ll = fp["LL"] | _compose(
-        _compose(_compose(fp["LR"], left_turns), gp["LL"]), fp["RL"])
-    rr = gp["RR"] | _compose(
-        _compose(_compose(gp["RL"], right_turns), fp["RR"]), gp["LR"])
-    edges = frozenset(lr | rl | ll | rr)
+    succ = (dict(f.edges), dict(g.edges))
+    edges = set()
+    for start in range(max(f.h1, g.h2)):
+        z, side = start, start % 2
+        if start >= (f.h1, g.h2)[side]:
+            continue
+        for _ in range(f.h2 + 1):
+            z = succ[side].get(z)
+            if z is None:
+                return BOTTOM
+            if z % 2 != side:
+                edges.add((start, z))
+                break
+            side = 1 - side
+        else:
+            return BOTTOM
+    edges = frozenset(edges)
     if not flow_is_valid(f.h1, g.h2, edges):
         return BOTTOM
     return Flow(f.h1, g.h2, edges)
@@ -143,9 +98,6 @@ class Effect(NamedTuple):
     flow: Flow
     c1: tuple[str, ...]
     c2: tuple[str, ...]
-
-    def __str__(self) -> str:
-        return f"{self.flow}|{','.join(self.c1)}|{','.join(self.c2)}"
 
 
 @functools.lru_cache(maxsize=4096)

@@ -250,7 +250,10 @@ class _PrefixSearch:
                         continue
                     parity = y2 % 2
                     # Rightward steps land on even levels, leftward on odd.
-                    assert parity == (0 if tr.direction == RIGHT else 1)
+                    if parity != (0 if tr.direction == RIGHT else 1):
+                        raise InternalInconsistencyError(
+                            f"a step in direction {tr.direction} lands on "
+                            f"level {y2} at cut {x2}")
                     bit = bits[tr.target][parity]
                     if seen[x2] & bit:
                         continue    # normalization pruning

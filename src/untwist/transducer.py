@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple
 
-from .bounds import DEFAULT_BIT_CAP, BoundFactored, compare_on
+from .bounds import BoundFactored, compare_on
 
 LEFT_END = "\x02"   # input left delimiter
 RIGHT_END = "\x03"  # input right delimiter
@@ -154,9 +154,6 @@ class Constants(NamedTuple):
     h_max: int
     e_max: int
     bound_factored: BoundFactored
-
-    def bound(self, bit_cap: int = DEFAULT_BIT_CAP) -> int:
-        return self.bound_factored.materialize(bit_cap)
 
 
 def constants(t: Transducer) -> Constants:

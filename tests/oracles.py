@@ -5,8 +5,9 @@ oracle walks raw configurations and filters afterwards, the DFS oracle
 searches each word on its own, from scratch, the period oracle tries every
 shift, the factor oracle scans every step of the run where the library reads
 the visits to the two borders, the subrun oracle filters steps one by one,
-the inversion oracle tests every pair of anchored components, and the chain
-oracle tries every member at every depth.
+the flow oracle joins four clauses of edge relations where the library
+follows each path, the inversion oracle tests every pair of anchored
+components, and the chain oracle tries every member at every depth.
 
 The list versions of the periodicity check and the coverage classes scan
 the run's inversion list, pair by pair, where the library answers from
@@ -25,7 +26,7 @@ from typing import Optional
 from untwist.bounds import PeriodBound
 from untwist.decomposition import (BLOCK, DIAGONAL, CoverageClass,
                                    Decomposition, is_block, is_diagonal)
-from untwist.effects import effect_product
+from untwist.effects import BOTTOM, Flow, effect_product
 from untwist.inversions import (CO_INVERSION, INVERSION, Inversion,
                                 KInversion, PeriodIndex, PeriodReport,
                                 _pair_matches, anchored_components,
@@ -208,6 +209,77 @@ def brute_subrun_output(run: Run, lo: int, hi: int, x1: int, x2: int) -> str:
                 and x1 <= step.source[0] <= x2 and x1 <= step.target[0] <= x2:
             parts.append(step.output)
     return "".join(parts)
+
+
+def _compose(a: frozenset, b: frozenset) -> frozenset:
+    by_src: dict[int, list[int]] = {}
+    for y, z in b:
+        by_src.setdefault(y, []).append(z)
+    return frozenset((y, w) for y, z in a for w in by_src.get(z, ()))
+
+
+def _star(edges: frozenset, universe: int) -> frozenset:
+    """Reflexive-transitive closure; every level below `universe` is a node."""
+    reach = {y: {y} for y in range(universe)}
+    succ: dict[int, list[int]] = {}
+    for y, z in edges:
+        succ.setdefault(y, []).append(z)
+    changed = True
+    while changed:
+        changed = False
+        for y in range(universe):
+            new = set()
+            for z in reach[y]:
+                for w in succ.get(z, ()):
+                    if w not in reach[y]:
+                        new.add(w)
+            if new:
+                reach[y] |= new
+                changed = True
+    return frozenset((y, z) for y in range(universe) for z in reach[y])
+
+
+def counted_flow_is_valid(h1: int, h2: int, edges: frozenset) -> bool:
+    """The flow degree discipline, by counting each level's in- and
+    out-edges."""
+    n = max(h1, h2)
+    out_deg = {y: 0 for y in range(n)}
+    in_deg = {y: 0 for y in range(n)}
+    for y, z in edges:
+        if not (0 <= y < n and 0 <= z < n):
+            return False
+        out_deg[y] += 1
+        in_deg[z] += 1
+    for y in range(n):
+        want_out = 1 if ((y % 2 == 0 and y < h1) or (y % 2 == 1 and y < h2)) \
+            else 0
+        want_in = 1 if ((y % 2 == 1 and y < h1) or (y % 2 == 0 and y < h2)) \
+            else 0
+        if out_deg[y] != want_out or in_deg[y] != want_in:
+            return False
+    return True
+
+
+def four_clause_flow_product(f, g):
+    """F∘G from the LL/LR/RL/RR edge classes: relation products, with the
+    zig-zags across the shared border closed by reflexive-transitive star,
+    joined in the four composition clauses."""
+    if f is BOTTOM or g is BOTTOM or f.h2 != g.h1:
+        return BOTTOM
+    universe = max(f.h1, f.h2, g.h1, g.h2)
+    fp, gp = f.partition(), g.partition()
+    left_turns = _star(_compose(gp["LL"], fp["RR"]), universe)
+    right_turns = _star(_compose(fp["RR"], gp["LL"]), universe)
+    lr = _compose(_compose(fp["LR"], left_turns), gp["LR"])
+    rl = _compose(_compose(gp["RL"], right_turns), fp["RL"])
+    ll = fp["LL"] | _compose(
+        _compose(_compose(fp["LR"], left_turns), gp["LL"]), fp["RL"])
+    rr = gp["RR"] | _compose(
+        _compose(_compose(gp["RL"], right_turns), fp["RR"]), gp["LR"])
+    edges = frozenset(lr | rl | ll | rr)
+    if not counted_flow_is_valid(f.h1, g.h2, edges):
+        return BOTTOM
+    return Flow(f.h1, g.h2, edges)
 
 
 def independent_constants(q: int, c_max: int):

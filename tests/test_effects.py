@@ -1,17 +1,17 @@
+import itertools
 import math
 import random
-
-import pytest
 
 from untwist.effects import (BOTTOM, Effect, Flow, effect_of_interval,
                              effect_product, flow_is_valid, flow_of_interval,
                              flow_product, interval_effect_closure,
-                             is_idempotent, make_flow)
+                             is_idempotent)
 from untwist.runs import enumerate_runs
 from untwist.transducer import constants
 
 from .conftest import CORE_NAMES, domain_words
-from .oracles import effect_power
+from .oracles import (counted_flow_is_valid, effect_power,
+                      four_clause_flow_product)
 
 
 def zigzag_flow(t_zigzag):
@@ -176,10 +176,75 @@ def test_flow_product_border_mismatch_is_bottom():
 
 
 def test_make_flow_rejects_bad_degrees():
-    with pytest.raises(ValueError):
-        make_flow(1, 1, {(0, 0), (0, 1)})
-    with pytest.raises(ValueError):
-        make_flow(3, 3, {(0, 0)})
+    assert not flow_is_valid(1, 1, frozenset({(0, 0), (0, 1)}))
+    assert not flow_is_valid(3, 3, frozenset({(0, 0)}))
+
+
+# -- path-following product against the four-clause product -------------------
+
+def all_flows(max_border: int) -> list[Flow]:
+    """Every valid flow with both borders in 0..max_border."""
+    flows = []
+    for h1 in range(max_border + 1):
+        for h2 in range(max_border + 1):
+            levels = range(max(h1, h2))
+            sources = [y for y in levels if y < (h1, h2)[y % 2]]
+            targets = [z for z in levels if z < (h2, h1)[z % 2]]
+            if len(sources) == len(targets):
+                flows += [Flow(h1, h2, frozenset(zip(sources, perm)))
+                          for perm in itertools.permutations(targets)]
+    return flows
+
+
+def test_flow_is_valid_matches_degree_counts():
+    rng = random.Random(5)
+    for _ in range(20000):
+        h1, h2 = rng.randrange(6), rng.randrange(6)
+        n = max(h1, h2)
+        edges = frozenset((rng.randrange(-1, n + 1), rng.randrange(-1, n + 1))
+                          for _ in range(rng.randrange(n + 2)))
+        assert flow_is_valid(h1, h2, edges) == \
+            counted_flow_is_valid(h1, h2, edges)
+    for f in all_flows(5):
+        assert counted_flow_is_valid(*f)
+        for e in f.edges:
+            assert not flow_is_valid(f.h1, f.h2, f.edges - {e})
+
+
+def test_flow_product_matches_four_clauses_on_all_small_pairs():
+    flows = all_flows(5)
+    assert len(flows) == 236
+    for f in flows:
+        for g in flows:
+            assert flow_product(f, g) == four_clause_flow_product(f, g)
+
+
+def test_flow_product_matches_four_clauses_on_random_pairs():
+    rng = random.Random(20261019)
+    for _ in range(20000):
+        h = [rng.choice([1, 3, 5, 7, 9]) for _ in range(3)]
+        f, g = random_flow(rng, h[0], h[1]), random_flow(rng, h[1], h[2])
+        assert flow_product(f, g) == four_clause_flow_product(f, g)
+
+
+def test_flow_product_skips_unreachable_shared_cycle():
+    # F's edge (1, 2) and G's edge (2, 1) close a cycle on the shared
+    # border that no path from an outer level enters.
+    f = Flow(1, 3, frozenset({(0, 0), (1, 2)}))
+    g = Flow(3, 1, frozenset({(0, 0), (2, 1)}))
+    assert flow_is_valid(*f) and flow_is_valid(*g)
+    assert flow_product(f, g) == Flow(1, 1, frozenset({(0, 0)}))
+    assert four_clause_flow_product(f, g) == flow_product(f, g)
+
+
+def test_flow_product_of_invalid_flows_is_bottom():
+    g = Flow(1, 1, frozenset({(0, 0)}))
+    assert flow_product(Flow(1, 1, frozenset()), g) is BOTTOM
+    assert flow_product(g, Flow(1, 1, frozenset())) is BOTTOM
+    # Level 2 has two in-edges in F, so the path from level 0 runs
+    # 0 -> 2 -> 1 -> 2 -> ... across the shared border without end.
+    f = Flow(1, 3, frozenset({(0, 2), (1, 2)}))
+    assert flow_product(f, Flow(3, 1, frozenset({(0, 0), (2, 1)}))) is BOTTOM
 
 
 def test_equal_intervals_of_two_runs_give_equal_effects(t_id):

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import untwist.runs
-from untwist.runs import (CapExceeded, Run, dump_run, enumerate_runs,
-                          parse_run_dump, runs_upto, validate_run)
+from untwist.runs import (CapExceeded, InternalInconsistencyError, Run,
+                          dump_run, enumerate_runs, parse_run_dump, runs_upto,
+                          validate_run)
 from untwist.transducer import parse_transducer, validate, words_upto
 
 from .conftest import CORE_NAMES, FIXTURE_NAMES, domain_words, load_fixture
@@ -364,6 +365,17 @@ def test_negative_caps_are_rejected(caps):
         enumerate_runs(t, "ab", **caps)
     with pytest.raises(ValueError, match="is negative"):
         next(runs_upto(t, 2, **caps))
+
+
+def test_level_parity_break_raises(t_id, monkeypatch):
+    # A rightward step must land on an even level.  A stub that keeps every
+    # move on its own cut lands the first step, from (0, 0), on level 1, and
+    # the search raises; it is no assert, so it also fires under python -O.
+    monkeypatch.setattr(untwist.runs, "_advance", lambda loc, direction: loc[0])
+    with pytest.raises(InternalInconsistencyError, match="level 1 at cut 0"):
+        enumerate_runs(t_id, "a")
+    with pytest.raises(InternalInconsistencyError, match="level 1 at cut 0"):
+        next(runs_upto(t_id, 1))
 
 
 @given(transducers(max_transitions=12),

@@ -133,7 +133,9 @@ def test_constants_small_closed_forms():
     ])
     c = constants(t)
     assert (c.h_max, c.e_max) == (1, 4)
-    assert c.bound() == 1 * 1 * (2 ** 12 + 4) == 4100
+    b = c.bound_factored
+    assert b == (1, 1, 12)
+    assert b.admits(1 * 1 * (2 ** 12 + 4)) and not b.admits(4101)
 
 
 def test_constants_three_states():
@@ -149,12 +151,12 @@ def test_constants_bit_length_two_states():
                    [Transition("p", "a", "R", "q", ("a", "a"))])
     c = constants(t)
     assert c.c_max == 2 and c.h_max == 3 and 3 * c.e_max == 12288
-    assert c.bound_factored.bit_length() == 12291
     # Cross-check against a separately written big-integer evaluation.
     h, e, bound = independent_constants(2, 2)
     assert (h, e) == (c.h_max, c.e_max)
-    assert bound == c.bound()
     assert bound.bit_length() == 12291
+    assert c.bound_factored.admits(bound)
+    assert not c.bound_factored.admits(bound + 1)
 
 
 @pytest.mark.parametrize("q,c_max", [(1, 0), (1, 1), (2, 1), (2, 3), (3, 2)])
@@ -167,7 +169,8 @@ def test_constants_match_independent_evaluation(q, c_max):
     h, e, bound = independent_constants(q, c_max)
     assert (c.h_max, c.e_max) == (h, e)
     if bound is not None:
-        assert c.bound() == bound
+        assert c.bound_factored.admits(bound)
+        assert not c.bound_factored.admits(bound + 1)
 
 
 def test_symbolic_bound_comparisons():
