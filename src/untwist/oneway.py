@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .bounds import PeriodBound, bound_admits, compare_on
 from .decomposition import BLOCK, DIAGONAL, Decomposition, build_decomposition
@@ -21,9 +21,9 @@ from .inversions import (CO_INVERSION, INVERSION, AnchoredComponent,
                          Inversion, PeriodIndex, _divisors, _pair_matches,
                          enumerate_k_inversions, inversion_word,
                          k_inversion_safe)
-from .runs import (CapExceeded, InternalInconsistencyError, Run, dump_run,
-                   dump_transitions, enumerate_runs, replay, runs_upto,
-                   validate_run)
+from .runs import (CapExceeded, DelimitedInput, InternalInconsistencyError,
+                   Run, arrivals_upto, dump_run, dump_transitions,
+                   enumerate_runs, output_conflict, replay, validate_run)
 from .transducer import Transducer, constants, serialize_transducer
 from .effects import effect_of_interval, is_idempotent
 from .loops import Loop, components_of, trace_of
@@ -33,16 +33,16 @@ class FunctionalityError(Exception):
     """The transducer produced two outputs for one input."""
 
 
-def _check_functional(t: Transducer, raw: str, runs: list[Run]) -> None:
-    """Raise FunctionalityError when the runs on `raw` disagree on the
-    output, naming the first two outputs in run order, as
+def _check_functional(t: Transducer, raw: str, runs) -> None:
+    """Raise FunctionalityError when the runs (or arrivals) on `raw`
+    disagree on the output, naming the first two outputs in run order, as
     `check_functional_bounded` reports them."""
-    outputs = list(dict.fromkeys(run.output for run in runs))
-    if len(outputs) > 1:
+    conflict = output_conflict(runs)
+    if conflict is not None:
         render = t.table.render
         raise FunctionalityError(
-            f"input {render(raw)!r} has outputs {render(outputs[0])!r} "
-            f"and {render(outputs[1])!r}")
+            f"input {render(raw)!r} has outputs {render(conflict[0])!r} "
+            f"and {render(conflict[1])!r}")
 
 
 class TranscriptEntry(NamedTuple):
@@ -404,16 +404,6 @@ class Verdict(NamedTuple):
     note: str = ""
 
 
-def _functional_runs(t: Transducer, max_len: int, cap_runs: int
-                     ) -> Iterator[tuple[str, list[Run]]]:
-    """Every input up to max_len with its runs, enumerated once and shared
-    across inputs with a common prefix; raises FunctionalityError at the
-    first input whose runs disagree on the output."""
-    for raw, runs in runs_upto(t, max_len, cap_runs=cap_runs):
-        _check_functional(t, raw, runs)
-        yield raw, runs
-
-
 def _first_unsafe_run(t: Transducer, max_len: int, cap_runs: int, k: int,
                       bound: PeriodBound, cap_chains: float, counter: str
                       ) -> tuple[Optional[tuple[str, Run, tuple[Inversion, ...]]],
@@ -423,17 +413,24 @@ def _first_unsafe_run(t: Transducer, max_len: int, cap_runs: int, k: int,
     none up to max_len), and the search counters; `counter` counts the
     chains checked.
 
-    After a witness, or a CapExceeded from the chain search, the scan goes
-    on to max_len checking functionality only: a non-functional input or a
-    run-cap CapExceeded anywhere up to max_len takes precedence."""
+    Every input is enumerated once, its runs shared across inputs with a
+    common prefix, and a `Run` is built only for an arrival that may invert
+    (every k-inversion starts with an inversion).  A non-functional input,
+    or a run-cap CapExceeded, anywhere up to max_len takes precedence over
+    a witness or a CapExceeded from the chain search: after either, the
+    scan goes on to max_len checking functionality only."""
     stats = {"inputs": 0, "runs": 0, counter: 0}
     found = held = None
-    for raw, runs in _functional_runs(t, max_len, cap_runs):
+    for raw, arrivals in arrivals_upto(t, max_len, cap_runs=cap_runs):
+        _check_functional(t, raw, arrivals)
         if found is not None or held is not None:
             continue
         stats["inputs"] += 1
-        for run in runs:
+        for arrival in arrivals:
             stats["runs"] += 1
+            if not arrival.may_invert:
+                continue
+            run = Run(t, DelimitedInput.of(raw), arrival.steps)
             periods = PeriodIndex(run, bound)
             try:
                 for ki in enumerate_k_inversions(run, k, cap=cap_chains):

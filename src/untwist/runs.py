@@ -60,6 +60,17 @@ class Factor(NamedTuple):
         return (self.start[1], self.end[1])
 
 
+class Arrival(NamedTuple):
+    """A run as the search finds it, before its anatomy is built."""
+
+    steps: list[Step]
+    may_invert: bool    # see `_PrefixSearch.close`
+
+    @property
+    def output(self) -> str:
+        return "".join(s.output for s in self.steps)
+
+
 class Run:
     """A successful (normalized, unless built by pumping) two-way run."""
 
@@ -207,19 +218,27 @@ class _PrefixSearch:
         self._walk(frontier, padded, arrive)
         return tuple(entries) or None
 
-    def close(self, frontier: tuple, word: DelimitedInput) -> list[Run]:
-        """The runs on word, grown from the frontier of a prefix of
-        word.padded."""
+    def close(self, frontier: tuple, padded: str) -> list[Arrival]:
+        """The runs on padded, grown from the frontier of a prefix of it.
+
+        An arrival may invert when two inner cuts 1 <= x < omega have a
+        crossing of length >= 3 with the same (state, level parity) pairs.
+        Every inversion needs two such cuts with one crossing sequence (the
+        single-pass lemma in `inversions.multi_pass_components`); a cut's
+        visits set distinct bits of its mask, which therefore also fixes the
+        length."""
         t, cap_runs = self.t, self.cap_runs
-        runs: list[Run] = []
+        n = len(padded)
+        arrivals: list[Arrival] = []
 
         def arrive(state, steps, levels, seen):
             if state in t.finals:
-                if len(runs) >= cap_runs:
+                if len(arrivals) >= cap_runs:
                     raise CapExceeded(f"run cap {cap_runs} exceeded")
-                runs.append(Run(t, word, steps))
-        self._walk(frontier, word.padded, arrive)
-        return runs
+                masks = [s for c, s in zip(levels[1:n], seen[1:n]) if c >= 3]
+                arrivals.append(Arrival(steps, len(set(masks)) < len(masks)))
+        self._walk(frontier, padded, arrive)
+        return arrivals
 
     def _walk(self, frontier: tuple, padded: str, arrive) -> None:
         """Continue each entry's DFS over padded until its branches first
@@ -281,8 +300,10 @@ class _PrefixSearch:
 def enumerate_runs(t: Transducer, raw: str, *,
                    cap_runs: int = 10**5) -> list[Run]:
     """All normalized successful runs on |-raw-|, in canonical DFS order."""
+    word = DelimitedInput.of(raw)
     search = _PrefixSearch(t, cap_runs)
-    return search.close(search.start, DelimitedInput.of(raw))
+    return [Run(t, word, a.steps)
+            for a in search.close(search.start, word.padded)]
 
 
 # The most frontiers `runs_upto` keeps for one prefix length.
@@ -292,7 +313,15 @@ _KEPT_FRONTIERS = 256
 def runs_upto(t: Transducer, max_len: int, *, cap_runs: int = 10**5
               ) -> Iterator[tuple[str, list[Run]]]:
     """Every word of `words_upto(t, max_len)`, in that order, with its runs
-    as `enumerate_runs` gives them, or the CapExceeded it raises.
+    as `enumerate_runs` gives them, or the CapExceeded it raises."""
+    for raw, arrivals in arrivals_upto(t, max_len, cap_runs=cap_runs):
+        word = DelimitedInput.of(raw)
+        yield raw, [Run(t, word, a.steps) for a in arrivals]
+
+
+def arrivals_upto(t: Transducer, max_len: int, *, cap_runs: int = 10**5
+                  ) -> Iterator[tuple[str, list[Arrival]]]:
+    """`runs_upto` with each run as its `Arrival`.
 
     The partial runs on a prefix are grown at most once for each length of
     the words that extend it, and shared by those words; a prefix no run
@@ -338,7 +367,16 @@ def runs_upto(t: Transducer, max_len: int, *, cap_runs: int = 10**5
         if frontier is None:
             yield raw, []
             continue
-        yield raw, search.close(frontier, DelimitedInput.of(raw))
+        yield raw, search.close(frontier, LEFT_END + raw + RIGHT_END)
+
+
+def output_conflict(runs) -> Optional[tuple[str, str]]:
+    """The first two distinct outputs, in run order, of one word's runs or
+    arrivals; None when they agree, as a lone run always does."""
+    if len(runs) < 2:
+        return None
+    outputs = list(dict.fromkeys(r.output for r in runs))
+    return (outputs[0], outputs[1]) if len(outputs) > 1 else None
 
 
 def replay(t: Transducer, raw: str,

@@ -415,12 +415,9 @@ def check_functional_bounded(t: Transducer, max_len: int, *,
     """
     from . import runs as _runs  # local import: runs depends on this module
 
-    for word, runs in _runs.runs_upto(t, max_len, cap_runs=cap_runs):
-        outs = []
-        for run in runs:
-            if run.output not in outs:
-                outs.append(run.output)
-            if len(outs) > 1:
-                return ("witness", t.table.render(word),
-                        t.table.render(outs[0]), t.table.render(outs[1]))
+    for word, arrivals in _runs.arrivals_upto(t, max_len, cap_runs=cap_runs):
+        conflict = _runs.output_conflict(arrivals)
+        if conflict is not None:
+            return ("witness", t.table.render(word),
+                    *map(t.table.render, conflict))
     return ("functional-up-to", max_len)

@@ -228,13 +228,16 @@ def test_one_pass_sweeping_derives_only_multi_pass_loops(fixtures,
 
 
 def test_sweeping_derives_one_anchored_list_per_run(t_copy_ab, monkeypatch):
-    # At k >= 2 both kinds of member come from one anchored list per run.
+    # At k >= 2 both kinds of member come from one anchored list per run
+    # searched, except the run on the empty word: it has one inner cut, so
+    # it cannot hold an inversion and is never built.
     anchored = spy(monkeypatch, inversions, "anchored_components")
     enumerated = spy(monkeypatch, inversions, "enumerate_inversions")
     v = decide_sweeping_bounded(t_copy_ab, 2, 5)
     assert v.kind == "refuted"
     runs = [args[0] for args in anchored]
-    assert len(runs) == v.searched["runs"] > 0
+    assert [run.word.raw for run in runs] == ["a", "b", "aa", "ab"]
+    assert v.searched["runs"] == 5
     assert len({id(run) for run in runs}) == len(runs)
     assert [(args[0], args[1]) for args in enumerated] == \
         [(run, kind) for run in runs for kind in (INVERSION, CO_INVERSION)]

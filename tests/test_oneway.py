@@ -398,16 +398,16 @@ def test_later_nonfunctional_input_beats_chain_cap(monkeypatch):
 
 def test_deciders_enumerate_each_input_once(t_copy_ab, monkeypatch):
     # Each decider draws every input, in words_upto order, from one
-    # runs_upto call, and never enumerates a word on its own.
+    # arrivals_upto call, and never enumerates a word on its own.
     single = spy(monkeypatch, untwist.runs, "enumerate_runs")
-    shared = spy(monkeypatch, untwist.runs, "runs_upto")
-    recorded, inputs = untwist.oneway.runs_upto, []
+    shared = spy(monkeypatch, untwist.runs, "arrivals_upto")
+    recorded, inputs = untwist.oneway.arrivals_upto, []
 
     def draining(*args, **kwargs):
-        for raw, runs in recorded(*args, **kwargs):
+        for raw, arrivals in recorded(*args, **kwargs):
             inputs.append(raw)
-            yield raw, runs
-    monkeypatch.setattr(untwist.oneway, "runs_upto", draining)
+            yield raw, arrivals
+    monkeypatch.setattr(untwist.oneway, "arrivals_upto", draining)
     v = decide_oneway_bounded(t_copy_ab, 9)
     assert v.kind == "refuted"
     assert v.searched == {"inputs": 5, "runs": 5, "inversions": 7}
@@ -420,3 +420,56 @@ def test_deciders_enumerate_each_input_once(t_copy_ab, monkeypatch):
     assert [args[1] for args in shared] == [6]
     assert inputs == list(words_upto(t_copy_ab, 6))
     assert single == []
+
+
+def _count_runs_built(monkeypatch) -> list:
+    built, init = [], untwist.runs.Run.__init__
+
+    def counted(run, *args):
+        built.append(args[1].raw)
+        init(run, *args)
+    monkeypatch.setattr(untwist.runs.Run, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("name,max_len,inputs,built", [
+    ("T_RUNNING", 7, 21845, 4799), ("T_ID", 6, 127, 0)])
+def test_deciders_build_runs_only_where_an_inversion_can_be(
+        name, max_len, inputs, built, monkeypatch):
+    # No fixture word has two runs, so one Run is built per arrival that
+    # may invert (see `_PrefixSearch.close`), and none for the others.
+    runs = _count_runs_built(monkeypatch)
+    v = decide_oneway_bounded(load_fixture(name), max_len)
+    assert v.kind == "no-counterexample"
+    assert v.searched["inputs"] == v.searched["runs"] == inputs
+    assert len(runs) == built
+
+
+def _copy_ab_two_rewinds() -> Transducer:
+    """T_COPY_AB with its rewind duplicated: every word in the domain has
+    two runs, which agree on the output."""
+    text = (FIXTURE_DIR / "T_COPY_AB.tdx").read_text()
+    text = text.replace("transducer T_COPY_AB", "transducer T_COPY_AB_TWICE")
+    text = text.replace("states p1 rw p2 fin", "states p1 rw p2 fin rw2")
+    return parse_transducer(text + 't p1 -| L rw2 ""\nt rw2 a L rw2 ""\n'
+                            't rw2 b L rw2 ""\nt rw2 |- R p2 ""\n')
+
+
+def test_functional_machine_with_two_runs_per_word(t_copy_ab):
+    t = _copy_ab_two_rewinds()
+    assert all(len(runs) == 2 for _, runs in domain_words(t, 4))
+    assert check_functional_bounded(t, 6) == ("functional-up-to", 6)
+    for text in ("", "aa", "ab"):
+        raw = t.parse_input_text(text)
+        assert simulate_oneway(t, raw).output \
+            == simulate_oneway(t_copy_ab, raw).output
+    for decide in (decide_oneway_bounded,
+                   lambda t, n: decide_sweeping_bounded(t, 2, n)):
+        v, expected = decide(t, 9), decide(t_copy_ab, 9)
+        assert v == expected._replace(certificate=v.certificate)
+        assert v.certificate.input_text == expected.certificate.input_text
+        assert verify_certificate(t, v.certificate)
+        # Both runs of each earlier input are searched, then the first run
+        # on ab refutes.
+        assert v.searched["inputs"] == expected.searched["inputs"] == 5
+        assert v.searched["runs"] == 9

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import untwist.runs
-from untwist.runs import (CapExceeded, InternalInconsistencyError, Run,
+from untwist.runs import (CapExceeded, DelimitedInput,
+                          InternalInconsistencyError, Run, arrivals_upto,
                           dump_run, enumerate_runs, parse_run_dump, runs_upto,
                           validate_run)
 from untwist.transducer import parse_transducer, validate, words_upto
@@ -383,3 +384,44 @@ def test_level_parity_break_raises(t_id, monkeypatch):
 @settings(max_examples=60, deadline=None)
 def test_caps_fire_at_the_same_input_random(t, caps):
     _assert_same_as_brute(t, 4, **caps)
+
+
+# -- the inversion filter against crossing sequences ------------------------
+
+def _filter_census(t, max_len) -> tuple[int, int, int]:
+    """(runs, arrivals that may invert, runs with a repeated crossing) up to
+    max_len.  A run has a repeated crossing when two inner cuts
+    1 <= x < omega share a crossing sequence of length >= 3, which every
+    inversion needs; each such run must be flagged, or its inversions would
+    be dropped unseen."""
+    runs = flagged = repeated = 0
+    for raw, arrivals in arrivals_upto(t, max_len):
+        word = DelimitedInput.of(raw)
+        for arrival in arrivals:
+            run = Run(t, word, arrival.steps)
+            multi = [run.crossing(x) for x in range(1, word.omega)
+                     if len(run.crossing(x)) >= 3]
+            has_repeat = len(set(multi)) < len(multi)
+            assert arrival.may_invert or not has_repeat, (raw, run.steps)
+            assert arrival.output == run.output
+            runs += 1
+            flagged += arrival.may_invert
+            repeated += has_repeat
+    return runs, flagged, repeated
+
+
+@pytest.mark.parametrize("name,counts", [
+    ("T_ID", (127, 0, 0)), ("T_COPY_ABC", (3, 2, 2)),
+    ("T_COPY_AB", (127, 126, 126)), ("T_MIRROR", (127, 126, 126)),
+    ("T_RUNNING", (1365, 211, 211)), ("T_ZIGZAG", (7, 6, 6)),
+    ("T_THREECOMP", (7, 6, 6)),
+])
+def test_filter_flags_every_repeated_crossing(name, counts):
+    t = load_fixture(name)
+    assert _filter_census(t, 5 if name == "T_RUNNING" else 6) == counts
+
+
+@given(transducers(max_transitions=12))
+@settings(max_examples=60, deadline=None)
+def test_filter_flags_every_repeated_crossing_random(t):
+    _filter_census(t, 4)
