@@ -41,8 +41,7 @@ def main(name: str, max_len: int) -> int:
                   f"{'yes' if arrival.may_invert else 'no':>4}")
     print(f"runs {runs}, flagged {flagged}, with inversions {with_inversions}")
     if missed:
-        print(f"{missed} runs with an inversion are not flagged",
-              file=sys.stderr)
+        print(f"unflagged runs with an inversion: {missed}", file=sys.stderr)
     return 1 if missed else 0
 
 

@@ -422,23 +422,18 @@ def test_deciders_enumerate_each_input_once(t_copy_ab, monkeypatch):
     assert single == []
 
 
-def _count_runs_built(monkeypatch) -> list:
-    built, init = [], untwist.runs.Run.__init__
-
-    def counted(run, *args):
-        built.append(args[1].raw)
-        init(run, *args)
-    monkeypatch.setattr(untwist.runs.Run, "__init__", counted)
-    return built
-
-
 @pytest.mark.parametrize("name,max_len,inputs,built", [
     ("T_RUNNING", 7, 21845, 4799), ("T_ID", 6, 127, 0)])
 def test_deciders_build_runs_only_where_an_inversion_can_be(
         name, max_len, inputs, built, monkeypatch):
     # No fixture word has two runs, so one Run is built per arrival that
     # may invert (see `_PrefixSearch.close`), and none for the others.
-    runs = _count_runs_built(monkeypatch)
+    runs, init = [], untwist.runs.Run.__init__
+
+    def counted(run, *args):
+        runs.append(run)
+        init(run, *args)
+    monkeypatch.setattr(untwist.runs.Run, "__init__", counted)
     v = decide_oneway_bounded(load_fixture(name), max_len)
     assert v.kind == "no-counterexample"
     assert v.searched["inputs"] == v.searched["runs"] == inputs
