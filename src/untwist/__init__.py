@@ -20,9 +20,9 @@ _EXPORTS = {
     "loops": ("Loop", "components_of", "enumerate_loops", "pump", "trace_of"),
     "forest": ("FactorizationForest", "RamseyWitness", "build_forest",
                "ramsey_extract", "verify_forest"),
-    "inversions": ("Inversion", "KInversion", "PeriodIndex",
-                   "enumerate_inversions", "enumerate_k_inversions",
-                   "fine_wilf_check", "has_dividing_period", "inversion_word",
+    "inversions": ("Inversion", "enumerate_inversions",
+                   "enumerate_k_inversions", "fine_wilf_check",
+                   "has_dividing_period", "inversion_safe", "inversion_word",
                    "inversions_of", "k_inversion_safe", "smallest_period"),
     "decomposition": ("Decomposition", "build_decomposition",
                       "block_interval", "coverage_classes", "is_block",

@@ -18,8 +18,8 @@ import sys
 import time
 
 from .decomposition import InternalInconsistencyError, build_decomposition
-from .inversions import (INVERSION, PeriodIndex, anchored_components,
-                         enumerate_inversions)
+from .inversions import (INVERSION, anchored_components, enumerate_inversions,
+                         inversion_safe)
 from .loops import enumerate_loops, pump
 from .oneway import (FunctionalityError, certificate_text, decide_oneway_bounded,
                      decide_sweeping_bounded, parse_certificate,
@@ -123,8 +123,7 @@ def cmd_analyze(args, t):
                 f"({comp.anchor[0]},{comp.anchor[1]}) trace "
                 f'"{t.table.render(a.trace_output)}"')
         inversions = enumerate_inversions(run, INVERSION, anchored)
-        periods = PeriodIndex(run, bound)
-        unsafe = sum(not periods.safe(inv) for inv in inversions)
+        unsafe = sum(not inversion_safe(run, bound, inv) for inv in inversions)
         lines.append(f"  inversions: {len(inversions)} ({unsafe} unsafe)")
         details.append({"run": i, "loops": len(loops),
                         "idempotent": len(idem),

@@ -124,7 +124,8 @@ def is_diagonal(run: Run, l1: Location, l2: Location, bound: PeriodBound
     """
     i1, i2 = run.index_of(l1), run.index_of(l2)
     x1, x2 = l1[0], l2[0]
-    assert x1 <= x2 and i1 <= i2
+    if x1 > x2 or i1 > i2:
+        raise ValueError("l1 must be no right of l2 and no later in the run")
     # Desk-scale fast path: a bound admitting the whole output admits any Z.
     check_bounds = not bound_admits(bound, len(run.output))
     omega = run.word.omega
@@ -158,7 +159,8 @@ def is_block(run: Run, l1: Location, l2: Location, bound: PeriodBound
     """
     i1, i2 = run.index_of(l1), run.index_of(l2)
     x1, x2 = l1[0], l2[0]
-    assert x1 <= x2
+    if x1 > x2:
+        raise ValueError("l1 must be no right of l2")
     omega = run.word.omega
     left_word = run.subrun_output(i1, i2, 0, x1)
     right_word = run.subrun_output(i1, i2, x2, omega)

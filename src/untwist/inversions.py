@@ -49,10 +49,6 @@ class Inversion(NamedTuple):
     first: AnchoredComponent
     second: AnchoredComponent
 
-    @property
-    def anchors(self):
-        return (self.first.anchor, self.second.anchor)
-
 
 class PeriodReport(NamedTuple):
     word: str
@@ -64,10 +60,6 @@ class PeriodReport(NamedTuple):
     @property
     def safe(self) -> bool:
         return self.found_period is not None
-
-
-class KInversion(NamedTuple):
-    members: tuple[Inversion, ...]
 
 
 def anchored_components(run: Run, loops: list[Loop]
@@ -284,7 +276,8 @@ def _divisors(n: int) -> list[int]:
 def has_dividing_period(word, len1: int, len2: int,
                         bound: PeriodBound) -> Optional[int]:
     """Smallest period of `word` dividing gcd(len1, len2) and <= bound."""
-    assert len1 >= 1 and len2 >= 1
+    if len1 < 1 or len2 < 1:
+        raise ValueError("both trace lengths must be positive")
     g = math.gcd(len1, len2)
     n = len(word)
     for p in _divisors(g):
@@ -302,9 +295,30 @@ def period_report(run: Run, inv: Inversion, bound: PeriodBound) -> PeriodReport:
                         has_dividing_period(w, l1, l2, bound))
 
 
-class PeriodIndex:
-    """`period_report(run, inv, bound).safe` for the inversions of one run,
-    without building their words.
+def _side(run: Run, a: AnchoredComponent) -> tuple:
+    """(root length r of a's trace, the root, output offset of a's anchor,
+    whether the output continues with the root there, whether it ends with
+    it there)."""
+    trace, out = a.trace_output, run.output
+    r = (trace + trace).find(trace, 1)
+    root = trace[:r]
+    off = run.out_prefix[run.index_of(a.anchor)]
+    return r, root, off, out.startswith(root, off), out.endswith(root, 0, off)
+
+
+def _sides_safe(run: Run, bound: PeriodBound, sa: tuple, sb: tuple) -> bool:
+    r, root1, s, starts, _ = sa
+    r2, root2, e, _, ends = sb
+    if r != r2 or not bound_admits(bound, r):
+        return False
+    out = run.output
+    if e - s < r:
+        return has_period(root1 + out[s:e] + root2, r)
+    return starts and ends and has_period(out[s:e], r)
+
+
+def inversion_safe(run: Run, bound: PeriodBound, inv: Inversion) -> bool:
+    """`period_report(run, inv, bound).safe`, without building the word.
 
     Let w = tr1 · out[s:e] · tr2, and r1, r2 the lengths of the primitive
     roots of tr1 and tr2 (a word u has a period p dividing |u| exactly when
@@ -317,66 +331,11 @@ class PeriodIndex:
 
     Every two letters r apart in w lie in tr1, in tr2 or in the window
     tr1[-r:] · out[s:e] · tr2[:r].  When e - s >= r, the window has period
-    r exactly when out[s:e] has it, a lookup in a table built by one
-    right-to-left pass over the output, and both junctions agree over r
-    letters.  A shorter window is checked as a word.
-
-    Tables fill on first use, so build one index per run and bound, and
-    drop it with the run.
+    r exactly when out[s:e] has it and both junctions agree over r letters.
+    A shorter window is checked as a word.
     """
-
-    def __init__(self, run: Run, bound: PeriodBound):
-        self.run = run
-        self.bound = bound
-        self._admits: dict[int, bool] = {}          # r -> bound admits r
-        self._agree: dict[int, list[int]] = {}      # r -> agreement runs
-        self._sides: dict[int, tuple] = {}          # id -> see _side
-
-    def _agreement(self, p: int) -> list[int]:
-        """agree[k]: how many indices from k on have out[i] == out[i + p];
-        out[s:e] has period p exactly when agree[s] >= e - s - p."""
-        agree = self._agree.get(p)
-        if agree is None:
-            out = self.run.output
-            agree = [0] * (len(out) + 1)
-            for k in range(len(out) - p - 1, -1, -1):
-                if out[k] == out[k + p]:
-                    agree[k] = agree[k + 1] + 1
-            self._agree[p] = agree
-        return agree
-
-    def _side(self, a: AnchoredComponent) -> tuple:
-        """(a, root length r, root, output offset of the anchor, whether the
-        output continues with the root there, whether it ends with it
-        there), kept by id; holding `a` keeps its id from reuse."""
-        trace, out = a.trace_output, self.run.output
-        r = (trace + trace).find(trace, 1)
-        root = trace[:r]
-        off = self.run.out_prefix[self.run.index_of(a.anchor)]
-        side = self._sides[id(a)] = (a, r, root, off,
-                                     out.startswith(root, off),
-                                     out.endswith(root, 0, off))
-        if r not in self._admits:
-            self._admits[r] = bound_admits(self.bound, r)
-        return side
-
-    def safe(self, inv: Inversion) -> bool:
-        a, b = inv.first, inv.second
-        sa, sb = self._sides.get(id(a)), self._sides.get(id(b))
-        if sa is None or sa[0] is not a:
-            sa = self._side(a)
-        if sb is None or sb[0] is not b:
-            sb = self._side(b)
-        return self._sides_safe(sa, sb)
-
-    def _sides_safe(self, sa: tuple, sb: tuple) -> bool:
-        _, r, root1, s, starts, _ = sa
-        _, r2, root2, e, _, ends = sb
-        if r != r2 or not self._admits[r]:
-            return False
-        if e - s < r:
-            return has_period(root1 + self.run.output[s:e] + root2, r)
-        return starts and ends and self._agreement(r)[s] >= e - s - r
+    return _sides_safe(run, bound, _side(run, inv.first),
+                       _side(run, inv.second))
 
 
 def first_unsafe_inversion(run: Run, bound: PeriodBound,
@@ -389,16 +348,30 @@ def first_unsafe_inversion(run: Run, bound: PeriodBound,
     No pair is listed on the way.  The separated partners of a component a
     are a prefix by loop right end of the components anchored later, so
     prefix-max trees over loop right ends tell whether all of them are safe
-    (see `PeriodIndex`): their root lengths must all be a's r, which the
+    (see `inversion_safe`): their root lengths must all be a's r, which the
     bound admits, and each window of r letters or more needs a's root to
     start at its anchor, b's root to end at its own, and the output between
-    to have period r.  The shorter windows, a short run of positions after
-    a, and a's partners on its own loop are checked one by one.  Only the
-    first a with an unsafe partner lists its partners.
+    to have period r, read off a table built by one right-to-left pass over
+    the output.  The shorter windows, a short run of positions after a, and
+    a's partners on its own loop are checked one by one.  Only the first a
+    with an unsafe partner lists its partners.
     """
-    periods = PeriodIndex(run, bound)
-    sides = [periods._side(a) for a in anchored]
-    offs = [side[3] for side in sides]
+    out = run.output
+    agreements: dict[int, list[int]] = {}
+
+    def agreement(p: int) -> list[int]:
+        """agree[k]: how many indices from k on have out[i] == out[i + p];
+        out[s:e] has period p exactly when agree[s] >= e - s - p."""
+        agree = agreements.get(p)
+        if agree is None:
+            agree = agreements[p] = [0] * (len(out) + 1)
+            for k in range(len(out) - p - 1, -1, -1):
+                if out[k] == out[k + p]:
+                    agree[k] = agree[k + 1] + 1
+        return agree
+
+    sides = [_side(run, a) for a in anchored]
+    offs = [side[2] for side in sides]
     sweep = _Sweep(run, anchored)
     width = run.word.omega + 1
     # Over the later components, by loop right end: the largest root length,
@@ -410,25 +383,25 @@ def first_unsafe_inversion(run: Run, bound: PeriodBound,
     for i, end, fresh in sweep:
         for j in fresh:
             x2 = anchored[j].loop.x2
-            _, r, _, e, _, ends = sides[j]
+            r, _, e, _, ends = sides[j]
             top_r.raise_to(x2, r)
             neg_low_r.raise_to(x2, -r)
             far.raise_to(x2, e)
             if not ends:
                 far_open.raise_to(x2, e)
         sa = sides[i]
-        _, r, _, s, starts, _ = sa
+        r, _, s, starts, _ = sa
         x1 = anchored[i].loop.x1
-        safe = all(periods._sides_safe(sa, sides[j])
+        safe = all(_sides_safe(run, bound, sa, sides[j])
                    for j in sweep.same_loop(i, end))
         if safe and top_r.upto(x1):
             reach = far.upto(x1)
-            safe = (periods._admits[r] and top_r.upto(x1) == r
+            safe = (bound_admits(bound, r) and top_r.upto(x1) == r
                     and neg_low_r.upto(x1) == -r
                     and (reach < s + r
                          or starts and far_open.upto(x1) < s + r
-                         and reach - s - r <= periods._agreement(r)[s])
-                    and all(periods._sides_safe(sa, sides[j])
+                         and reach - s - r <= agreement(r)[s])
+                    and all(_sides_safe(run, bound, sa, sides[j])
                             for j in range(end, bisect_left(offs, s + r, end))
                             if anchored[j].loop.x2 <= x1))
         if not safe:
@@ -440,7 +413,7 @@ def first_unsafe_inversion(run: Run, bound: PeriodBound,
     j = next(j for j in sorted(
         [j for j in range(end, len(anchored))
          if anchored[j].loop.x2 <= a.loop.x1] + sweep.same_loop(first, end))
-        if not periods._sides_safe(sides[first], sides[j]))
+        if not _sides_safe(run, bound, sides[first], sides[j]))
     inv = Inversion(INVERSION, a, anchored[j])
     return inv, period_report(run, inv, bound)
 
@@ -490,7 +463,8 @@ def fine_wilf_check(w1, p1: int, w2, p2: int,
 # ---------------------------------------------------------------------------
 
 def enumerate_k_inversions(run: Run, k: int, *,
-                           cap: int = 10**6) -> Iterator[KInversion]:
+                           cap: int = 10**6
+                           ) -> Iterator[tuple[Inversion, ...]]:
     """All alternating inversion/co-inversion chains of length k with
     non-decreasing anchor order between consecutive members.
 
@@ -542,7 +516,7 @@ def enumerate_k_inversions(run: Run, k: int, *,
     count = 0
     chain: list[Inversion] = []
 
-    def rec(i: int, prev_end: int) -> Iterator[KInversion]:
+    def rec(i: int, prev_end: int) -> Iterator[tuple[Inversion, ...]]:
         nonlocal count
         last = i == k - 1
         depth_ends, depth_members = ends[i], members[i]
@@ -552,7 +526,7 @@ def enumerate_k_inversions(run: Run, k: int, *,
                 count += 1
                 if count > cap:
                     raise CapExceeded(f"k-inversion cap {cap} exceeded")
-                yield KInversion(tuple(chain))
+                yield tuple(chain)
             else:
                 yield from rec(i + 1, depth_ends[j])
             chain.pop()
@@ -560,7 +534,8 @@ def enumerate_k_inversions(run: Run, k: int, *,
     yield from rec(0, 0)
 
 
-def k_inversion_safe(periods: PeriodIndex, ki: KInversion) -> bool:
+def k_inversion_safe(run: Run, bound: PeriodBound,
+                     chain: tuple[Inversion, ...]) -> bool:
     """Safe when some member's word admits a dividing period within the
-    bound; `periods` is the index of the chain's run and that bound."""
-    return any(periods.safe(inv) for inv in ki.members)
+    bound."""
+    return any(inversion_safe(run, bound, inv) for inv in chain)

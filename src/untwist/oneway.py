@@ -18,7 +18,7 @@ from typing import Mapping, NamedTuple, Optional
 from .bounds import PeriodBound, bound_admits, compare_on
 from .decomposition import BLOCK, DIAGONAL, Decomposition, build_decomposition
 from .inversions import (CO_INVERSION, INVERSION, AnchoredComponent,
-                         Inversion, PeriodIndex, _divisors, _pair_matches,
+                         Inversion, _divisors, _pair_matches,
                          enumerate_k_inversions, inversion_word,
                          k_inversion_safe)
 from .runs import (CapExceeded, DelimitedInput, InternalInconsistencyError,
@@ -431,12 +431,11 @@ def _first_unsafe_run(t: Transducer, max_len: int, cap_runs: int, k: int,
             if not arrival.may_invert:
                 continue
             run = Run(t, DelimitedInput.of(raw), arrival.steps)
-            periods = PeriodIndex(run, bound)
             try:
-                for ki in enumerate_k_inversions(run, k, cap=cap_chains):
+                for chain in enumerate_k_inversions(run, k, cap=cap_chains):
                     stats[counter] += 1
-                    if not k_inversion_safe(periods, ki):
-                        found = raw, run, ki.members
+                    if not k_inversion_safe(run, bound, chain):
+                        found = raw, run, chain
                         break
             except CapExceeded as exc:
                 held = exc

@@ -129,7 +129,8 @@ class Run:
         or strictly outside it; the fragment is a factor when its first step
         reads inside.  A step that reaches a border from inside lands on the
         level parity whose next step reads outside, so factors never join."""
-        assert 0 <= x1 < x2 <= self.word.omega
+        if not 0 <= x1 < x2 <= self.word.omega:
+            raise ValueError(f"[{x1}, {x2}] is not an interval of cuts")
         borders = sorted(self.visits[x1] + self.visits[x2])
         return [self.factor(x1, x2, i, j) for i, j in zip(borders, borders[1:])
                 if x1 <= self.steps[i].read_index < x2]

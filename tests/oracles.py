@@ -7,7 +7,9 @@ shift, the factor oracle scans every step of the run where the library reads
 the visits to the two borders, the subrun oracle filters steps one by one,
 the flow oracle joins four clauses of edge relations where the library
 follows each path, the inversion oracle tests every pair of anchored
-components, and the chain oracle tries every member at every depth.
+components, the chain oracle tries every member at every depth, and the
+decider oracle scans every run of every word and judges each chain member
+by its word's period report.
 
 The list versions of the periodicity check and the coverage classes scan
 the run's inversion list, pair by pair, where the library answers from
@@ -28,13 +30,13 @@ from untwist.decomposition import (BLOCK, DIAGONAL, CoverageClass,
                                    Decomposition, is_block, is_diagonal)
 from untwist.effects import BOTTOM, Flow, effect_product
 from untwist.inversions import (CO_INVERSION, INVERSION, Inversion,
-                                KInversion, PeriodIndex, PeriodReport,
-                                _pair_matches, anchored_components,
+                                PeriodReport, _pair_matches,
+                                anchored_components, inversion_safe,
                                 inversions_of, period_report)
 from untwist.loops import (Component, Loop, components_of, enumerate_loops,
                            trace_of)
 from untwist.runs import CapExceeded, DelimitedInput, Factor, Run, Step
-from untwist.transducer import RIGHT, Transducer
+from untwist.transducer import RIGHT, Transducer, words_upto
 
 
 def naive_runs(t: Transducer, raw: str) -> set[tuple]:
@@ -317,9 +319,8 @@ def list_first_unsafe_inversion(run: Run, bound: PeriodBound,
                                 ) -> Optional[tuple[Inversion, PeriodReport]]:
     """First unsafe member of the run's `inversions` in their order, or None:
     what `first_unsafe_inversion` must return without listing them."""
-    periods = PeriodIndex(run, bound)
     for inv in inversions:
-        if not periods.safe(inv):
+        if not inversion_safe(run, bound, inv):
             return inv, period_report(run, inv, bound)
     return None
 
@@ -419,7 +420,7 @@ def brute_k_inversions(run: Run, k: int, *, cap: int = 10**6):
             count += 1
             if count > cap:
                 raise CapExceeded(f"k-inversion cap {cap} exceeded")
-            yield KInversion(tuple(chain))
+            yield tuple(chain)
             return
         kind = INVERSION if i % 2 == 0 else CO_INVERSION
         for inv in members_by_kind[kind]:
@@ -432,6 +433,29 @@ def brute_k_inversions(run: Run, k: int, *, cap: int = 10**6):
             chain.pop()
 
     yield from rec(0, [])
+
+
+def brute_decide(t: Transducer, k: int, max_len: int, bound: PeriodBound):
+    """The first chain of k members that are all unsafe, over the runs of
+    every word up to max_len in `words_upto` order, with its input and the
+    search counters; (None, None, counters) when there is none.
+
+    Each word's runs come from `brute_runs`, each run's chains from
+    `brute_k_inversions`, and each member is judged by its word's
+    `period_report`: what the deciders must find, and count, without
+    building a word.  The counters are named as the deciders name them."""
+    counter = "inversions" if k == 1 else "chains"
+    searched = {"inputs": 0, "runs": 0, counter: 0}
+    for raw in words_upto(t, max_len):
+        searched["inputs"] += 1
+        for run in brute_runs(t, raw):
+            searched["runs"] += 1
+            for chain in brute_k_inversions(run, k):
+                searched[counter] += 1
+                if not any(period_report(run, inv, bound).safe
+                           for inv in chain):
+                    return chain, raw, searched
+    return None, None, searched
 
 
 def effect_power(e, n: int):

@@ -1,10 +1,12 @@
+import pytest
+
 from untwist import inversions
 from untwist.bounds import BoundFactored
 from untwist.decomposition import (BLOCK, DIAGONAL, Decomposition, Piece,
                                    block_interval, build_decomposition,
                                    coverage_classes, is_block, is_diagonal)
-from untwist.inversions import (inversions_of, multi_pass_components,
-                                smallest_period)
+from untwist.inversions import (has_dividing_period, inversions_of,
+                                multi_pass_components, smallest_period)
 from untwist.runs import enumerate_runs
 from untwist.transducer import constants
 
@@ -253,3 +255,19 @@ def test_block_periodicity_chain_invariant(t_running):
         v = final.second.trace_output
         w = run.output_between(cls.start, cls.end) + v
         assert len(v) % smallest_period(w) == 0
+
+
+# Raised, not asserted, so the checks also hold under python -O.
+@pytest.mark.parametrize("call", [
+    lambda run: run.intercepted_factors(2, 2),
+    lambda run: run.intercepted_factors(1, 5),
+    lambda run: is_diagonal(run, (2, 0), (1, 1), SYM),
+    lambda run: is_diagonal(run, (2, 1), (2, 0), SYM),
+    lambda run: is_block(run, (2, 0), (1, 1), SYM),
+    lambda run: has_dividing_period("abab", 0, 2, SYM),
+], ids=["empty interval", "past the end", "diagonal crossed",
+        "diagonal reversed", "block crossed", "no trace length"])
+def test_bad_arguments_raise_value_error(t_copy_ab, call):
+    run = enumerate_runs(t_copy_ab, t_copy_ab.parse_input_text("ab"))[0]
+    with pytest.raises(ValueError):
+        call(run)

@@ -8,11 +8,11 @@ from untwist import effects, inversions, loops
 from untwist.bounds import BoundFactored
 from untwist.decomposition import coverage_classes
 from untwist.inversions import (CO_INVERSION, INVERSION, FineWilfPrecondition,
-                                KInversion, PeriodIndex, anchored_components,
-                                enumerate_inversions, enumerate_k_inversions,
-                                fine_wilf_check, first_unsafe_inversion,
-                                has_dividing_period, has_period,
-                                inversion_word, inversions_of,
+                                anchored_components, enumerate_inversions,
+                                enumerate_k_inversions, fine_wilf_check,
+                                first_unsafe_inversion, has_dividing_period,
+                                has_period, inversion_safe, inversion_word,
+                                inversions_of,
                                 k_inversion_safe, multi_pass_components,
                                 period_report, smallest_period)
 from untwist.loops import enumerate_loops
@@ -291,15 +291,14 @@ def test_p2_vacuous_without_inversions(t_id):
     assert check_p2(run, constants(t_id).bound_factored) == []
 
 
-# -- the period index against the reports --------------------------------------
+# -- the word-free safety check against the reports -----------------------------
 
 def _assert_index_matches_reports(run, bounds):
     invs = inversions_of(run)
     for bound in bounds:
-        periods = PeriodIndex(run, bound)
         for inv in invs:
             rep = period_report(run, inv, bound)
-            assert periods.safe(inv) == rep.safe, (inv, bound)
+            assert inversion_safe(run, bound, inv) == rep.safe, (inv, bound)
             if rep.safe:    # the period found is the traces' root length
                 tr = inv.first.trace_output
                 assert rep.found_period == (tr + tr).find(tr, 1)
@@ -348,7 +347,7 @@ def test_period_index_matches_reports_long_copy(t_copy_abc):
     ("abab", "ab", 0, 2, "abababab", 2, True),   # e - s == p
 ])
 def test_period_index_unit_cases(tr1, out, s, e, tr2, bound, safe):
-    """PeriodIndex.safe on a stub run whose k-th location sits at output
+    """`inversion_safe` on a stub run whose k-th location sits at output
     offset k, for the word tr1 · out[s:e] · tr2."""
     assert (has_dividing_period(tr1 + out[s:e] + tr2, len(tr1), len(tr2),
                                 bound) is not None) == safe
@@ -358,7 +357,7 @@ def test_period_index_unit_cases(tr1, out, s, e, tr2, bound, safe):
     inv = SimpleNamespace(
         first=SimpleNamespace(trace_output=tr1, anchor=(s, 0)),
         second=SimpleNamespace(trace_output=tr2, anchor=(e, 0)))
-    assert PeriodIndex(run, bound).safe(inv) == safe
+    assert inversion_safe(run, bound, inv) == safe
 
 
 # -- Fine and Wilf ---------------------------------------------------------------
@@ -425,37 +424,34 @@ def test_k1_collapses_to_inversions(t_copy_ab):
     bound = constants(t_copy_ab).bound_factored
     singles = list(enumerate_k_inversions(run, 1))
     invs = inversions_of(run)
-    assert [ki.members[0] for ki in singles] == invs
-    periods = PeriodIndex(run, bound)
-    for ki in singles:
-        assert k_inversion_safe(periods, ki) == \
-            period_report(run, ki.members[0], bound).safe
+    assert singles == [(inv,) for inv in invs]
+    for chain in singles:
+        assert k_inversion_safe(run, bound, chain) == \
+            period_report(run, chain[0], bound).safe
 
 
 def test_chain_anchor_ordering(t_copy_ab):
     run = enumerate_runs(t_copy_ab, t_copy_ab.parse_input_text("abab"))[0]
-    for ki in enumerate_k_inversions(run, 2):
-        assert ki.members[0].kind == INVERSION
-        assert ki.members[1].kind == CO_INVERSION
-        assert run.index_of(ki.members[0].second.anchor) <= \
-            run.index_of(ki.members[1].first.anchor)
+    for first, second in enumerate_k_inversions(run, 2):
+        assert first.kind == INVERSION
+        assert second.kind == CO_INVERSION
+        assert run.index_of(first.second.anchor) <= \
+            run.index_of(second.first.anchor)
 
 
 def test_safety_monotone_under_safe_extension(t_copy_abc):
     run = enumerate_runs(t_copy_abc, t_copy_abc.parse_input_text("abcabc"))[0]
     bound = constants(t_copy_abc).bound_factored
     chains2 = list(enumerate_k_inversions(run, 2))
-    periods = PeriodIndex(run, bound)
-    for ki in chains2:
-        head = ki.members[:1]
-        if k_inversion_safe(periods, KInversion(head)):
-            assert k_inversion_safe(periods, ki)
+    for chain in chains2:
+        if k_inversion_safe(run, bound, chain[:1]):
+            assert k_inversion_safe(run, bound, chain)
 
 
 # -- the chain search against the exhaustive depth-first search --------------------
 
 def _triples(chains):
-    return [[(m.kind, m.first, m.second) for m in ki.members] for ki in chains]
+    return [[(m.kind, m.first, m.second) for m in chain] for chain in chains]
 
 
 def test_chains_match_brute_force_exhaustive(fixtures):
@@ -502,8 +498,8 @@ def test_chains_match_brute_force_random(case):
 def _until_cap(chains):
     got = []
     with pytest.raises(CapExceeded):
-        for ki in chains:
-            got.append(ki)
+        for chain in chains:
+            got.append(chain)
     return _triples(got)
 
 

@@ -16,11 +16,12 @@ from untwist.oneway import (FunctionalityError, MemberRecord,
 from untwist.runs import CapExceeded, InternalInconsistencyError, \
     dump_run, enumerate_runs, parse_run_dump
 from untwist.transducer import (Transducer, Transition,
-                                check_functional_bounded, parse_transducer,
-                                words_upto)
+                                check_functional_bounded, constants,
+                                parse_transducer, words_upto)
 
-from .conftest import CORE_NAMES, FIXTURE_DIR, domain_words, load_fixture, \
-    spy
+from .conftest import CORE_NAMES, FIXTURE_DIR, FIXTURE_NAMES, domain_words, \
+    load_fixture, spy
+from .oracles import brute_decide
 
 
 def test_simulate_copy_abc(t_copy_abc):
@@ -308,6 +309,36 @@ def test_k1_matches_oneway_on_fixtures(fixtures):
         assert v1.kind == v2.kind
         if v1.kind == "refuted":
             assert v1.certificate.input_text == v2.certificate.input_text
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_deciders_match_oracle_scan(fixtures, name):
+    """Both deciders against a scan of every word's runs and chains, under
+    the symbolic bound and under bounds 1 and 2: the verdict, the refuting
+    input, each member's loops, anchors and traces, and the counters."""
+    t = fixtures[name]
+    render = t.table.render
+    max_len = 3 if name == "T_RUNNING" else 4
+    for bound in (constants(t).bound_factored, 1, 2):
+        for k in (1, 2, 3):
+            if k == 1:
+                v = decide_oneway_bounded(t, max_len, bound=bound)
+            else:
+                v = decide_sweeping_bounded(t, k, max_len, bound=bound)
+            chain, raw, searched = brute_decide(t, k, max_len, bound)
+            assert dict(v.searched) == searched, (bound, k)
+            if chain is None:
+                assert (v.kind, v.certificate) == ("no-counterexample", None)
+                continue
+            assert v.kind == "refuted", (bound, k)
+            assert v.certificate.input_text == render(raw)
+            assert [(m.kind, m.loop1, m.anchor1, m.trace1,
+                     m.loop2, m.anchor2, m.trace2)
+                    for m in v.certificate.members] == \
+                [(inv.kind, inv.first.loop.interval, inv.first.anchor,
+                  render(inv.first.trace_output), inv.second.loop.interval,
+                  inv.second.anchor, render(inv.second.trace_output))
+                 for inv in chain], (bound, k)
 
 
 def test_symbolic_passes_reports_bound_exceeded(t_id, monkeypatch):

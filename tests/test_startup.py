@@ -19,13 +19,15 @@ from untwist.transducer import Constants
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # `untwist.__all__` before the package resolved its names lazily, plus
-# `inversions_of`, exported since, less `check_p2`, `is_output_minimal`,
-# `validate_decomposition` and `predicted_pump_output`, which only the tests
-# use and which moved to `tests/oracles.py`.
+# `inversions_of` and `inversion_safe`, exported since, less `check_p2`,
+# `is_output_minimal`, `validate_decomposition` and `predicted_pump_output`,
+# which only the tests use and which moved to `tests/oracles.py`, and less
+# `PeriodIndex` and `KInversion`: safety is checked per inversion, and a
+# chain is a tuple of inversions.
 PUBLIC_NAMES = (
     "BOTTOM", "BoundFactored", "CapExceeded", "Decomposition", "Effect",
-    "FactorizationForest", "Flow", "Inversion", "KInversion", "Loop",
-    "PeriodBound", "PeriodIndex", "RamseyWitness", "RefutationCertificate",
+    "FactorizationForest", "Flow", "Inversion", "Loop", "PeriodBound",
+    "RamseyWitness", "RefutationCertificate",
     "Run", "Transducer", "Transition", "ValidationReport", "Verdict",
     "block_interval", "bound_admits", "bounds", "build_decomposition",
     "build_forest", "check_functional_bounded", "components_of",
@@ -34,7 +36,8 @@ PUBLIC_NAMES = (
     "effect_of_interval", "effect_product", "effects", "enumerate_inversions",
     "enumerate_k_inversions", "enumerate_loops", "enumerate_runs",
     "fine_wilf_check", "flow_of_interval", "flow_product", "forest",
-    "has_dividing_period", "inversion_word", "inversions", "inversions_of",
+    "has_dividing_period", "inversion_safe", "inversion_word", "inversions",
+    "inversions_of",
     "is_block",
     "is_diagonal", "is_idempotent", "k_inversion_safe",
     "loops", "oneway", "parse_transducer", "pump",
@@ -111,7 +114,7 @@ def _records():
 
 def test_records_refuse_attribute_assignment():
     records = list(_records())
-    assert len(records) == 31 and Effect in records
+    assert len(records) == 30 and Effect in records
     for cls in records:
         record = cls._make([None] * len(cls._fields))
         with pytest.raises(AttributeError):
