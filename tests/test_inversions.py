@@ -12,9 +12,9 @@ from untwist.inversions import (CO_INVERSION, INVERSION, FineWilfPrecondition,
                                 enumerate_k_inversions, fine_wilf_check,
                                 first_unsafe_inversion, has_dividing_period,
                                 has_period, inversion_safe, inversion_word,
-                                inversions_of,
-                                k_inversion_safe, multi_pass_components,
-                                period_report, smallest_period)
+                                inversions_of, k_inversion_safe,
+                                multi_pass_components, period_report,
+                                smallest_period)
 from untwist.loops import enumerate_loops
 from untwist.oneway import decide_oneway_bounded, decide_sweeping_bounded
 from untwist.runs import CapExceeded, enumerate_runs
