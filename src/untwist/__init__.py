@@ -12,7 +12,7 @@ _EXPORTS = {
                    "constants", "check_functional_bounded",
                    "parse_transducer", "serialize_transducer", "validate",
                    "words_upto"),
-    "runs": ("CapExceeded", "Run", "dump_run", "enumerate_runs", "runs_upto",
+    "runs": ("CapExceeded", "Run", "dump_run", "enumerate_runs",
              "validate_run"),
     "effects": ("BOTTOM", "Effect", "Flow", "effect_of_interval",
                 "effect_product", "flow_of_interval", "flow_product",

@@ -247,6 +247,12 @@ def certificate_text(cert: RefutationCertificate) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _unquote(field: str, text: str) -> str:
+    if len(text) < 2 or text[0] != '"' or text[-1] != '"':
+        raise ValueError(f"{field} {text!r} is not quoted")
+    return text[1:-1]
+
+
 def parse_certificate(text: str) -> RefutationCertificate:
     """Parse `certificate_text` output; malformed or truncated text raises
     ValueError."""
@@ -297,7 +303,7 @@ def parse_certificate(text: str) -> RefutationCertificate:
             lv1, lv2 = map(int, levels_txt.split(","))
             ax, ay = map(int, anchor_txt.split(","))
             parts.append(((x1, x2), (lv1, lv2), (ax, ay),
-                          trace_txt.strip()[1:-1]))
+                          _unquote("trace", trace_txt.strip())))
         _, word = lines[i + 3].strip().split(": ", 1)
         if lines[i + 4].strip() != "mismatches:":
             raise ValueError(f"expected 'mismatches:', got {lines[i + 4]!r}")
@@ -310,25 +316,25 @@ def parse_certificate(text: str) -> RefutationCertificate:
             i += 1
         (l1, n1, a1, t1), (l2, n2, a2, t2) = parts
         members.append(MemberRecord(kind, l1, n1, a1, t1, l2, n2, a2, t2,
-                                    word[1:-1], tuple(mism)))
+                                    _unquote("word", word), tuple(mism)))
     return RefutationCertificate(
         fields["kind"], fields["transducer"], fields["sha256"],
-        fields["input"][1:-1], "\n".join(dump_lines) + "\n", tuple(members),
-        int(passes))
+        _unquote("input", fields["input"]), "\n".join(dump_lines) + "\n",
+        tuple(members), int(passes))
 
 
 def verify_certificate(t: Transducer, cert: RefutationCertificate, *,
                        bound: PeriodBound = None) -> bool:
     """Full independent replay of a refutation certificate.
 
-    A certificate for another machine, or whose run or members do not check
-    out, is invalid (False); an input word or run dump that does not parse
-    against `t` raises ValueError.  Only the replay of the dumped run may
-    fail into "invalid": any other exception is a fault of the checker and
-    propagates."""
+    A certificate whose digest or machine name is not `t`'s, or whose run
+    or members do not check out, is invalid (False); an input word or run
+    dump that does not parse against `t` raises ValueError.  Only the replay
+    of the dumped run may fail into "invalid": any other exception is a
+    fault of the checker and propagates."""
     if bound is None:
         bound = constants(t).bound_factored
-    if cert.digest != transducer_digest(t):
+    if cert.digest != transducer_digest(t) or cert.transducer_name != t.name:
         return False
     raw = t.parse_input_text(cert.input_text) if cert.input_text else ""
     transitions = dump_transitions(t, cert.run_dump)

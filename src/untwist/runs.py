@@ -13,8 +13,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Iterator, NamedTuple, Optional
 
-from .transducer import (LEFT, LEFT_END, RIGHT, RIGHT_END, Transducer,
-                         Transition, words_upto)
+from .transducer import LEFT_END, RIGHT, RIGHT_END, Transducer, Transition
 
 Location = tuple[int, int]
 
@@ -307,68 +306,38 @@ def enumerate_runs(t: Transducer, raw: str, *,
             for a in search.close(search.start, word.padded)]
 
 
-# The most frontiers `runs_upto` keeps for one prefix length.
-_KEPT_FRONTIERS = 256
-
-
-def runs_upto(t: Transducer, max_len: int, *, cap_runs: int = 10**5
-              ) -> Iterator[tuple[str, list[Run]]]:
-    """Every word of `words_upto(t, max_len)`, in that order, with its runs
-    as `enumerate_runs` gives them, or the CapExceeded it raises."""
-    for raw, arrivals in arrivals_upto(t, max_len, cap_runs=cap_runs):
-        word = DelimitedInput.of(raw)
-        yield raw, [Run(t, word, a.steps) for a in arrivals]
-
-
 def arrivals_upto(t: Transducer, max_len: int, *, cap_runs: int = 10**5
                   ) -> Iterator[tuple[str, list[Arrival]]]:
-    """`runs_upto` with each run as its `Arrival`.
+    """Every word of `words_upto(t, max_len)`, in that order, with the
+    arrivals of its runs in the order `enumerate_runs` gives the runs, or
+    the CapExceeded it raises.
 
-    The partial runs on a prefix are grown at most once for each length of
-    the words that extend it, and shared by those words; a prefix no run
-    survives is not extended, and its extensions come with no runs.
-    Frontiers are kept for the prefixes up to the longest length that has
-    at most _KEPT_FRONTIERS words; a longer prefix's frontier is held only
-    while the words that follow it in order share it, which bounds memory."""
+    The words of each length are visited depth first, so only the frontiers
+    of the current word's proper prefixes are held.  Each is grown from its
+    parent's once for each length of the words that extend it, and each
+    word's runs are grown from its parent's frontier; a prefix no partial
+    run survives (None) is not extended, and its extensions have no runs."""
     search = _PrefixSearch(t, cap_runs)
-    letters = len(t.input_symbols)
-    depth = 0
-    while depth + 1 < max_len and letters ** (depth + 1) <= _KEPT_FRONTIERS:
-        depth += 1
-    kept: dict[str, tuple] = {}     # live frontiers up to depth letters
-    path: list[tuple[str, Optional[tuple]]] = []   # longer, by length
+    alphabet = sorted(t.table.encode_symbol(s) for s in t.input_symbols)
 
-    def grow(u: str) -> Optional[tuple]:
-        if not u:
-            return search.extend(search.start, LEFT_END)
-        parent = frontier_of(u[:-1])
-        return parent and search.extend(parent, LEFT_END + u)
+    def extensions(u: str, frontier: Optional[tuple], n: int):
+        """The words of length n > len(u) that extend u, given the frontier
+        of LEFT_END + u."""
+        for a in alphabet:
+            w = u + a
+            if len(w) == n:
+                yield w, (search.close(frontier, LEFT_END + w + RIGHT_END)
+                          if frontier else [])
+            else:
+                yield from extensions(
+                    w, frontier and search.extend(frontier, LEFT_END + w), n)
 
-    def frontier_of(u: str) -> Optional[tuple]:
-        """The frontier of a prefix shorter than the current word."""
-        if len(u) <= depth:
-            return kept.get(u)
-        i = len(u) - depth - 1
-        if i < len(path) and path[i][0] == u:
-            return path[i][1]
-        frontier = grow(u)
-        del path[i:]
-        path.append((u, frontier))
-        return frontier
-
-    for raw in words_upto(t, max_len):
-        if len(raw) <= depth:
-            frontier = grow(raw)
-            if frontier is not None:
-                kept[raw] = frontier
-        else:
-            # No later word reads this frontier, so the runs are grown
-            # straight from the parent's.
-            frontier = frontier_of(raw[:-1])
-        if frontier is None:
-            yield raw, []
-            continue
-        yield raw, search.close(frontier, LEFT_END + raw + RIGHT_END)
+    if max_len < 0:
+        return
+    root = search.extend(search.start, LEFT_END)
+    yield "", search.close(root, LEFT_END + RIGHT_END) if root else []
+    for n in range(1, max_len + 1):
+        yield from extensions("", root, n)
 
 
 def output_conflict(runs) -> Optional[tuple[str, str]]:

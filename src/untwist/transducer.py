@@ -410,8 +410,8 @@ def check_functional_bounded(t: Transducer, max_len: int, *,
                              cap_runs: int = 10**5):
     """Exhaustively test single-valuedness on all inputs up to max_len.
 
-    Returns either ("functional-up-to", max_len) or a witness triple
-    (word, out1, out2) of two distinct outputs for one input.
+    Returns either ("functional-up-to", max_len) or ("witness", word, out1,
+    out2): two distinct outputs for one input, all three rendered.
     """
     from . import runs as _runs  # local import: runs depends on this module
 

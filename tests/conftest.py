@@ -3,8 +3,9 @@ import sys
 
 import pytest
 
-from untwist.runs import runs_upto
 from untwist.transducer import Transducer, parse_transducer
+
+from .oracles import runs_upto
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -15,15 +15,17 @@ The list versions of the periodicity check and the coverage classes scan
 the run's inversion list, pair by pair, where the library answers from
 per-component aggregates without listing the pairs.
 
-The helpers at the end check properties of the library's objects that the
-library itself never needs: powers of an effect, the factor pattern of a
-loop component, the trace-based prediction of a pumped output,
-output-minimality, and a full re-check of a decomposition.
+The helpers at the end serve the tests where the library has no use for
+them: `runs_upto` builds a `Run` from each arrival of the shared
+enumeration, and the others check properties of the library's objects:
+powers of an effect, the factor pattern of a loop component, the
+trace-based prediction of a pumped output, output-minimality, and a full
+re-check of a decomposition.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Optional
+from typing import Iterator, Optional
 
 from untwist.bounds import PeriodBound
 from untwist.decomposition import (BLOCK, DIAGONAL, CoverageClass,
@@ -35,7 +37,8 @@ from untwist.inversions import (CO_INVERSION, INVERSION, Inversion,
                                 inversions_of, period_report)
 from untwist.loops import (Component, Loop, components_of, enumerate_loops,
                            trace_of)
-from untwist.runs import CapExceeded, DelimitedInput, Factor, Run, Step
+from untwist.runs import (CapExceeded, DelimitedInput, Factor, Run, Step,
+                          arrivals_upto)
 from untwist.transducer import RIGHT, Transducer, words_upto
 
 
@@ -92,7 +95,7 @@ def brute_runs(t: Transducer, raw: str, *,
                cap_runs: int = 10**5) -> list[Run]:
     """All normalized successful runs on |-raw-|, in canonical DFS order,
     by one DFS over the whole word: the runs, their order and the run at
-    which the run cap fires, which `enumerate_runs` and `runs_upto` must
+    which the run cap fires, which `enumerate_runs` and `arrivals_upto` must
     reproduce.
 
     The search prunes any extension that would repeat a (state, level parity)
@@ -456,6 +459,16 @@ def brute_decide(t: Transducer, k: int, max_len: int, bound: PeriodBound):
                            for inv in chain):
                     return chain, raw, searched
     return None, None, searched
+
+
+def runs_upto(t: Transducer, max_len: int, *, cap_runs: int = 10**5
+              ) -> Iterator[tuple[str, list[Run]]]:
+    """Every word of `words_upto(t, max_len)`, in that order, with a `Run`
+    built from each of its `arrivals_upto` arrivals: the runs
+    `enumerate_runs` gives, or the CapExceeded it raises."""
+    for raw, arrivals in arrivals_upto(t, max_len, cap_runs=cap_runs):
+        word = DelimitedInput.of(raw)
+        yield raw, [Run(t, word, a.steps) for a in arrivals]
 
 
 def effect_power(e, n: int):

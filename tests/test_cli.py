@@ -343,7 +343,17 @@ def _cert_error(capsys, name, cert_path):
      "error: unknown certificate kind 'bogus'\n"),
     (lambda text: text.replace("passes: 1", "passes: 2"),
      "error: a oneway certificate has 1 pass, not 2\n"),
-], ids=["no-passes", "unknown-kind", "oneway-two-passes"])
+    # A quoted field stands between two quotes, not any two characters.
+    (lambda text: text.replace('input: "ab"', "input: XabY"),
+     "error: input 'XabY' is not quoted\n"),
+    (lambda text: text.replace('word: "aaba"', "word: XaabaY"),
+     "error: word 'XaabaY' is not quoted\n"),
+    (lambda text: text.replace('trace "a"', "trace XaY", 1),
+     "error: trace 'XaY' is not quoted\n"),
+    (lambda text: text.replace('input: "ab"', 'input: "ab'),
+     "error: input '\"ab' is not quoted\n"),
+], ids=["no-passes", "unknown-kind", "oneway-two-passes", "unquoted-input",
+        "unquoted-word", "unquoted-trace", "unclosed-input"])
 def test_certificate_header_out_of_range_exit_65(tmp_path, capsys, edit,
                                                  message):
     cert_path = tmp_path / "cert.txt"

@@ -7,12 +7,13 @@ from untwist.effects import effect_product
 from untwist.loops import Loop, components_of, enumerate_loops, pump, \
     trace_of
 from untwist.runs import Factor, InternalInconsistencyError, \
-    enumerate_runs, runs_upto, validate_run
+    enumerate_runs, validate_run
 from untwist.transducer import validate
 
 from .conftest import CORE_NAMES, FIXTURE_NAMES, domain_words
 from .oracles import (brute_intercepted_factors, component_factor_pattern,
-                      is_output_minimal, predicted_pump_output, subloops)
+                      is_output_minimal, predicted_pump_output, runs_upto,
+                      subloops)
 from .test_runs import FIG_RUN
 from .test_transducer import transducers
 

@@ -261,6 +261,15 @@ def test_certificate_fails_after_state_renaming(t_copy_ab):
     assert not verify_certificate(renamed, cert)
 
 
+def test_certificate_fails_under_another_name(t_copy_ab):
+    # The digest covers the machine's name, so a certificate whose name
+    # line disagrees with its digest contradicts itself.
+    cert = decide_oneway_bounded(t_copy_ab, 6).certificate
+    assert verify_certificate(t_copy_ab, cert)
+    assert not verify_certificate(t_copy_ab,
+                                  cert._replace(transducer_name="NOPE"))
+
+
 def test_mismatch_index_shift_detected(t_copy_ab):
     cert = decide_oneway_bounded(t_copy_ab, 6).certificate
     rec = cert.members[0]

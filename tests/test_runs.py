@@ -3,14 +3,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 import untwist.runs
 from untwist.runs import (CapExceeded, DelimitedInput,
-                          InternalInconsistencyError, Run, arrivals_upto,
-                          dump_run, enumerate_runs, parse_run_dump, runs_upto,
-                          validate_run)
-from untwist.transducer import parse_transducer, validate, words_upto
+                          InternalInconsistencyError, Run, _PrefixSearch,
+                          arrivals_upto, dump_run, enumerate_runs,
+                          parse_run_dump, validate_run)
+from untwist.transducer import LEFT_END, parse_transducer, validate, words_upto
 
 from .conftest import CORE_NAMES, FIXTURE_NAMES, domain_words, load_fixture
 from .oracles import (brute_intercepted_factors, brute_runs,
-                      brute_subrun_output, naive_runs, run_signature)
+                      brute_subrun_output, naive_runs, run_signature,
+                      runs_upto)
 from .test_transducer import transducers
 
 # Nine-state machine reproducing the crossing-sequence presentation figure:
@@ -278,7 +279,7 @@ def _per_word(t, max_len, enumerate_word, **caps):
 
 
 def _shared(t, max_len, **caps):
-    """The same list, drawn from one `runs_upto` call."""
+    """The same list, drawn from one `arrivals_upto` pass."""
     out = []
     words = words_upto(t, max_len)
     try:
@@ -293,12 +294,7 @@ def _shared(t, max_len, **caps):
 def _assert_same_as_brute(t, max_len, **caps):
     expected = _per_word(t, max_len, brute_runs, **caps)
     assert _per_word(t, max_len, enumerate_runs, **caps) == expected
-    # With a budget of one or four kept frontiers, the frontiers of all but
-    # the shortest prefixes are grown again along each word.
-    for kept in (untwist.runs._KEPT_FRONTIERS, 1, 4):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(untwist.runs, "_KEPT_FRONTIERS", kept)
-            assert _shared(t, max_len, **caps) == expected, kept
+    assert _shared(t, max_len, **caps) == expected
     return expected
 
 
@@ -309,11 +305,62 @@ def test_shared_enumeration_matches_per_word_dfs(name):
     assert any(dumps for _, dumps in expected)
 
 
+@pytest.mark.parametrize("max_len", [-1, 0, 1])
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_shared_enumeration_at_short_bounds(name, max_len):
+    # No word at all below 0, and the empty word alone at 0.
+    _assert_same_as_brute(load_fixture(name), max_len)
+
+
 # Twelve transitions give about one machine in six a run on a short word.
 @given(transducers(max_transitions=12))
 @settings(max_examples=60, deadline=None)
 def test_shared_enumeration_matches_per_word_dfs_random(t):
     _assert_same_as_brute(t, 4)
+
+
+def _calls_by_rule(t, max_len) -> tuple[int, int]:
+    """(extends, closes) of one drained `arrivals_upto` pass, by its rule:
+    the empty prefix's frontier is grown once; a prefix whose parent is
+    live has its frontier grown once for each longer length; and a word is
+    closed when its parent prefix is live, the empty word when the empty
+    prefix is.  A prefix is live when some partial run reaches its end,
+    found here by a search over the whole prefix from the start."""
+    search = _PrefixSearch(t, 10**5)
+
+    def live(u):
+        return search.extend(search.start, LEFT_END + u) is not None
+    alphabet = list(words_upto(t, 1))[1:]
+    parents = [""] if live("") else []      # the live prefixes of length k-1
+    extends, closes = 1, len(parents)
+    for k in range(1, max_len + 1):
+        children = [u + a for u in parents for a in alphabet]
+        closes += len(children)
+        extends += len(children) * (max_len - k)
+        parents = [u for u in children if live(u)]
+    return extends, closes
+
+
+@pytest.mark.parametrize("name,max_len,calls", [
+    ("T_RUNNING", 6, (1813, 5461)), ("T_ID", 9, (1005, 1023)),
+    ("T_COPY_ABC", 9, (109, 28)), ("T_THREECOMP", 8, (29, 9)),
+])
+def test_prefix_frontiers_are_shared(monkeypatch, name, max_len, calls):
+    # Only the current word's prefixes hold a frontier, so a prefix's is
+    # grown again for each length of the words that extend it, never once
+    # per word, and a dead prefix is never extended.
+    t = load_fixture(name)
+    assert _calls_by_rule(t, max_len) == calls
+    counts = {"extend": 0, "close": 0}
+    for method in counts:
+        def counted(self, *args, _orig=getattr(_PrefixSearch, method),
+                    _method=method):
+            counts[_method] += 1
+            return _orig(self, *args)
+        monkeypatch.setattr(_PrefixSearch, method, counted)
+    for _ in arrivals_upto(t, max_len):
+        pass
+    assert (counts["extend"], counts["close"]) == calls
 
 
 # Two paths leave |-. q may switch to r at any letter, which gives a word

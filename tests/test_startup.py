@@ -41,7 +41,7 @@ PUBLIC_NAMES = (
     "is_block",
     "is_diagonal", "is_idempotent", "k_inversion_safe",
     "loops", "oneway", "parse_transducer", "pump",
-    "ramsey_extract", "runs", "runs_upto", "serialize_transducer",
+    "ramsey_extract", "runs", "serialize_transducer",
     "simulate_oneway", "smallest_period", "trace_of", "transducer",
     "validate", "validate_run",
     "verify_certificate", "verify_forest", "words_upto",
