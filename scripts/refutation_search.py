@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Search the shipped fixtures for one-way definability counterexamples and
-print the canonical certificate for each refuted machine."""
+print the canonical certificate for each refuted machine.  Exits 1 if a
+certificate, parsed back from its text, does not print as that same text
+or does not verify."""
 import pathlib
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from untwist.oneway import (certificate_text, decide_oneway_bounded,
-                            verify_certificate)
+                            parse_certificate, verify_certificate)
 from untwist.transducer import parse_transducer
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -19,11 +21,20 @@ def main(max_len: int = 6) -> int:
         verdict = decide_oneway_bounded(t, max_len)
         print(f"== {t.name}: {verdict.kind} (searched {verdict.searched})")
         if verdict.certificate is not None:
-            if not verify_certificate(t, verdict.certificate):
+            # The certificate is checked as `verify-cert` reads it: parsed
+            # back from its text, which must reprint as itself.
+            text = certificate_text(verdict.certificate)
+            try:
+                cert = parse_certificate(text)
+            except ValueError as exc:
+                print(f"{t.name}: the certificate does not parse back: {exc}",
+                      file=sys.stderr)
+                return 1
+            if not verify_certificate(t, cert):
                 print(f"{t.name}: the certificate does not verify",
                       file=sys.stderr)
                 return 1
-            print(certificate_text(verdict.certificate))
+            print(text)
     return 0
 
 

@@ -193,7 +193,7 @@ def cmd_decide(args, t):
         cert = certificate_text(verdict.certificate)
         details["certificate"] = cert
         if args.cert:
-            with open(args.cert, "w", encoding="utf-8") as fh:
+            with open(args.cert, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(cert)
         length = len(t.parse_input_text(verdict.certificate.input_text))
         text = f"refuted (|u| = {length})\n" + cert
@@ -207,7 +207,7 @@ def cmd_decide(args, t):
 
 
 def cmd_verify_cert(args, t):
-    with open(args.cert, encoding="utf-8") as fh:
+    with open(args.cert, encoding="utf-8", newline="") as fh:
         cert = parse_certificate(fh.read())
     ok = verify_certificate(t, cert, bound=_bound(args, t))
     verdict = "valid" if ok else "invalid"

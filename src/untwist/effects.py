@@ -26,26 +26,12 @@ BOTTOM = _Bottom()
 Edge = tuple[int, int]
 
 
-def _edge_kind(edge: Edge) -> str:
-    y, z = edge
-    if y % 2 == 0:
-        return "LR" if z % 2 == 0 else "LL"
-    return "RR" if z % 2 == 0 else "RL"
-
-
 class Flow(NamedTuple):
     """Edges over nodes {0..max(h1,h2)-1} with the border degree discipline."""
 
     h1: int
     h2: int
     edges: frozenset[Edge]
-
-    def partition(self) -> dict[str, frozenset[Edge]]:
-        parts: dict[str, set[Edge]] = {"LL": set(), "LR": set(),
-                                       "RL": set(), "RR": set()}
-        for e in self.edges:
-            parts[_edge_kind(e)].add(e)
-        return {k: frozenset(v) for k, v in parts.items()}
 
 
 def flow_is_valid(h1: int, h2: int, edges: frozenset[Edge]) -> bool:

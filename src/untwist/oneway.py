@@ -247,36 +247,23 @@ def certificate_text(cert: RefutationCertificate) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _unquote(field: str, text: str) -> str:
-    if len(text) < 2 or text[0] != '"' or text[-1] != '"':
-        raise ValueError(f"{field} {text!r} is not quoted")
-    return text[1:-1]
+_BRACKETS = str.maketrans("[](),", "     ")
 
 
 def parse_certificate(text: str) -> RefutationCertificate:
-    """Parse `certificate_text` output; malformed or truncated text raises
-    ValueError."""
+    """Parse a certificate: exactly the text `certificate_text` prints (LF
+    line ends, a final newline, each header once and in order, quoted
+    fields).  Other text raises ValueError naming its first line that
+    differs from the reprint, and so do an unknown kind and a pass count
+    below 1, or other than 1 for `oneway`."""
     lines = text.splitlines()
     if not lines or lines[0] != "untwist-certificate v1":
         raise ValueError("not an untwist certificate")
+    i = lines.index("run:") if "run:" in lines else len(lines)
     fields: dict[str, str] = {}
-    i = 1
-    while i < len(lines) and not lines[i].startswith("run:"):
-        key, val = lines[i].split(": ", 1)
-        fields[key] = val
-        i += 1
-    if i == len(lines):
-        raise ValueError("certificate has no run block")
-    missing = sorted({"kind", "transducer", "sha256", "input"} - set(fields))
-    if missing:
-        raise ValueError(f"certificate lacks {', '.join(missing)}")
-    passes = fields.get("passes", "1")
-    if fields["kind"] not in ("oneway", "sweeping"):
-        raise ValueError(f"unknown certificate kind {fields['kind']!r}")
-    if not passes.isdecimal() or int(passes) < 1:
-        raise ValueError(f"passes {passes!r} is not a positive integer")
-    if fields["kind"] == "oneway" and int(passes) != 1:
-        raise ValueError(f"a oneway certificate has 1 pass, not {passes}")
+    for line in lines[1:i]:
+        key, _, value = line.partition(": ")
+        fields.setdefault(key, value)
     i += 1
     dump_lines = []
     while i < len(lines) and lines[i].startswith("  "):
@@ -286,41 +273,45 @@ def parse_certificate(text: str) -> RefutationCertificate:
         raise ValueError("run block has no closing output line")
     members = []
     while i < len(lines):
-        header = lines[i]
-        if not header.startswith("member ") or ": " not in header:
-            raise ValueError(f"unexpected line: {header!r}")
+        if not lines[i].startswith("member "):
+            raise ValueError(f"unexpected line: {lines[i]!r}")
         if i + 4 >= len(lines):
-            raise ValueError(f"truncated member block: {header!r}")
-        kind = header.split(": ", 1)[1]
-        parts = []
-        for tag_line in (lines[i + 1], lines[i + 2]):
-            body = tag_line.strip()
-            _, rest = body.split(": ", 1)
-            loop_txt, rest = rest.split("] levels [", 1)
-            levels_txt, rest = rest.split("] anchor (", 1)
-            anchor_txt, trace_txt = rest.split(") trace ", 1)
-            x1, x2 = map(int, loop_txt.lstrip("[").split(","))
-            lv1, lv2 = map(int, levels_txt.split(","))
-            ax, ay = map(int, anchor_txt.split(","))
-            parts.append(((x1, x2), (lv1, lv2), (ax, ay),
-                          _unquote("trace", trace_txt.strip())))
-        _, word = lines[i + 3].strip().split(": ", 1)
-        if lines[i + 4].strip() != "mismatches:":
-            raise ValueError(f"expected 'mismatches:', got {lines[i + 4]!r}")
+            raise ValueError(f"truncated member block: {lines[i]!r}")
+        sides: list = []
+        for line in lines[i + 1:i + 3]:
+            head, _, trace = line.partition(" trace ")
+            _, x1, x2, _, y1, y2, _, ax, ay = head.translate(_BRACKETS).split()
+            sides += [(int(x1), int(x2)), (int(y1), int(y2)),
+                      (int(ax), int(ay)), trace[1:-1]]
+        kind = lines[i].partition(": ")[2]
+        word = lines[i + 3].partition(": ")[2][1:-1]
         i += 5
-        mism = []
+        mismatches = []
         while i < len(lines) and lines[i].startswith("    p="):
-            p_txt, at_txt = lines[i].strip().split(" ")
-            _, at = at_txt.split("=")
-            mism.append((int(p_txt[2:]), int(at)))
+            p, _, at = lines[i][6:].partition(" fail-at=")
+            mismatches.append((int(p), int(at)))
             i += 1
-        (l1, n1, a1, t1), (l2, n2, a2, t2) = parts
-        members.append(MemberRecord(kind, l1, n1, a1, t1, l2, n2, a2, t2,
-                                    _unquote("word", word), tuple(mism)))
-    return RefutationCertificate(
-        fields["kind"], fields["transducer"], fields["sha256"],
-        _unquote("input", fields["input"]), "\n".join(dump_lines) + "\n",
-        tuple(members), int(passes))
+        members.append(MemberRecord(kind, *sides, word, tuple(mismatches)))
+    cert = RefutationCertificate(
+        fields.get("kind", ""), fields.get("transducer", ""),
+        fields.get("sha256", ""), fields.get("input", "")[1:-1],
+        "\n".join(dump_lines) + "\n", tuple(members),
+        int(fields.get("passes", 0)))
+    reprint = certificate_text(cert)
+    if reprint != text:
+        n, got, want = next(
+            (n, got, want) for n, (got, want) in enumerate(
+                zip(text.splitlines(True) + [""],
+                    reprint.splitlines(True) + [""]), 1) if got != want)
+        raise ValueError(f"certificate line {n} reads {got!r} where its "
+                         f"reprint reads {want!r}")
+    if cert.kind not in ("oneway", "sweeping"):
+        raise ValueError(f"unknown certificate kind {cert.kind!r}")
+    if cert.passes < 1:
+        raise ValueError(f"passes '{cert.passes}' is not a positive integer")
+    if cert.kind == "oneway" and cert.passes != 1:
+        raise ValueError(f"a oneway certificate has 1 pass, not {cert.passes}")
+    return cert
 
 
 def verify_certificate(t: Transducer, cert: RefutationCertificate, *,

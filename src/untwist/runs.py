@@ -437,17 +437,18 @@ def validate_run(t: Transducer, raw: str, run: Run, *,
     return True
 
 
+def _move(t: Transducer, tr: Transition) -> str:
+    """How a dump line writes a step's transition between its locations."""
+    out = t.table.render(t.table.encode(tr.output))
+    return f'-{tr.symbol},{tr.direction}/"{out}"->'
+
+
 def dump_run(run: Run) -> str:
     """Stable text dump, one step per line plus the output line."""
-    table = run.transducer.table
-    lines = []
-    for i, s in enumerate(run.steps):
-        sym = s.transition.symbol
-        out = table.render(s.output)
-        lines.append(
-            f"step {i}: ({s.source[0]},{s.source[1]}) "
-            f"-{sym},{s.transition.direction}/\"{out}\"-> "
-            f"({s.target[0]},{s.target[1]}) state {s.transition.target}")
+    lines = [f"step {i}: ({s.source[0]},{s.source[1]}) "
+             f"{_move(run.transducer, s.transition)} "
+             f"({s.target[0]},{s.target[1]}) state {s.transition.target}"
+             for i, s in enumerate(run.steps)]
     lines.append(f'output: "{run.render_output()}"')
     return "\n".join(lines) + "\n"
 
@@ -460,30 +461,25 @@ def parse_run_dump(t: Transducer, raw: str, text: str) -> Run:
 def dump_transitions(t: Transducer, text: str) -> list[Transition]:
     """The transitions of `t` named by a run dump's step lines, in order.
 
-    Raises ValueError on a line that does not parse or names no transition
-    of `t`; whether they form a run is left to `replay`."""
+    Every line but the closing output line must read `step <i>: <source>
+    <move> <target> state <q>`, with the move `dump_run` writes for a
+    transition of `t` from the previous line's state to q; anything else
+    raises ValueError.  Whether the step numbers, locations and output are
+    the run's own is left to comparing the text with `dump_run` of the run,
+    and whether the transitions form a run to `replay`."""
+    by_move = {(tr.source, _move(t, tr), tr.target): tr
+               for tr in t.transitions}
+    lines = text.split("\n")
+    if len(lines) < 2 or lines[-1] or not lines[-2].startswith("output: "):
+        raise ValueError("run dump does not end with its output line")
     transitions: list[Transition] = []
-    by_desc = {}
-    for tr in t.transitions:
-        key = (tr.source, tr.symbol, tr.direction, tr.target,
-               t.table.render(t.table.encode(tr.output)))
-        by_desc[key] = tr
     state = t.initial
-    for line in text.splitlines():
-        line = line.strip()
-        if not line.startswith("step "):
-            continue
-        _, rest = line.split(": ", 1)
-        left, right = rest.split("-> ")
-        src_txt, move_txt = left.split(" -", 1)
-        move_txt = move_txt.rstrip()
-        sym, tail = move_txt.split(",", 1)
-        direction, out_q = tail.split("/", 1)
-        out = out_q.strip()[1:-1]
-        tgt_txt, state_txt = right.split(" state ")
-        key = (state, sym, direction, state_txt.strip(), out)
-        if key not in by_desc:
+    for line in lines[:-2]:
+        words = line.split(" ")
+        key = (state, words[3], words[6]) if len(words) == 7 \
+            and words[0] == "step" and words[5] == "state" else None
+        if key not in by_move:
             raise ValueError(f"no transition matches dump line: {line!r}")
-        transitions.append(by_desc[key])
-        state = state_txt.strip()
+        transitions.append(by_move[key])
+        state = key[2]
     return transitions

@@ -30,10 +30,10 @@ from typing import Iterator, Optional
 from untwist.bounds import PeriodBound
 from untwist.decomposition import (BLOCK, DIAGONAL, CoverageClass,
                                    Decomposition, is_block, is_diagonal)
-from untwist.effects import BOTTOM, Flow, effect_product
-from untwist.inversions import (CO_INVERSION, INVERSION, Inversion,
-                                PeriodReport, _pair_matches,
-                                anchored_components, inversion_safe,
+from untwist.effects import BOTTOM, Edge, Flow, effect_product
+from untwist.inversions import (CO_INVERSION, INVERSION, AnchoredComponent,
+                                Inversion, PeriodReport, _pair_matches,
+                                _side, _sides_safe, anchored_components,
                                 inversions_of, period_report)
 from untwist.loops import (Component, Loop, components_of, enumerate_loops,
                            trace_of)
@@ -265,6 +265,23 @@ def counted_flow_is_valid(h1: int, h2: int, edges: frozenset) -> bool:
     return True
 
 
+def _edge_kind(edge: Edge) -> str:
+    y, z = edge
+    if y % 2 == 0:
+        return "LR" if z % 2 == 0 else "LL"
+    return "RR" if z % 2 == 0 else "RL"
+
+
+def flow_partition(f: Flow) -> dict[str, frozenset[Edge]]:
+    """The flow's edges by kind: LL, LR, RL and RR, for the border each
+    edge leaves from and the border it reaches."""
+    parts: dict[str, set[Edge]] = {"LL": set(), "LR": set(),
+                                   "RL": set(), "RR": set()}
+    for e in f.edges:
+        parts[_edge_kind(e)].add(e)
+    return {k: frozenset(v) for k, v in parts.items()}
+
+
 def four_clause_flow_product(f, g):
     """F∘G from the LL/LR/RL/RR edge classes: relation products, with the
     zig-zags across the shared border closed by reflexive-transitive star,
@@ -272,7 +289,7 @@ def four_clause_flow_product(f, g):
     if f is BOTTOM or g is BOTTOM or f.h2 != g.h1:
         return BOTTOM
     universe = max(f.h1, f.h2, g.h1, g.h2)
-    fp, gp = f.partition(), g.partition()
+    fp, gp = flow_partition(f), flow_partition(g)
     left_turns = _star(_compose(gp["LL"], fp["RR"]), universe)
     right_turns = _star(_compose(fp["RR"], gp["LL"]), universe)
     lr = _compose(_compose(fp["LR"], left_turns), gp["LR"])
@@ -321,9 +338,19 @@ def list_first_unsafe_inversion(run: Run, bound: PeriodBound,
                                 inversions: list[Inversion]
                                 ) -> Optional[tuple[Inversion, PeriodReport]]:
     """First unsafe member of the run's `inversions` in their order, or None:
-    what `first_unsafe_inversion` must return without listing them."""
+    what `first_unsafe_inversion` must return without listing them.  Each
+    pair is judged as `inversion_safe` judges it, from the two members'
+    sides, and each side is computed once."""
+    sides: dict[int, tuple] = {}    # `inversions` keeps every member alive
+
+    def side(a: AnchoredComponent) -> tuple:
+        s = sides.get(id(a))
+        if s is None:
+            s = sides[id(a)] = _side(run, a)
+        return s
+
     for inv in inversions:
-        if not inversion_safe(run, bound, inv):
+        if not _sides_safe(run, bound, side(inv.first), side(inv.second)):
             return inv, period_report(run, inv, bound)
     return None
 

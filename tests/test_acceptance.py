@@ -16,7 +16,7 @@ from untwist.runs import enumerate_runs, validate_run
 from untwist.transducer import Transducer, Transition
 
 from .conftest import CORE_NAMES, domain_words
-from .oracles import (component_factor_pattern, naive_runs,
+from .oracles import (component_factor_pattern, flow_partition, naive_runs,
                       predicted_pump_output, run_signature)
 from .test_oneway import _mutate
 
@@ -34,7 +34,7 @@ def test_acceptance_01_flow_square(t_zigzag):
     run = enumerate_runs(t_zigzag, t_zigzag.parse_input_text("m"))[0]
     f = flow_of_interval(run, 1, 2)
     assert f.edges == {(0, 1), (2, 0), (1, 3), (4, 2), (3, 4)}
-    parts = flow_product(f, f).partition()
+    parts = flow_partition(flow_product(f, f))
     assert parts["LL"] == {(0, 1), (2, 3)}
     assert parts["RR"] == {(1, 2), (3, 4)}
     assert parts["LR"] == {(4, 0)}

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import re
@@ -6,13 +7,16 @@ import sys
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from untwist import cli, loops, oneway
 from untwist.cli import run_cli
 from untwist.decomposition import InternalInconsistencyError
 from untwist.runs import Run, dump_run, enumerate_runs
 
-from .conftest import FIXTURE_DIR, load_fixture, spy
+from .conftest import FIXTURE_DIR, FIXTURE_NAMES, load_fixture, spy
+from .test_golden import CERT_DIR
 
 SCHEMA = {
     "type": "object",
@@ -343,25 +347,135 @@ def _cert_error(capsys, name, cert_path):
      "error: unknown certificate kind 'bogus'\n"),
     (lambda text: text.replace("passes: 1", "passes: 2"),
      "error: a oneway certificate has 1 pass, not 2\n"),
-    # A quoted field stands between two quotes, not any two characters.
+    # A quoted field stands between two quotes, not any two characters: the
+    # reprint of what such a text parses to names the first line it differs
+    # from.
     (lambda text: text.replace('input: "ab"', "input: XabY"),
-     "error: input 'XabY' is not quoted\n"),
+     "error: certificate line 6 reads 'input: XabY\\n' where its reprint "
+     "reads 'input: \"ab\"\\n'\n"),
     (lambda text: text.replace('word: "aaba"', "word: XaabaY"),
-     "error: word 'XaabaY' is not quoted\n"),
+     "error: certificate line 22 reads '  word: XaabaY\\n' where its "
+     "reprint reads '  word: \"aaba\"\\n'\n"),
     (lambda text: text.replace('trace "a"', "trace XaY", 1),
-     "error: trace 'XaY' is not quoted\n"),
+     "error: certificate line 20 reads '  loop1: [1,2] levels [0,0] anchor "
+     "(1,0) trace XaY\\n' where its reprint reads '  loop1: [1,2] levels "
+     "[0,0] anchor (1,0) trace \"a\"\\n'\n"),
     (lambda text: text.replace('input: "ab"', 'input: "ab'),
-     "error: input '\"ab' is not quoted\n"),
+     "error: certificate line 6 reads 'input: \"ab\\n' where its reprint "
+     "reads 'input: \"a\"\\n'\n"),
+    # A certificate is exactly the text `decide --cert` writes; each of
+    # these edits once read valid, or invalid (exit 1), not a format error.
+    (lambda text: text.replace("passes: 1\n", ""),
+     "error: certificate line 3 reads 'transducer: T_COPY_AB\\n' where its "
+     "reprint reads 'passes: 0\\n'\n"),
+    (lambda text: text.replace('input: "ab"\n', 'input: "ab"\n' * 2),
+     "error: certificate line 7 reads 'input: \"ab\"\\n' where its reprint "
+     "reads 'run:\\n'\n"),
+    (lambda text: text.replace("run:\n", "foo: bar\nrun:\n"),
+     "error: certificate line 7 reads 'foo: bar\\n' where its reprint reads "
+     "'run:\\n'\n"),
+    (lambda text: text.replace("passes: 1", "passes: 01"),
+     "error: certificate line 3 reads 'passes: 01\\n' where its reprint "
+     "reads 'passes: 1\\n'\n"),
+    (lambda text: text.replace("\n", "\r\n"),
+     "error: certificate line 1 reads 'untwist-certificate v1\\r\\n' where "
+     "its reprint reads 'untwist-certificate v1\\n'\n"),
+    (lambda text: text.replace('input: "ab"\n',
+                               'input: "ab"\ninput: "ba"\n'),
+     "error: certificate line 7 reads 'input: \"ba\"\\n' where its reprint "
+     "reads 'run:\\n'\n"),
+    (lambda text: text.replace('-a,R/"a"->', "-a,R/XaY->"),
+     "error: no transition matches dump line: "
+     "'step 1: (1,0) -a,R/XaY-> (2,0) state p1'\n"),
+    (lambda text: text[:-1],
+     "error: certificate line 24 reads '    p=1 fail-at=1' where its "
+     "reprint reads '    p=1 fail-at=1\\n'\n"),
+    (lambda text: text.replace("  step 2:", "  hello\n  step 2:"),
+     "error: no transition matches dump line: 'hello'\n"),
 ], ids=["no-passes", "unknown-kind", "oneway-two-passes", "unquoted-input",
-        "unquoted-word", "unquoted-trace", "unclosed-input"])
+        "unquoted-word", "unquoted-trace", "unclosed-input", "passes-deleted",
+        "input-repeated", "unknown-header", "passes-01", "crlf",
+        "second-input", "unquoted-step-output", "no-final-newline",
+        "stray-run-line"])
 def test_certificate_header_out_of_range_exit_65(tmp_path, capsys, edit,
                                                  message):
     cert_path = tmp_path / "cert.txt"
     code, _ = invoke(capsys, "decide", "oneway", fx("T_COPY_AB"),
                      "--max-len", "3", "--cert", str(cert_path))
     assert code == 1
-    cert_path.write_text(edit(cert_path.read_text()))
+    cert_path.write_bytes(edit(cert_path.read_bytes().decode()).encode())
     assert _cert_error(capsys, "T_COPY_AB", cert_path) == (65, message)
+
+
+@functools.cache
+def _certificate_corpus() -> tuple[tuple[str, str, str], ...]:
+    """(machine, --period-bound, text) for each golden certificate and each
+    certificate the deciders write for a fixture at max-len 4, under the
+    symbolic bound and under bound 1, which refutes T_COPY_ABC and
+    T_RUNNING as well."""
+    corpus = {(path.name.split(".")[0], "symbolic",
+               path.read_bytes().decode())
+              for path in CERT_DIR.glob("*.cert")}
+    for name in FIXTURE_NAMES:
+        t = load_fixture(name)
+        for bound in ("symbolic", "1"):
+            pb = None if bound == "symbolic" else int(bound)
+            for v in (oneway.decide_oneway_bounded(t, 4, bound=pb),
+                      oneway.decide_sweeping_bounded(t, 2, 4, bound=pb)):
+                if v.certificate is not None:
+                    corpus.add((name, bound,
+                                oneway.certificate_text(v.certificate)))
+    return tuple(sorted(corpus))
+
+
+@st.composite
+def _mutants(draw) -> tuple[str, str, str]:
+    """A corpus certificate with one line deleted, duplicated or swapped
+    with another, or one character inserted, deleted or replaced."""
+    name, bound, text = draw(st.sampled_from(_certificate_corpus()))
+    lines = text.splitlines(keepends=True)
+    i = draw(st.integers(0, len(lines) - 1))
+    op = draw(st.sampled_from(["delete", "duplicate", "swap", "insert char",
+                               "delete char", "replace char"]))
+    if op == "delete":
+        del lines[i]
+    elif op == "duplicate":
+        lines.insert(i, lines[i])
+    elif op == "swap":
+        j = draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        k = draw(st.integers(0, len(lines[i]) - (op != "insert char")))
+        ch = draw(st.sampled_from(sorted(set(text) | set('\r\t "-0')))
+                  | st.characters(blacklist_categories=("Cs",)))
+        keep = k + (op != "insert char")
+        lines[i] = lines[i][:k] + ("" if op == "delete char" else ch) \
+            + lines[i][keep:]
+    return name, bound, "".join(lines)
+
+
+@pytest.fixture(scope="module")
+def mutant_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutants") / "cert.txt"
+
+
+@given(mutant=_mutants())
+@settings(max_examples=500, deadline=None)
+def test_mutated_certificates_exit_0_1_or_65(mutant_path, mutant):
+    # Every edit is a format error, a well-formed certificate that does not
+    # check out, or still valid (a line swapped with itself, or another
+    # index where the word breaks the period); none is a fault of the
+    # checker.  A text that parses is a print.
+    name, bound, text = mutant
+    mutant_path.write_bytes(text.encode())
+    code = run_cli(["verify-cert", fx(name), "--cert", str(mutant_path),
+                    "--period-bound", bound])
+    assert code in (0, 1, 65)
+    try:
+        cert = oneway.parse_certificate(text)
+    except ValueError:
+        return
+    assert oneway.certificate_text(cert) == text
 
 
 def test_memberless_certificate_of_the_identity_exit_65(tmp_path, capsys):

@@ -10,7 +10,7 @@ from untwist.runs import enumerate_runs
 from untwist.transducer import constants
 
 from .conftest import CORE_NAMES, domain_words
-from .oracles import (counted_flow_is_valid, effect_power,
+from .oracles import (counted_flow_is_valid, effect_power, flow_partition,
                       four_clause_flow_product)
 
 
@@ -23,7 +23,7 @@ def test_worked_square_example(t_zigzag):
     f = zigzag_flow(t_zigzag)
     assert f.edges == {(0, 1), (2, 0), (1, 3), (4, 2), (3, 4)}
     ff = flow_product(f, f)
-    parts = ff.partition()
+    parts = flow_partition(ff)
     assert parts["LL"] == {(0, 1), (2, 3)}
     assert parts["RR"] == {(1, 2), (3, 4)}
     assert parts["LR"] == {(4, 0)}
@@ -57,7 +57,7 @@ def test_flow_degree_and_parity_invariants(t_running):
         for x2 in range(x1 + 1, omega + 1):
             f = flow_of_interval(run, x1, x2)
             assert flow_is_valid(f.h1, f.h2, f.edges)
-            for (y, z), kind in ((e, k) for k, es in f.partition().items()
+            for (y, z), kind in ((e, k) for k, es in flow_partition(f).items()
                                  for e in es):
                 src_even, dst_even = y % 2 == 0, z % 2 == 0
                 assert {"LL": (True, False), "LR": (True, True),
