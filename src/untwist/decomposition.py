@@ -39,8 +39,6 @@ class BlockData(NamedTuple):
     tail: str
     period: int
     pattern: str
-    left_word: str      # output of the piece's excursions left of its span
-    right_word: str
 
 
 class Piece(NamedTuple):
@@ -161,16 +159,14 @@ def is_block(run: Run, l1: Location, l2: Location, bound: PeriodBound
     x1, x2 = l1[0], l2[0]
     if x1 > x2:
         raise ValueError("l1 must be no right of l2")
-    omega = run.word.omega
-    left_word = run.subrun_output(i1, i2, 0, x1)
-    right_word = run.subrun_output(i1, i2, x2, omega)
-    if not (bound_admits(bound, len(left_word))
-            and bound_admits(bound, len(right_word))):
+    # The outputs of the piece's excursions left and right of its span.
+    if not all(bound_admits(bound, len(run.subrun_output(i1, i2, lo, hi)))
+               for lo, hi in ((0, x1), (x2, run.word.omega))):
         return False, None
     w = run.output_between(i1, i2)
     n = len(w)
     if n == 0:
-        return True, BlockData("", "", "", 1, "", left_word, right_word)
+        return True, BlockData("", "", "", 1, "")
     # Candidate (i, j) splits: head w[:i], middle w[i:j], tail w[j:].
     for length in range(n, -1, -1):
         for i in range(0, n - length + 1):
@@ -181,8 +177,7 @@ def is_block(run: Run, l1: Location, l2: Location, bound: PeriodBound
             p = smallest_period(mid) if mid else 1
             if not bound_admits(bound, p):
                 continue
-            return True, BlockData(w[:i], mid, w[j:], p, mid[:p],
-                                   left_word, right_word)
+            return True, BlockData(w[:i], mid, w[j:], p, mid[:p])
     return False, None
 
 

@@ -8,14 +8,23 @@ the anchor, so its trace is their outputs joined.  For idempotent loops the
 factors, in run order (sorted by step range), follow the k*LL, 1*LR, k*RR
 pattern (mirrored for right-to-left components), the lone crossing factor
 starts at the anchor, and iterating the loop iterates each component's trace.
+
+Pumping follows the crossing-sequence picture (Shepherdson 1959): the loop's
+borders carry one crossing sequence, so the run pumped by repeating [x1, x2]
+has at each cut x the crossing of the original at phi(x).  phi is the
+identity up to x1, shifts x left by the (copies-1)(x2-x1) cuts added right of
+the last copy, and inside a copy reduces x modulo the loop; an inner copy
+border maps to x1 on an even level (the next move reads into a copy) and to
+x2 on an odd one.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
 
 from .effects import Effect, effect_of_interval, is_idempotent
-from .runs import Factor, InternalInconsistencyError, Location, Run, replay
-from .transducer import Transducer, Transition
+from .runs import Factor, InternalInconsistencyError, Location, Run, \
+    _advance, replay
+from .transducer import Transducer
 
 
 class Loop(NamedTuple):
@@ -135,88 +144,41 @@ def trace_of(run: Run, comp: Component) -> str:
 # Pumping
 # ---------------------------------------------------------------------------
 
-def pump_word(run: Run, loop: Loop, copies: int) -> str:
-    raw = run.word.raw
-    a, b = loop.x1 - 1, loop.x2 - 1    # raw indices: position x cuts raw at x-1
-    return raw[:a] + raw[a:b] * copies + raw[b:]
-
-
 def pump(t: Transducer, run: Run, loop: Loop, copies: int
          ) -> tuple[str, Run]:
     """Replicate the loop `copies` times (copies = m+1 >= 1).
 
-    The pumped run is assembled by the canonical reconnection: outside
-    pieces are kept, and the factors intercepted by the loop are traversed
-    through the replicated copies, entering the next copy whenever a factor
-    ends on an inner border.  The result is materialized by replaying the
-    spliced transition sequence, which re-derives every location.
-    """
+    From each location (x, y) the pumped run makes the move the original
+    makes from (phi(x), y), phi being the module docstring's map from the
+    pumped cuts to the original's; walking it from (0, 0) collects the
+    transitions that `replay` materializes."""
+    x1, x2 = loop.x1, loop.x2
     if copies < 1:
         raise ValueError("pump multiplicity must be at least 1")
-    factors = run.intercepted_factors(loop.x1, loop.x2)
-    if not factors:
-        raise ValueError(f"{loop} intercepts no factors")
-    side_of = {True: "L", False: "R"}
-    start_map: dict[tuple[str, int], int] = {}
-    end_map: dict[tuple[str, int], int] = {}
-    for j, f in enumerate(factors):
-        start_map[(side_of[f.start[0] == loop.x1], f.start[1])] = j
-        end_map[(side_of[f.end[0] == loop.x1], f.end[1])] = j
-
-    # Outside pieces: outside[j] follows factor j-1 (outside[0] is the prefix).
-    outside: list[list[Transition]] = []
-    cursor = 0
-    for f in factors:
-        i, k = f.step_range
-        outside.append([s.transition for s in run.steps[cursor:i]])
-        cursor = k
-    outside.append([s.transition for s in run.steps[cursor:]])
-
-    def factor_transitions(j: int) -> list[Transition]:
-        i, k = factors[j].step_range
-        return [s.transition for s in run.steps[i:k]]
-
-    # Walk: outside pieces are stitched by the border point where the
-    # traversal of the replicated region exits; for non-idempotent loops
-    # this genuinely permutes them.
-    consumed: set[tuple[int, int]] = set()
-    emitted_outside = [False] * len(outside)
-    out: list[Transition] = list(outside[0])
-    emitted_outside[0] = True
-    entry = 0
-    while True:
-        cur = entry
-        copy = 0 if factors[cur].start[0] == loop.x1 else copies - 1
-        while True:
-            if (cur, copy) in consumed:
-                raise InternalInconsistencyError(
-                    "pump traversal revisited a copy")
-            consumed.add((cur, copy))
-            out.extend(factor_transitions(cur))
-            end_side = side_of[factors[cur].end[0] == loop.x1]
-            level = factors[cur].end[1]
-            if end_side == "L":
-                if copy == 0:
-                    break
-                copy -= 1
-                cur = start_map[("R", level)]
-            else:
-                if copy == copies - 1:
-                    break
-                copy += 1
-                cur = start_map[("L", level)]
-        j_exit = end_map[(end_side, level)]
-        if emitted_outside[j_exit + 1]:
-            raise InternalInconsistencyError(
-                "pump traversal emitted an outside piece twice")
-        emitted_outside[j_exit + 1] = True
-        out.extend(outside[j_exit + 1])
-        if j_exit + 1 == len(factors):
-            break
-        entry = j_exit + 1
-    if len(consumed) != copies * len(factors) or not all(emitted_outside):
+    if not 1 <= x1 < x2 < run.word.omega \
+            or run.crossing(x1) != run.crossing(x2):
+        raise ValueError(f"{loop} is not a loop of the run: its borders are "
+                         f"not inner cuts with equal crossings")
+    width, shift = x2 - x1, (copies - 1) * (x2 - x1)
+    end = run.word.omega + shift
+    # Each step that reads inside the loop is made once per copy.
+    total = len(run.steps) + (copies - 1) * sum(
+        x1 <= s.read_index < x2 for s in run.steps)
+    levels = [1] + [0] * end
+    x, y, out = 0, 0, []
+    while x != end and len(out) <= total:
+        if x1 < x < x2 + shift:     # strictly inside the copies
+            r = (x - x1) % width
+            fx = x1 + r if r else (x1 if y % 2 == 0 else x2)
+        else:
+            fx = x if x <= x1 else x - shift
+        out.append(run.steps[run.index_of((fx, y))].transition)
+        x = _advance((x, y), out[-1].direction)
+        y = levels[x]
+        levels[x] += 1
+    if len(out) != total:
         raise InternalInconsistencyError(
-            "pump traversal failed to consume every factor copy and "
-            "outside piece")
-    word = pump_word(run, loop, copies)
+            f"pumping {loop} {copies} times took {len(out)} steps, not {total}")
+    raw, a, b = run.word.raw, x1 - 1, x2 - 1   # cut x cuts raw at x-1
+    word = raw[:a] + raw[a:b] * copies + raw[b:]
     return word, replay(t, word, out)

@@ -443,6 +443,12 @@ def _move(t: Transducer, tr: Transition) -> str:
     return f'-{tr.symbol},{tr.direction}/"{out}"->'
 
 
+def _is_location(text: str) -> bool:
+    """Whether `dump_run` prints some location as text."""
+    x, _, y = text[1:-1].partition(",")
+    return x.isdecimal() and y.isdecimal() and text == f"({int(x)},{int(y)})"
+
+
 def dump_run(run: Run) -> str:
     """Stable text dump, one step per line plus the output line."""
     lines = [f"step {i}: ({s.source[0]},{s.source[1]}) "
@@ -461,12 +467,12 @@ def parse_run_dump(t: Transducer, raw: str, text: str) -> Run:
 def dump_transitions(t: Transducer, text: str) -> list[Transition]:
     """The transitions of `t` named by a run dump's step lines, in order.
 
-    Every line but the closing output line must read `step <i>: <source>
-    <move> <target> state <q>`, with the move `dump_run` writes for a
-    transition of `t` from the previous line's state to q; anything else
-    raises ValueError.  Whether the step numbers, locations and output are
-    the run's own is left to comparing the text with `dump_run` of the run,
-    and whether the transitions form a run to `replay`."""
+    Each line i before the closing output line must read `step i: (a,b)
+    <move> (c,d) state q`: locations as `dump_run` prints them, and the
+    move it writes for a transition of `t` from the previous line's state
+    to q; anything else raises ValueError.  Whether the locations and
+    output are the run's own is left to comparing the text with `dump_run`
+    of the run, and whether the transitions form a run to `replay`."""
     by_move = {(tr.source, _move(t, tr), tr.target): tr
                for tr in t.transitions}
     lines = text.split("\n")
@@ -474,10 +480,11 @@ def dump_transitions(t: Transducer, text: str) -> list[Transition]:
         raise ValueError("run dump does not end with its output line")
     transitions: list[Transition] = []
     state = t.initial
-    for line in lines[:-2]:
+    for i, line in enumerate(lines[:-2]):
         words = line.split(" ")
         key = (state, words[3], words[6]) if len(words) == 7 \
-            and words[0] == "step" and words[5] == "state" else None
+            and words[:2] == ["step", f"{i}:"] and words[5] == "state" \
+            and _is_location(words[2]) and _is_location(words[4]) else None
         if key not in by_move:
             raise ValueError(f"no transition matches dump line: {line!r}")
         transitions.append(by_move[key])

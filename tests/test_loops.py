@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from untwist.effects import effect_product
 from untwist.loops import Loop, components_of, enumerate_loops, pump, \
     trace_of
-from untwist.runs import Factor, InternalInconsistencyError, \
+from untwist.runs import InternalInconsistencyError, Run, \
     enumerate_runs, validate_run
 from untwist.transducer import validate
 
@@ -239,28 +239,82 @@ def test_pump_nonidempotent_loop_still_valid(t_zigzag):
     assert doubled == raw and word == t_zigzag.parse_input_text("mmm")
 
 
-def _stub_run(factors):
-    """A run that intercepts `factors` on every interval, one step each."""
-    return SimpleNamespace(intercepted_factors=lambda x1, x2: factors,
-                           steps=[SimpleNamespace(transition=None)]
-                           * len(factors))
+def _pumped_cut(loop: Loop, copies: int, x: int) -> int:
+    """The cut of the original word whose crossing a run pumped by
+    repeating `loop` `copies` times has at cut x: borders of copies map to
+    x1, which carries the crossing of x2."""
+    width = loop.x2 - loop.x1
+    if x <= loop.x1:
+        return x
+    if x >= loop.x2 + (copies - 1) * width:
+        return x - (copies - 1) * width
+    return loop.x1 + (x - loop.x1) % width
 
 
-# Factors on [1, 2] as (start, end) border points, that no run intercepts;
-# each sends the pump traversal into one of its checks.  Raised, not
-# asserted, so the checks also hold under python -O.
-@pytest.mark.parametrize("borders,message", [
-    ([((1, 0), (1, 0))], "failed to consume every factor copy"),
-    ([((1, 0), (1, 0)), ((1, 1), (2, 0)), ((2, 0), (2, 0))],
-     "revisited a copy"),
-    ([((1, 0), (1, 0)), ((2, 0), (1, 0)), ((1, 1), (2, 0))],
-     "emitted an outside piece twice"),
+def _assert_pumping_laws(t, run) -> int:
+    """Pump every loop of the run, idempotent or not, 1 to 3 times: each cut
+    of the pumped run has the crossing of its image, and each step that
+    reads inside the loop is made once per copy.  Returns the pumps made."""
+    pumps = 0
+    for loop in enumerate_loops(run):
+        inside = sum(loop.x1 <= s.read_index < loop.x2 for s in run.steps)
+        for copies in (1, 2, 3):
+            _, pumped = pump(t, run, loop, copies)
+            assert [pumped.crossing(x)
+                    for x in range(pumped.word.omega + 1)] == \
+                [run.crossing(_pumped_cut(loop, copies, x))
+                 for x in range(pumped.word.omega + 1)], (run, loop, copies)
+            assert len(pumped.steps) == \
+                len(run.steps) + (copies - 1) * inside, (run, loop, copies)
+            pumps += 1
+    return pumps
+
+
+def test_pumping_laws_on_fixtures(fixtures):
+    pumps = 0
+    for name in FIXTURE_NAMES:
+        t = fixtures[name]
+        for _, runs in domain_words(t, 4 if name == "T_RUNNING" else 5):
+            for run in runs:
+                pumps += _assert_pumping_laws(t, run)
+    assert pumps == 8838
+
+
+@given(transducers(max_transitions=12))
+@settings(max_examples=200, deadline=None)
+def test_pumping_laws_random(t):
+    assume(validate(t).ok)
+    for _, runs in runs_upto(t, 4):
+        for run in runs:
+            _assert_pumping_laws(t, run)
+
+
+@pytest.mark.parametrize("word,x1,x2", [
+    ("ab", 1, 2),    # the two borders have distinct crossings
+    ("ab", 0, 2),    # the left border is the left end
+    ("ab", 1, 4),    # the right border is past the right delimiter
 ])
-def test_pump_traversal_checks_raise(borders, message):
-    factors = [Factor("", (1, 2), start, end, (k, k + 1))
-               for k, (start, end) in enumerate(borders)]
+def test_pump_rejects_a_non_loop(word, x1, x2):
+    run = enumerate_runs(FIG_RUN, FIG_RUN.parse_input_text(word))[0]
+    with pytest.raises(ValueError, match=rf"loop\[{x1},{x2}\] .* not inner "
+                                         "cuts with equal crossings"):
+        pump(FIG_RUN, run, Loop(x1, x2, None, False), 2)
+
+
+@pytest.mark.parametrize("read_index,message", [
+    (-1, "took 17 steps, not 16"),    # no step reads inside the loop
+    (1, "took 19 steps, not 32"),     # every step does
+])
+def test_pump_step_count_check_raises(t_copy_ab, read_index, message):
+    # A run whose steps misstate what they read: the walk passes or falls
+    # short of the step count.  Raised, not asserted, so the check also
+    # holds under python -O.
+    run = enumerate_runs(t_copy_ab, t_copy_ab.parse_input_text("abab"))[0]
+    loop = next(l for l in enumerate_loops(run) if l.interval == (1, 2))
+    wrong = Run(t_copy_ab, run.word,
+                [s._replace(read_index=read_index) for s in run.steps])
     with pytest.raises(InternalInconsistencyError, match=message):
-        pump(None, _stub_run(factors), Loop(1, 2, None, True), 2)
+        pump(t_copy_ab, wrong, loop, 2)
 
 
 def test_component_interval_check_raises():
@@ -269,7 +323,7 @@ def test_component_interval_check_raises():
     loop = Loop(1, 2, SimpleNamespace(flow=flow), True)
     with pytest.raises(InternalInconsistencyError,
                        match=r"component nodes \(0, 2\) .* not an interval"):
-        components_of(_stub_run([]), loop)
+        components_of(None, loop)
 
 
 def test_predicted_pump_output_m0(t_mirror):

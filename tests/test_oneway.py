@@ -13,15 +13,16 @@ from untwist.oneway import (FunctionalityError, MemberRecord,
                             certificate_text, decide_oneway_bounded,
                             decide_sweeping_bounded, parse_certificate,
                             simulate_oneway, verify_certificate)
+from untwist.loops import components_of, enumerate_loops, pump
 from untwist.runs import CapExceeded, InternalInconsistencyError, \
-    dump_run, enumerate_runs, parse_run_dump
+    dump_run, enumerate_runs, parse_run_dump, validate_run
 from untwist.transducer import (Transducer, Transition,
                                 check_functional_bounded, constants,
                                 parse_transducer, words_upto)
 
 from .conftest import CORE_NAMES, FIXTURE_DIR, FIXTURE_NAMES, domain_words, \
     load_fixture, spy
-from .oracles import brute_decide
+from .oracles import brute_decide, predicted_pump_output
 
 
 def test_simulate_copy_abc(t_copy_abc):
@@ -187,6 +188,36 @@ def test_certificate_round_trip_and_stability(t_copy_ab):
     cert = parse_certificate(text1)
     assert cert == v1.certificate
     assert verify_certificate(t_copy_ab, cert)
+
+
+def test_pumping_the_loops_a_certificate_names(fixtures):
+    # Pumping an inversion's loop iterates each of its components' traces:
+    # the paper's argument that a refutation is sound, checked on each
+    # certificate the deciders write at the golden lengths.
+    pumps = 0
+    for name in FIXTURE_NAMES:
+        t = fixtures[name]
+        for bound in (None, 1):
+            for v in (decide_oneway_bounded(t, 5, bound=bound),
+                      decide_sweeping_bounded(t, 2, 4, bound=bound),
+                      decide_sweeping_bounded(t, 3, 5, bound=bound)):
+                if v.certificate is None:
+                    continue
+                cert = parse_certificate(certificate_text(v.certificate))
+                run = parse_run_dump(t, t.parse_input_text(cert.input_text),
+                                     cert.run_dump)
+                loops = {l.interval: l for l in enumerate_loops(run)}
+                for rec in cert.members:
+                    for loop in (loops[rec.loop1], loops[rec.loop2]):
+                        comps = components_of(run, loop)
+                        for copies in (2, 3):
+                            word, pumped = pump(t, run, loop, copies)
+                            assert validate_run(t, word, pumped,
+                                                require_normalized=False)
+                            assert pumped.output == predicted_pump_output(
+                                run, loop, comps, copies - 1)
+                            pumps += 1
+    assert pumps == 64
 
 
 def _agreeing_index(word: str, p: int) -> int:
