@@ -102,30 +102,19 @@ def _replay_decomposition(run: Run, d: Decomposition
         else:
             data = piece.block
             w = run.output_between(i1, i2)
-            head, mid, tail = data.head, data.mid, data.tail
-            p = data.period
-
-            def pattern_char(k: int) -> str:
-                if k < len(head):
-                    return head[k]
-                if k < len(head) + len(mid):
-                    return data.pattern[(k - len(head)) % p]
-                return tail[k - len(head) - len(mid)]
-
+            # The periodic representation must reproduce the output.
+            pattern, n = data.pattern, len(data.mid)
+            repeated = pattern * (n // max(len(pattern), 1) + 1)
+            if data.head + repeated[:n] + data.tail != w:
+                raise InternalInconsistencyError(
+                    "block representation out of sync")
             done = 0
 
             def emit_upto(x: int, target: int, note: str) -> None:
                 nonlocal done
-                if target <= done:
-                    return
-                chunk = w[done:target]
-                # The periodic representation must reproduce the output.
-                rep = "".join(pattern_char(k) for k in range(done, target))
-                if rep != chunk:
-                    raise InternalInconsistencyError(
-                        "block representation out of sync")
-                emit(x, chunk, note)
-                done = target
+                if target > done:
+                    emit(x, w[done:target], note)
+                    done = target
 
             lens = {x: len(run.subrun_output(i1, i2, 0, x))
                     for x in range(x1, x2 + 1)}

@@ -71,7 +71,8 @@ class Arrival(NamedTuple):
 
 
 class Run:
-    """A successful (normalized, unless built by pumping) two-way run."""
+    """A successful two-way run; enumeration and pumping build normalized
+    ones, and `validate_run` tells whether a replayed one is."""
 
     def __init__(self, transducer: Transducer, word: DelimitedInput,
                  steps: list[Step]):
@@ -198,7 +199,6 @@ class _PrefixSearch:
             raise ValueError(f"run cap {cap_runs} is negative")
         self.t = t
         self.cap_runs = cap_runs
-        self.state_cap = 2 * len(t.states)
         names = sorted({*t.states, t.initial,
                         *(tr.target for tr in t.transitions)})
         self.bits = {q: (1 << 2 * i, 2 << 2 * i) for i, q in enumerate(names)}
@@ -247,10 +247,10 @@ class _PrefixSearch:
 
         The search prunes any extension that would repeat a (state, level
         parity) pair at one position, which both enforces normalization and
-        bounds the depth, so it always terminates."""
+        bounds the depth, so it always terminates: once a cut has a visit
+        for every bit of its mask, each arrival there is pruned."""
         n = len(padded)
         moves, bits = self.t.moves, self.bits
-        state_cap = self.state_cap
         for state, steps, levels, seen in frontier:
             m = len(levels) - 1     # the entry sits at (m, 0)
             steps = steps.copy()
@@ -265,8 +265,6 @@ class _PrefixSearch:
                     if x2 < 0:
                         continue
                     y2 = levels[x2]
-                    if y2 >= state_cap:
-                        continue
                     parity = y2 % 2
                     # Rightward steps land on even levels, leftward on odd.
                     if parity != (0 if tr.direction == RIGHT else 1):
@@ -353,7 +351,9 @@ def replay(t: Transducer, raw: str,
            transitions: list[Transition]) -> Run:
     """Materialize a run from a transition sequence, deriving all locations.
 
-    Raises ValueError if the sequence is not a successful run on |-raw-|.
+    Each transition must be a move of `t` from the current state on the
+    letter under the head.  Raises ValueError if the sequence is not a
+    successful run of `t` on |-raw-|.
     """
     word = DelimitedInput.of(raw)
     padded = word.padded
@@ -363,20 +363,19 @@ def replay(t: Transducer, raw: str,
     state = t.initial
     steps: list[Step] = []
     for tr in transitions:
-        if tr.source != state:
-            raise ValueError(f"step {len(steps)}: expected state {state!r}, "
-                             f"transition leaves {tr.source!r}")
         ri = _read_index(loc)
         if not (0 <= ri < word.omega):
             raise ValueError(f"step {len(steps)}: head out of range")
-        if t.table.encode_symbol(tr.symbol) != padded[ri]:
-            raise ValueError(f"step {len(steps)}: symbol mismatch")
+        out_enc = dict(t.moves(state, padded[ri])).get(tr)
+        if out_enc is None:
+            raise ValueError(f"step {len(steps)}: the machine has no such "
+                             f"move in state {state!r} reading index {ri}")
         x2 = _advance(loc, tr.direction)
         if x2 < 0 or x2 > word.omega:
             raise ValueError(f"step {len(steps)}: move out of range")
         target = (x2, levels[x2])
         levels[x2] += 1
-        steps.append(Step(loc, target, tr, ri, t.table.encode(tr.output)))
+        steps.append(Step(loc, target, tr, ri, out_enc))
         loc, state = target, tr.target
     if loc[0] != word.omega:
         raise ValueError("run does not end past the right delimiter")
@@ -385,55 +384,31 @@ def replay(t: Transducer, raw: str,
     return Run(t, word, steps)
 
 
-def validate_run(t: Transducer, raw: str, run: Run, *,
-                 require_normalized: bool = True) -> bool:
-    """Independent replay check that `run` is a successful run on |-raw-|."""
-    word = DelimitedInput.of(raw)
-    if run.word.padded != word.padded:
+def validate_run(t: Transducer, raw: str, run: Run) -> bool:
+    """Whether `run` is a normalized successful run of `t` on |-raw-|.
+
+    It is when `replay` of its transitions on raw gives its word and its
+    steps, and no cut is visited twice in one state at levels of one parity.
+
+    Level parity needs no check of its own: the run starts on cut 0 and
+    crosses one cut per step, so it first reaches every other cut from the
+    left, and its visits to a cut alternate between arrivals from the left
+    (even levels) and from the right (odd levels).  Nor do the crossing counts: the run ends right of
+    every cut, so each cut is visited an odd number of times; and when the
+    transitions of `t` name only its states, as `validate` requires, a
+    normalized run visits a cut at most 2|Q| times, hence at most
+    h_max = 2|Q| - 1 times.
+    """
+    try:
+        again = replay(t, raw, [s.transition for s in run.steps])
+    except ValueError:
         return False
-    if run.locations[0] != (0, 0):
+    if again.word != run.word or again.steps != run.steps:
         return False
-    levels = [0] * (word.omega + 1)
-    levels[0] = 1
-    seen: list[set] = [set() for _ in range(word.omega + 1)]
-    seen[0].add((t.initial, 0))
-    state = t.initial
-    loc: Location = (0, 0)
-    delta = set(t.transitions)
-    for s in run.steps:
-        tr = s.transition
-        if s.source != loc or tr.source != state or tr not in delta:
+    for x in range(again.word.omega + 1):
+        visits = [(q, y % 2) for y, q in enumerate(again.crossing(x))]
+        if len(set(visits)) < len(visits):
             return False
-        ri = _read_index(loc)
-        if s.read_index != ri or not (0 <= ri < word.omega):
-            return False
-        if t.table.encode_symbol(tr.symbol) != word.padded[ri]:
-            return False
-        if s.output != t.table.encode(tr.output):
-            return False
-        x2 = _advance(loc, tr.direction)
-        if x2 < 0 or x2 > word.omega:
-            return False
-        if s.target != (x2, levels[x2]):
-            return False
-        parity = levels[x2] % 2
-        if parity != (0 if tr.direction == RIGHT else 1):
-            return False
-        key = (tr.target, parity)
-        if require_normalized and key in seen[x2]:
-            return False
-        seen[x2].add(key)
-        levels[x2] += 1
-        loc, state = s.target, tr.target
-    if loc[0] != word.omega or state not in t.finals:
-        return False
-    if require_normalized:
-        # Successful runs cross every position an odd number of times and
-        # stay within the crossing-sequence bound.
-        h_max = 2 * len(t.states) - 1
-        for x in range(word.omega + 1):
-            if levels[x] % 2 == 0 or levels[x] > h_max:
-                return False
     return True
 
 
@@ -468,9 +443,10 @@ def dump_transitions(t: Transducer, text: str) -> list[Transition]:
     """The transitions of `t` named by a run dump's step lines, in order.
 
     Each line i before the closing output line must read `step i: (a,b)
-    <move> (c,d) state q`: locations as `dump_run` prints them, and the
-    move it writes for a transition of `t` from the previous line's state
-    to q; anything else raises ValueError.  Whether the locations and
+    <move> (c,d) state q`, with locations as `dump_run` prints them, or
+    ValueError names it malformed; and its move must be the one `dump_run`
+    writes for a transition of `t` from the previous line's state to q, or
+    ValueError says no transition matches it.  Whether the locations and
     output are the run's own is left to comparing the text with `dump_run`
     of the run, and whether the transitions form a run to `replay`."""
     by_move = {(tr.source, _move(t, tr), tr.target): tr
@@ -482,9 +458,11 @@ def dump_transitions(t: Transducer, text: str) -> list[Transition]:
     state = t.initial
     for i, line in enumerate(lines[:-2]):
         words = line.split(" ")
-        key = (state, words[3], words[6]) if len(words) == 7 \
-            and words[:2] == ["step", f"{i}:"] and words[5] == "state" \
-            and _is_location(words[2]) and _is_location(words[4]) else None
+        if not (len(words) == 7 and words[:2] == ["step", f"{i}:"]
+                and words[5] == "state" and _is_location(words[2])
+                and _is_location(words[4])):
+            raise ValueError(f"malformed run dump line: {line!r}")
+        key = (state, words[3], words[6])
         if key not in by_move:
             raise ValueError(f"no transition matches dump line: {line!r}")
         transitions.append(by_move[key])

@@ -76,8 +76,7 @@ def test_acceptance_03_pumping(fixtures):
                     comps = components_of(run, loop)
                     for m in (0, 1, 2):
                         word, pumped = pump(t, run, loop, m + 1)
-                        assert validate_run(t, word, pumped,
-                                            require_normalized=False)
+                        assert validate_run(t, word, pumped)
                         assert pumped.output == \
                             predicted_pump_output(run, loop, comps, m)
                         checked += 1

@@ -391,20 +391,20 @@ def _cert_error(capsys, name, cert_path):
      "error: certificate line 24 reads '    p=1 fail-at=1' where its "
      "reprint reads '    p=1 fail-at=1\\n'\n"),
     (lambda text: text.replace("  step 2:", "  hello\n  step 2:"),
-     "error: no transition matches dump line: 'hello'\n"),
+     "error: malformed run dump line: 'hello'\n"),
     # A step line reads `step i: (a,b) <move> (c,d) state q` on line i,
-    # each location as it prints from its integers.
+    # each location as it prints from its integers; any other is malformed.
     (lambda text: text.replace("  step 3:", "  step 03:"),
-     "error: no transition matches dump line: "
+     "error: malformed run dump line: "
      "'step 03: (3,0) --|,L/\"\"-> (3,1) state rw'\n"),
     (lambda text: text.replace("  step 2:", "  step 7:"),
-     "error: no transition matches dump line: "
+     "error: malformed run dump line: "
      "'step 7: (2,0) -b,R/\"b\"-> (3,0) state p1'\n"),
     (lambda text: text.replace("step 3: (3,0)", "step 3: (x)"),
-     "error: no transition matches dump line: "
+     "error: malformed run dump line: "
      "'step 3: (x) --|,L/\"\"-> (3,1) state rw'\n"),
     (lambda text: text.replace("step 2: (2,0)", "step 2: (2,00)"),
-     "error: no transition matches dump line: "
+     "error: malformed run dump line: "
      "'step 2: (2,00) -b,R/\"b\"-> (3,0) state p1'\n"),
 ], ids=["no-passes", "unknown-kind", "oneway-two-passes", "unquoted-input",
         "unquoted-word", "unquoted-trace", "unclosed-input", "passes-deleted",

@@ -220,8 +220,7 @@ def test_pump_structural_validity_and_prediction(fixtures):
                     comps = components_of(run, loop)
                     for m in (0, 1, 2):
                         word, pumped = pump(t, run, loop, m + 1)
-                        assert validate_run(t, word, pumped,
-                                            require_normalized=False)
+                        assert validate_run(t, word, pumped)
                         assert pumped.output == predicted_pump_output(
                             run, loop, comps, m)
 
@@ -233,7 +232,7 @@ def test_pump_nonidempotent_loop_still_valid(t_zigzag):
     loop = by_iv[(1, 2)]
     assert not loop.idempotent
     word, pumped = pump(t_zigzag, run, loop, 2)
-    assert validate_run(t_zigzag, word, pumped, require_normalized=False)
+    assert validate_run(t_zigzag, word, pumped)
     # Doubling the non-idempotent cell behaves like the doubled loop.
     doubled, pumped2 = pump(t_zigzag, run, by_iv[(1, 3)], 1)
     assert doubled == raw and word == t_zigzag.parse_input_text("mmm")
@@ -252,14 +251,16 @@ def _pumped_cut(loop: Loop, copies: int, x: int) -> int:
 
 
 def _assert_pumping_laws(t, run) -> int:
-    """Pump every loop of the run, idempotent or not, 1 to 3 times: each cut
-    of the pumped run has the crossing of its image, and each step that
-    reads inside the loop is made once per copy.  Returns the pumps made."""
+    """Pump every loop of the run, idempotent or not, 1 to 3 times: the
+    pumped run is a normalized run on the pumped word, each of its cuts has
+    the crossing of its image, and each step that reads inside the loop is
+    made once per copy.  Returns the pumps made."""
     pumps = 0
     for loop in enumerate_loops(run):
         inside = sum(loop.x1 <= s.read_index < loop.x2 for s in run.steps)
         for copies in (1, 2, 3):
-            _, pumped = pump(t, run, loop, copies)
+            word, pumped = pump(t, run, loop, copies)
+            assert validate_run(t, word, pumped), (run, loop, copies)
             assert [pumped.crossing(x)
                     for x in range(pumped.word.omega + 1)] == \
                 [run.crossing(_pumped_cut(loop, copies, x))

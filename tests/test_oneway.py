@@ -212,8 +212,7 @@ def test_pumping_the_loops_a_certificate_names(fixtures):
                         comps = components_of(run, loop)
                         for copies in (2, 3):
                             word, pumped = pump(t, run, loop, copies)
-                            assert validate_run(t, word, pumped,
-                                                require_normalized=False)
+                            assert validate_run(t, word, pumped)
                             assert pumped.output == predicted_pump_output(
                                 run, loop, comps, copies - 1)
                             pumps += 1

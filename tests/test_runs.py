@@ -5,7 +5,7 @@ import untwist.runs
 from untwist.runs import (CapExceeded, DelimitedInput,
                           InternalInconsistencyError, Run, _PrefixSearch,
                           arrivals_upto, dump_run, enumerate_runs,
-                          parse_run_dump, validate_run)
+                          parse_run_dump, replay, validate_run)
 from untwist.transducer import LEFT_END, parse_transducer, validate, words_upto
 
 from .conftest import CORE_NAMES, FIXTURE_NAMES, domain_words, load_fixture
@@ -201,6 +201,49 @@ def test_validate_run_rejects_foreign_output(t_id):
 def test_validate_run_rejects_wrong_word(t_id):
     run = enumerate_runs(t_id, t_id.parse_input_text("ab"))[0]
     assert not validate_run(t_id, t_id.parse_input_text("ba"), run)
+
+
+# On `a`, p may step left onto |- and s step back, revisiting (p, even
+# level) at cut 1 before p moves on to f; the only normalized run goes
+# straight through.
+REVISIT = parse_transducer("""
+transducer REVISIT
+input a
+output x
+states q0 p s f
+initial q0
+final f
+t q0 |- R p ""
+t p a L s ""
+t s |- R p ""
+t p a R f "x"
+t f -| R f ""
+""")
+
+
+def _revisit_moves(*path):
+    by_ends = {(tr.source, tr.target): tr for tr in REVISIT.transitions}
+    return [by_ends[ends] for ends in zip(path, path[1:])]
+
+
+def test_replay_rejects_a_move_the_machine_lacks():
+    raw = REVISIT.parse_input_text("a")
+    moves = _revisit_moves("q0", "p", "f", "f")
+    assert replay(REVISIT, raw, moves).output == "x"
+    moves[1] = moves[1]._replace(output=("x", "x"))
+    with pytest.raises(ValueError, match="step 1: the machine has no such "
+                                         "move in state 'p'"):
+        replay(REVISIT, raw, moves)
+
+
+def test_validate_run_rejects_a_run_that_is_not_normalized():
+    raw = REVISIT.parse_input_text("a")
+    [straight] = enumerate_runs(REVISIT, raw)
+    assert validate_run(REVISIT, raw, straight)
+    run = replay(REVISIT, raw, _revisit_moves("q0", "p", "s", "p", "f", "f"))
+    assert run.locations == ((0, 0), (1, 0), (1, 1), (1, 2), (2, 0), (3, 0))
+    assert run.crossing(1) == ("p", "s", "p")
+    assert not validate_run(REVISIT, raw, run)
 
 
 def _assert_run_invariants(t, max_len):
