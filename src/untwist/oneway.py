@@ -23,7 +23,7 @@ from .inversions import (CO_INVERSION, INVERSION, AnchoredComponent,
                          k_inversion_safe)
 from .runs import (CapExceeded, DelimitedInput, InternalInconsistencyError,
                    Run, arrivals_upto, dump_run, dump_transitions,
-                   enumerate_runs, output_conflict, replay, validate_run)
+                   enumerate_runs, is_normalized, output_conflict, replay)
 from .transducer import Transducer, constants, serialize_transducer
 from .effects import effect_of_interval, is_idempotent
 from .loops import Loop, components_of, trace_of
@@ -138,8 +138,7 @@ def simulate_oneway(t: Transducer, raw: str, *, bound: PeriodBound = None,
 
     Absent when no successful run on the input admits a decomposition.
     """
-    if bound is None:
-        bound = constants(t).bound_factored
+    bound = constants(t).bound_factored if bound is None else bound
     runs = enumerate_runs(t, raw, cap_runs=cap_runs)
     _check_functional(t, raw, runs)
     for idx, run in enumerate(runs):
@@ -312,8 +311,7 @@ def verify_certificate(t: Transducer, cert: RefutationCertificate, *,
     dump that does not parse against `t` raises ValueError.  Only the replay
     of the dumped run may fail into "invalid": any other exception is a
     fault of the checker and propagates."""
-    if bound is None:
-        bound = constants(t).bound_factored
+    bound = constants(t).bound_factored if bound is None else bound
     if cert.digest != transducer_digest(t) or cert.transducer_name != t.name:
         return False
     raw = t.parse_input_text(cert.input_text) if cert.input_text else ""
@@ -322,8 +320,8 @@ def verify_certificate(t: Transducer, cert: RefutationCertificate, *,
         run = replay(t, raw, transitions)
     except ValueError:
         return False
-    # The dump's locations and output must be the replayed run's own.
-    if dump_run(run) != cert.run_dump or not validate_run(t, raw, run):
+    # The dump must be the replayed run's own, and the run normalized.
+    if dump_run(run) != cert.run_dump or not is_normalized(run):
         return False
     table = t.table
     prev_second = None
@@ -400,12 +398,22 @@ def _first_unsafe_run(t: Transducer, max_len: int, cap_runs: int, k: int,
     chains checked.
 
     Every input is enumerated once, its runs shared across inputs with a
-    common prefix, and a `Run` is built only for an arrival that may invert
-    (every k-inversion starts with an inversion).  A non-functional input,
-    or a run-cap CapExceeded, anywhere up to max_len takes precedence over
-    a witness or a CapExceeded from the chain search: after either, the
-    scan goes on to max_len checking functionality only."""
+    common prefix.  A `Run` is built only for an arrival that may invert
+    (every k-inversion starts with an inversion) and whose skeleton has not
+    shown no chain before.  The skeleton fixes whether a chain exists:
+    loops compare crossing states; flows (so idempotency), components,
+    anchors and factor step ranges follow from the locations; a trace is
+    empty when its factors' output lengths sum to 0; `_pair_matches` and
+    the chain search compare anchors and their run order.  Only the period
+    checks read letters.
+
+    A non-functional input, or a run-cap CapExceeded, anywhere up to
+    max_len beats a witness or a chain-cap CapExceeded, so after either the
+    scan checks functionality up to max_len; on a deterministic machine
+    with a run cap of at least 1, where each word has at most one run,
+    neither can happen and the scan stops."""
     stats = {"inputs": 0, "runs": 0, counter: 0}
+    chain_free: set[tuple] = set()
     found = held = None
     for raw, arrivals in arrivals_upto(t, max_len, cap_runs=cap_runs):
         _check_functional(t, raw, arrivals)
@@ -414,9 +422,10 @@ def _first_unsafe_run(t: Transducer, max_len: int, cap_runs: int, k: int,
         stats["inputs"] += 1
         for arrival in arrivals:
             stats["runs"] += 1
-            if not arrival.may_invert:
+            if not arrival.may_invert or arrival.skeleton in chain_free:
                 continue
             run = Run(t, DelimitedInput.of(raw), arrival.steps)
+            checked = stats[counter]
             try:
                 for chain in enumerate_k_inversions(run, k, cap=cap_chains):
                     stats[counter] += 1
@@ -427,6 +436,10 @@ def _first_unsafe_run(t: Transducer, max_len: int, cap_runs: int, k: int,
                 held = exc
             if found is not None or held is not None:
                 break
+            if stats[counter] == checked:
+                chain_free.add(arrival.skeleton)
+        if t.deterministic and cap_runs >= 1 and (found or held):
+            break
     if held is not None:
         raise held
     return found, stats
@@ -448,8 +461,7 @@ def decide_oneway_bounded(t: Transducer, max_len: int, *,
     that no counterexample exists up to it (which is not a proof)."""
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
-    if bound is None:
-        bound = constants(t).bound_factored
+    bound = constants(t).bound_factored if bound is None else bound
     # The one-pass chain search: a chain is one inversion, with no cap.
     found, stats = _first_unsafe_run(t, max_len, cap_runs, 1, bound,
                                      math.inf, "inversions")
@@ -473,8 +485,7 @@ def decide_sweeping_bounded(t: Transducer, passes: Optional[int],
     enumerable k, so it reports bound-exceeded after a proxy search."""
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
-    if bound is None:
-        bound = constants(t).bound_factored
+    bound = constants(t).bound_factored if bound is None else bound
     symbolic = passes is None
     if symbolic:
         c = constants(t)

@@ -69,6 +69,12 @@ class Arrival(NamedTuple):
     def output(self) -> str:
         return "".join(s.output for s in self.steps)
 
+    @property
+    def skeleton(self) -> tuple:
+        """The (location, state, output length) reached by each step."""
+        return tuple((s.target, s.transition.target, len(s.output))
+                     for s in self.steps)
+
 
 class Run:
     """A successful two-way run; enumeration and pumping build normalized
@@ -388,28 +394,29 @@ def validate_run(t: Transducer, raw: str, run: Run) -> bool:
     """Whether `run` is a normalized successful run of `t` on |-raw-|.
 
     It is when `replay` of its transitions on raw gives its word and its
-    steps, and no cut is visited twice in one state at levels of one parity.
-
-    Level parity needs no check of its own: the run starts on cut 0 and
-    crosses one cut per step, so it first reaches every other cut from the
-    left, and its visits to a cut alternate between arrivals from the left
-    (even levels) and from the right (odd levels).  Nor do the crossing counts: the run ends right of
-    every cut, so each cut is visited an odd number of times; and when the
-    transitions of `t` name only its states, as `validate` requires, a
-    normalized run visits a cut at most 2|Q| times, hence at most
-    h_max = 2|Q| - 1 times.
+    steps, and the replayed run `is_normalized`.
     """
     try:
         again = replay(t, raw, [s.transition for s in run.steps])
     except ValueError:
         return False
-    if again.word != run.word or again.steps != run.steps:
-        return False
-    for x in range(again.word.omega + 1):
-        visits = [(q, y % 2) for y, q in enumerate(again.crossing(x))]
-        if len(set(visits)) < len(visits):
-            return False
-    return True
+    return again.word == run.word and again.steps == run.steps \
+        and is_normalized(again)
+
+
+def is_normalized(run: Run) -> bool:
+    """Whether no cut of the run is visited twice in one state at levels of
+    one parity.
+
+    Nothing else needs checking: the run starts on cut 0 and crosses one
+    cut per step, so its visits to a cut alternate between arrivals from
+    the left (even levels) and the right (odd levels); a successful run
+    ends right of every cut, so it visits each cut an odd number of times;
+    if normalized, at most 2|Q| times, hence at most h_max = 2|Q| - 1 times
+    when the states it names are the |Q| of its machine.
+    """
+    return all(len({(q, y % 2) for y, q in enumerate(c)}) == len(c)
+               for c in map(run.crossing, range(run.word.omega + 1)))
 
 
 def _move(t: Transducer, tr: Transition) -> str:

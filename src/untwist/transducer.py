@@ -105,6 +105,8 @@ class Transducer:
             key = (t.source, self.table.encode_symbol(t.symbol))
             self._delta.setdefault(key, []).append(
                 (t, self.table.encode(t.output)))
+        # At most one move per (state, symbol): each word has one run at most.
+        self.deterministic = all(len(b) == 1 for b in self._delta.values())
 
     def moves(self, state: str, symbol_char: str) -> list[tuple[Transition, str]]:
         """Transitions applicable in `state` reading the encoded symbol."""

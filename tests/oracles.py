@@ -9,7 +9,8 @@ the flow oracle joins four clauses of edge relations where the library
 follows each path, the inversion oracle tests every pair of anchored
 components, the chain oracle tries every member at every depth, and the
 decider oracle scans every run of every word and judges each chain member
-by its word's period report.
+by its word's period report.  The per-run search oracle is the deciders'
+shared enumeration without their skeleton set and early stop.
 
 The list versions of the periodicity check and the coverage classes scan
 the run's inversion list, pair by pair, where the library answers from
@@ -34,9 +35,11 @@ from untwist.effects import BOTTOM, Edge, Flow, effect_product
 from untwist.inversions import (CO_INVERSION, INVERSION, AnchoredComponent,
                                 Inversion, PeriodReport, _pair_matches,
                                 _side, _sides_safe, anchored_components,
-                                inversions_of, period_report)
+                                enumerate_k_inversions, inversions_of,
+                                k_inversion_safe, period_report)
 from untwist.loops import (Component, Loop, components_of, enumerate_loops,
                            trace_of)
+from untwist.oneway import _check_functional
 from untwist.runs import (CapExceeded, DelimitedInput, Factor, Run, Step,
                           arrivals_upto)
 from untwist.transducer import RIGHT, Transducer, words_upto
@@ -486,6 +489,41 @@ def brute_decide(t: Transducer, k: int, max_len: int, bound: PeriodBound):
                            for inv in chain):
                     return chain, raw, searched
     return None, None, searched
+
+
+def per_run_first_unsafe_run(t: Transducer, max_len: int, cap_runs: int,
+                             k: int, bound: PeriodBound, cap_chains: float,
+                             counter: str):
+    """`oneway._first_unsafe_run` without its two shortcuts: it builds a
+    `Run` and searches its chains for every flagged arrival, skeletons
+    seen chain-free before included, and after a refutation or a chain-cap
+    CapExceeded it checks the functionality of every later input up to
+    max_len, on deterministic machines too."""
+    stats = {"inputs": 0, "runs": 0, counter: 0}
+    found = held = None
+    for raw, arrivals in arrivals_upto(t, max_len, cap_runs=cap_runs):
+        _check_functional(t, raw, arrivals)
+        if found is not None or held is not None:
+            continue
+        stats["inputs"] += 1
+        for arrival in arrivals:
+            stats["runs"] += 1
+            if not arrival.may_invert:
+                continue
+            run = Run(t, DelimitedInput.of(raw), arrival.steps)
+            try:
+                for chain in enumerate_k_inversions(run, k, cap=cap_chains):
+                    stats[counter] += 1
+                    if not k_inversion_safe(run, bound, chain):
+                        found = raw, run, chain
+                        break
+            except CapExceeded as exc:
+                held = exc
+            if found is not None or held is not None:
+                break
+    if held is not None:
+        raise held
+    return found, stats
 
 
 def runs_upto(t: Transducer, max_len: int, *, cap_runs: int = 10**5

@@ -14,6 +14,7 @@ from untwist.oneway import (FunctionalityError, MemberRecord,
                             decide_sweeping_bounded, parse_certificate,
                             simulate_oneway, verify_certificate)
 from untwist.loops import components_of, enumerate_loops, pump
+from untwist.inversions import enumerate_k_inversions
 from untwist.runs import CapExceeded, InternalInconsistencyError, \
     dump_run, enumerate_runs, parse_run_dump, validate_run
 from untwist.transducer import (Transducer, Transition,
@@ -22,7 +23,9 @@ from untwist.transducer import (Transducer, Transition,
 
 from .conftest import CORE_NAMES, FIXTURE_DIR, FIXTURE_NAMES, domain_words, \
     load_fixture, spy
-from .oracles import brute_decide, predicted_pump_output
+from .oracles import (brute_decide, per_run_first_unsafe_run,
+                      predicted_pump_output)
+from .test_transducer import transducers
 
 
 def test_simulate_copy_abc(t_copy_abc):
@@ -466,38 +469,51 @@ def test_later_nonfunctional_input_beats_chain_cap(monkeypatch):
     assert str(exc.value) == _witness_message(t, 3)
 
 
-def test_deciders_enumerate_each_input_once(t_copy_ab, monkeypatch):
-    # Each decider draws every input, in words_upto order, from one
-    # arrivals_upto call, and never enumerates a word on its own.
-    single = spy(monkeypatch, untwist.runs, "enumerate_runs")
-    shared = spy(monkeypatch, untwist.runs, "arrivals_upto")
-    recorded, inputs = untwist.oneway.arrivals_upto, []
+def _drawn_inputs(monkeypatch, t: Transducer, decide) -> tuple:
+    """The verdict of `decide(t)`, the inputs it draws from `arrivals_upto`,
+    in order, and the max_len of each `arrivals_upto` call."""
+    with monkeypatch.context() as m:
+        shared = spy(m, untwist.runs, "arrivals_upto")
+        recorded, inputs = untwist.oneway.arrivals_upto, []
 
-    def draining(*args, **kwargs):
-        for raw, arrivals in recorded(*args, **kwargs):
-            inputs.append(raw)
-            yield raw, arrivals
-    monkeypatch.setattr(untwist.oneway, "arrivals_upto", draining)
-    v = decide_oneway_bounded(t_copy_ab, 9)
-    assert v.kind == "refuted"
-    assert v.searched == {"inputs": 5, "runs": 5, "inversions": 7}
-    assert [args[1] for args in shared] == [9]
-    assert inputs == list(words_upto(t_copy_ab, 9))
-    shared.clear()
-    inputs.clear()
-    v = decide_sweeping_bounded(t_copy_ab, 2, 6)
-    assert v.kind == "refuted"
-    assert [args[1] for args in shared] == [6]
-    assert inputs == list(words_upto(t_copy_ab, 6))
+        def draining(*args, **kwargs):
+            for raw, arrivals in recorded(*args, **kwargs):
+                inputs.append(raw)
+                yield raw, arrivals
+        m.setattr(untwist.oneway, "arrivals_upto", draining)
+        v = decide(t)
+    return v, inputs, [args[1] for args in shared]
+
+
+def test_deciders_enumerate_each_input_once(t_copy_ab, monkeypatch):
+    # Each decider draws its inputs, in words_upto order, from one
+    # arrivals_upto call, and never enumerates a word on its own.  On the
+    # deterministic T_COPY_AB no later input can be non-functional, so the
+    # search stops at the refutation on ab; with two rewinds, each word has
+    # two runs and every word up to max_len is drawn.
+    single = spy(monkeypatch, untwist.runs, "enumerate_runs")
+    for decide, max_len, searched in (
+            (lambda t: decide_oneway_bounded(t, 9), 9,
+             {"inputs": 5, "runs": 5, "inversions": 7}),
+            (lambda t: decide_sweeping_bounded(t, 2, 6), 6,
+             {"inputs": 5, "runs": 5, "chains": 4})):
+        v, inputs, calls = _drawn_inputs(monkeypatch, t_copy_ab, decide)
+        assert (v.kind, v.certificate.input_text) == ("refuted", "ab")
+        assert v.searched == searched
+        assert (inputs, calls) == (["", "a", "b", "aa", "ab"], [max_len])
+        t = _copy_ab_two_rewinds()
+        _, inputs, calls = _drawn_inputs(monkeypatch, t, decide)
+        assert (inputs, calls) == (list(words_upto(t, max_len)), [max_len])
     assert single == []
 
 
 @pytest.mark.parametrize("name,max_len,inputs,built", [
-    ("T_RUNNING", 7, 21845, 4799), ("T_ID", 6, 127, 0)])
+    ("T_RUNNING", 7, 21845, 568), ("T_ID", 6, 127, 0)])
 def test_deciders_build_runs_only_where_an_inversion_can_be(
         name, max_len, inputs, built, monkeypatch):
     # No fixture word has two runs, so one Run is built per arrival that
-    # may invert (see `_PrefixSearch.close`), and none for the others.
+    # may invert (see `_PrefixSearch.close`) and whose skeleton has not
+    # been found chain-free before, and none for the others.
     runs, init = [], untwist.runs.Run.__init__
 
     def counted(run, *args):
@@ -538,3 +554,116 @@ def test_functional_machine_with_two_runs_per_word(t_copy_ab):
         # on ab refutes.
         assert v.searched["inputs"] == expected.searched["inputs"] == 5
         assert v.searched["runs"] == 9
+
+
+# -- chain-free skeletons and the early stop -----------------------------------
+
+def test_deterministic_machines():
+    assert all(load_fixture(name).deterministic for name in FIXTURE_NAMES)
+    assert not _copy_ab_two_rewinds().deterministic
+    assert not _copy_ab_nonfunctional_from(3).deterministic
+
+
+@given(transducers(max_transitions=12))
+@settings(max_examples=60, deadline=None)
+def test_deterministic_machines_have_one_run_per_word(t):
+    if t.deterministic:
+        assert all(len(arrivals) <= 1
+                   for _, arrivals in untwist.runs.arrivals_upto(t, 4))
+
+
+# (decider, max_len) at the golden corpus's lengths: k = 1 through the
+# one-way decider and through the sweeping one, then k = 2, 3 and the
+# symbolic pass count.
+_DECIDERS = (
+    (lambda t, n: decide_oneway_bounded(t, n), 5),
+    (lambda t, n: decide_sweeping_bounded(t, 1, n), 5),
+    (lambda t, n: decide_sweeping_bounded(t, 2, n), 4),
+    (lambda t, n: decide_sweeping_bounded(t, 3, n), 5),
+    (lambda t, n: decide_sweeping_bounded(t, None, n), 4),
+)
+
+
+def _outcome(decide) -> tuple:
+    """The verdict with its counters, or the exception's type and text."""
+    try:
+        v = decide()
+    except (FunctionalityError, CapExceeded) as exc:
+        return type(exc), str(exc)
+    return v, dict(v.searched)
+
+
+def _assert_matches_per_run_search(t: Transducer, max_len=None) -> None:
+    for decide, n in _DECIDERS:
+        n = n if max_len is None else max_len
+        ours = _outcome(lambda: decide(t, n))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(untwist.oneway, "_first_unsafe_run",
+                      per_run_first_unsafe_run)
+            assert _outcome(lambda: decide(t, n)) == ours, n
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_deciders_match_per_run_search(name):
+    """The verdict, its certificate (the refuting input, run and chain) and
+    the counters, against the search that analyses every flagged run and
+    always scans on to max_len."""
+    _assert_matches_per_run_search(load_fixture(name))
+
+
+@pytest.mark.parametrize("max_len", [2, 3])
+def test_deciders_match_per_run_search_on_late_witnesses(max_len):
+    for t in (_copy_ab_two_rewinds(), _copy_ab_nonfunctional_from(3)):
+        _assert_matches_per_run_search(t, max_len)
+
+
+def test_chain_cap_on_a_deterministic_machine_matches_per_run_search(
+        t_copy_ab, monkeypatch):
+    # The scan stops at the chain-cap CapExceeded as at a refutation.
+    monkeypatch.setattr(untwist.oneway, "CAP_CHAINS", 0)
+    with pytest.raises(CapExceeded, match="k-inversion cap 0 exceeded"):
+        decide_sweeping_bounded(t_copy_ab, 2, 5)
+    _assert_matches_per_run_search(t_copy_ab)
+
+
+@given(transducers(max_transitions=12))
+@settings(max_examples=60, deadline=None)
+def test_deciders_match_per_run_search_random(t):
+    _assert_matches_per_run_search(t, 4)
+
+
+def _assert_skeletons_fix_chain_freeness(t: Transducer, max_len: int) -> int:
+    """Check that flagged arrivals with one skeleton agree, for k = 1..3,
+    on whether any k-inversion chain exists; return how many arrivals
+    shared a skeleton with an earlier one."""
+    seen: dict[tuple, tuple[bool, ...]] = {}
+    repeats = 0
+    for raw, arrivals in untwist.runs.arrivals_upto(t, max_len):
+        for arrival in arrivals:
+            if not arrival.may_invert:
+                continue
+            run = untwist.runs.Run(t, untwist.runs.DelimitedInput.of(raw),
+                                   arrival.steps)
+            has_chain = tuple(next(enumerate_k_inversions(run, k), None)
+                              is not None for k in (1, 2, 3))
+            key = arrival.skeleton
+            repeats += key in seen
+            assert seen.setdefault(key, has_chain) == has_chain, raw
+    return repeats
+
+
+@pytest.mark.parametrize("name,max_len,repeats", [
+    ("T_ID", 6, 0), ("T_COPY_ABC", 6, 0), ("T_COPY_AB", 6, 120),
+    ("T_MIRROR", 6, 120), ("T_RUNNING", 5, 164), ("T_ZIGZAG", 6, 0),
+    ("T_THREECOMP", 6, 0)])
+def test_skeletons_fix_chain_freeness(name, max_len, repeats):
+    # T_ID flags no arrival, and the other machines with no repeat have
+    # at most one word of each length in their domain.
+    assert _assert_skeletons_fix_chain_freeness(
+        load_fixture(name), max_len) == repeats
+
+
+@given(transducers(max_transitions=12))
+@settings(max_examples=60, deadline=None)
+def test_skeletons_fix_chain_freeness_random(t):
+    _assert_skeletons_fix_chain_freeness(t, 4)
