@@ -27,8 +27,8 @@ def main(name: str, max_len: int) -> int:
     print(f"{'input':>14} {'steps':>6} {'loops':>6} {'idem':>6} "
           f"{'comps':>6} {'invs':>6} {'flag':>4}")
     runs = flagged = with_inversions = missed = 0
-    skeletons: dict[tuple, bool] = {}   # flagged skeleton -> inversion-free
-    for raw, arrivals in arrivals_upto(t, max_len):
+    skeletons: dict[int, bool] = {}     # flagged skeleton -> inversion-free
+    for raw, arrivals, _ in arrivals_upto(t, max_len):
         for arrival in arrivals:
             run = Run(t, DelimitedInput.of(raw), arrival.steps)
             loops = enumerate_loops(run)

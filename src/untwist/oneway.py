@@ -398,7 +398,8 @@ def _first_unsafe_run(t: Transducer, max_len: int, cap_runs: int, k: int,
     chains checked.
 
     Every input is enumerated once, its runs shared across inputs with a
-    common prefix.  A `Run` is built only for an arrival that may invert
+    common prefix; those that extend a prefix with no live crossing are
+    counted at once.  A `Run` is built only for an arrival that may invert
     (every k-inversion starts with an inversion) and whose skeleton has not
     shown no chain before.  The skeleton fixes whether a chain exists:
     loops compare crossing states; flows (so idempotency), components,
@@ -413,13 +414,13 @@ def _first_unsafe_run(t: Transducer, max_len: int, cap_runs: int, k: int,
     with a run cap of at least 1, where each word has at most one run,
     neither can happen and the scan stops."""
     stats = {"inputs": 0, "runs": 0, counter: 0}
-    chain_free: set[tuple] = set()
+    chain_free: set[int] = set()
     found = held = None
-    for raw, arrivals in arrivals_upto(t, max_len, cap_runs=cap_runs):
+    for raw, arrivals, count in arrivals_upto(t, max_len, cap_runs=cap_runs):
         _check_functional(t, raw, arrivals)
         if found is not None or held is not None:
             continue
-        stats["inputs"] += 1
+        stats["inputs"] += count
         for arrival in arrivals:
             stats["runs"] += 1
             if not arrival.may_invert or arrival.skeleton in chain_free:

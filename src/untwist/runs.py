@@ -6,10 +6,14 @@ rightward step over the symbol between cuts x and x+1 arrives at (x+1, even
 level), a leftward step over that symbol arrives at (x, odd level).  A step's
 "read index" is the 0-based position of the symbol it consumes in the padded
 word.  Level y at cut x is the run's visit number y to cut x, so the run-order
-list of the visits to each cut indexes every location on it.
+list of the visits to each cut indexes every location on it.  Enumeration
+follows Shepherdson (1959): a run is a path of interned crossing sequences,
+one per cut, each adjacent pair consistent with the letter between, and its
+steps are rebuilt from the path only where they are needed.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate
 from typing import Iterator, NamedTuple, Optional
 
@@ -60,20 +64,33 @@ class Factor(NamedTuple):
 
 
 class Arrival(NamedTuple):
-    """A run as the search finds it, before its anatomy is built."""
+    """A run as the search finds it: the last link of its path (see
+    `_CrossingSearch._link`) and its steps if the search built them, else
+    None; `steps` builds them when asked for."""
 
-    steps: list[Step]
-    may_invert: bool    # see `_PrefixSearch.close`
+    search: "_CrossingSearch"
+    path: tuple
+    walked: Optional[list[Step]] = None
+
+    # Whether two inner cuts share a crossing of length >= 3, which every
+    # inversion needs (the single-pass lemma in
+    # `inversions.multi_pass_components`).
+    may_invert = property(lambda self: self.path[5])
+    # An id, equal for two runs of one search exactly when they reach the
+    # same (location, state, output length) at each step: both fix the
+    # letter-free fragment of each cell (its two crossings and the
+    # direction and output length of each move).
+    skeleton = property(lambda self: self.path[3])
+
+    @property
+    def steps(self) -> list[Step]:
+        if self.walked is None:
+            return self.search.walk(self.path)
+        return self.walked
 
     @property
     def output(self) -> str:
         return "".join(s.output for s in self.steps)
-
-    @property
-    def skeleton(self) -> tuple:
-        """The (location, state, output length) reached by each step."""
-        return tuple((s.target, s.transition.target, len(s.output))
-                     for s in self.steps)
 
 
 class Run:
@@ -181,167 +198,235 @@ def _advance(loc: Location, direction: str) -> int:
     return x if direction == RIGHT else x - 1
 
 
-class _PrefixSearch:
-    """The canonical DFS over normalized runs, cut at input prefixes.
+@lru_cache(maxsize=8)
+def _relation(t: Transducer) -> tuple:
+    """A machine's crossing ids (both ways) and the memos of its consistency
+    relation: (id, letter) -> {id: pairings}, (ids, letter) -> (ids,
+    predecessors), (ids, letter) -> the paths over two cuts and -|, and its
+    fragment ids.  They grow only up to the machine's crossings, and the
+    searches on the machine in one process share them."""
+    return {(t.initial,): 0}, [(t.initial,)], {}, {}, {}, {}
 
-    The head crosses one cut per step (Shepherdson's crossing-sequence
-    picture), so until a partial run first reaches cut n it has read only
-    the padded prefix of length n, and its DFS subtree up to there is the
-    same on every word with that prefix.  The DFS on a word visits the
-    frontier entries of each prefix in order and, between two of them, only
-    nodes left of the prefix's cut; the runs of a word are therefore the
-    runs grown from each entry in turn, in the order of a DFS over the whole
-    word, and the run cap fires at the same run.
 
-    The frontier of a padded prefix p is the tuple of the partial runs on p
-    that have just reached cut |p| for the first time, in canonical DFS
-    order.  An entry is (state, steps, levels, seen): levels[x] is the next
-    free level at cut x and seen[x] the bitmask of the (state, level parity)
-    pairs there.
+class _CrossingSearch:
+    """Normalized runs as paths of crossing sequences (Shepherdson 1959).
+
+    The crossing at cut x lists the states of a run's visits there by
+    level; even levels enter cell x, odd ones cell x - 1.  Crossings c at x
+    and r at x + 1 are consistent over the letter of cell x when the cell's
+    entries (c's even levels, r's odd ones) pair off in order with its exits
+    (r's even levels, c's odd ones) by moves on the letter: c[0] enters
+    first, and after an exit to r[j] or c[i] the next entry is r[j + 1] or
+    c[i + 1].  A path of consistent crossings, with a pairing per cell, is
+    one run: each location but (omega, 0) enters one cell, whose pairing
+    gives its step; by induction the walk from (0, 0) meets each cut's
+    levels in order, and it ends after the last pairing of cell omega - 1,
+    which follows all others there, and so on leftwards, so it visits every
+    location.  Every normalized run is such a path, normalization being
+    local: no crossing repeats a (state, level parity).
+
+    The stack holds, for each cut of the current prefix, the ids of the
+    crossings that some path from (0, 0) reaches (memoized on the cut before
+    and the letter), each one's predecessors, and the paths traced so far.
+    A word's runs are traced back from its final crossings, never into a
+    dead end.  The canonical DFS order is the lexicographic order of the
+    runs' move indices in `Transducer.moves`, as no run extends another,
+    and so of their transitions: where two runs part, both move from one
+    state on one letter, and `moves` lists those in transition order.
+    `close` sorts by it where a word has two runs or more, after counting
+    them, so the run cap fires on the word where that DFS meets run cap + 1.
     """
 
     def __init__(self, t: Transducer, cap_runs: int):
         if cap_runs < 0:
             raise ValueError(f"run cap {cap_runs} is negative")
-        self.t = t
-        self.cap_runs = cap_runs
-        names = sorted({*t.states, t.initial,
-                        *(tr.target for tr in t.transitions)})
-        self.bits = {q: (1 << 2 * i, 2 << 2 * i) for i, q in enumerate(names)}
-        # The frontier of the empty prefix: the initial location (0, 0).
-        self.start = ((t.initial, [], [1], [self.bits[t.initial][0]]),)
+        self.t, self.cap_runs = t, cap_runs
+        # A run crosses a cut leftwards in the target of a left move.
+        self.returns = sorted({tr.target for tr in t.transitions
+                               if tr.direction != RIGHT})
+        (self.ids, self.crossings, self.edges, self.steps, self.ends,
+         self.fragments) = _relation(t)
+        self.skeletons: dict = {}   # (skeleton, fragment) -> skeleton
+        self.stack = [(frozenset({0}), {},
+                       {0: [(None, 0, None, 0, frozenset(), False)]})]
 
-    def extend(self, frontier: tuple, padded: str) -> Optional[tuple]:
-        """The frontier of padded, grown from the frontier of a shorter
-        prefix of it; None when no run on any extension of padded exists."""
-        entries = []
-        bits = self.bits
+    def _edges(self, c: int, letter: str) -> dict[int, list]:
+        """The ids consistent with c over letter, each with its pairings:
+        (the (transition, output) moves from the cell's entries in order,
+        fragment id).  Past -|, the crossing is one final state."""
+        key = (c, letter)
+        if key in self.edges:
+            return self.edges[key]
+        cut, last = self.crossings[c], letter == RIGHT_END
+        moves, finals = self.t.moves, self.t.finals
+        found: dict[tuple[str, ...], list] = {}
 
-        def arrive(state, steps, levels, seen):
-            levels, seen = levels.copy(), seen.copy()
-            levels[-1], seen[-1] = 1, bits[state][0]
-            entries.append((state, steps, levels, seen))
-        self._walk(frontier, padded, arrive)
-        return tuple(entries) or None
+        def pair(q, i, right, done):
+            # q enters; cut[:i] and right are paired off by `done` so far.
+            for move in moves(q, letter):
+                tr = move[0]
+                if tr.direction == RIGHT and tr.target not in right[::2]:
+                    r = right + (tr.target,)
+                    if i == len(cut) and (not last or tr.target in finals):
+                        found.setdefault(r, []).append(done + (move,))
+                    for q2 in () if last else self.returns:
+                        if q2 not in r[1::2]:
+                            pair(q2, i, r + (q2,), done + (move,))
+                elif tr.direction != RIGHT and i + 1 < len(cut) \
+                        and cut[i] == tr.target:
+                    pair(cut[i + 1], i + 2, right, done + (move,))
+        pair(cut[0], 1, (), ())
+        edges = self.edges[key] = {}
+        for right, pairings in found.items():
+            r = self.ids.setdefault(right, len(self.crossings))
+            if r == len(self.crossings):
+                self.crossings.append(right)
+            edges[r] = [(m, self.fragments.setdefault(
+                (c, r, tuple((tr.direction, len(out)) for tr, out in m)),
+                len(self.fragments))) for m in pairings]
+        return edges
 
-    def close(self, frontier: tuple, padded: str) -> list[Arrival]:
-        """The runs on padded, grown from the frontier of a prefix of it.
+    def _step(self, live: frozenset, letter: str) -> tuple[frozenset, dict]:
+        """The ids live at the next cut, given those live at this one and
+        the letter between, with each one's (id, pairing) predecessors."""
+        key = (live, letter)
+        if key not in self.steps:
+            back: dict[int, list] = {}
+            for c in sorted(live):
+                for r, pairings in self._edges(c, letter).items():
+                    back.setdefault(r, []).extend((c, m) for m in pairings)
+            self.steps[key] = (frozenset(back), back)
+        return self.steps[key]
 
-        An arrival may invert when two inner cuts 1 <= x < omega have a
-        crossing of length >= 3 with the same (state, level parity) pairs.
-        Every inversion needs two such cuts with one crossing sequence (the
-        single-pass lemma in `inversions.multi_pass_components`); a cut's
-        visits set distinct bits of its mask, which therefore also fixes the
-        length."""
-        t, cap_runs = self.t, self.cap_runs
-        n = len(padded)
-        arrivals: list[Arrival] = []
+    def push(self, letter: str) -> None:
+        self.stack.append((*self._step(self.stack[-1][0], letter), {}))
 
-        def arrive(state, steps, levels, seen):
-            if state in t.finals:
-                if len(arrivals) >= cap_runs:
-                    raise CapExceeded(f"run cap {cap_runs} exceeded")
-                masks = [s for c, s in zip(levels[1:n], seen[1:n]) if c >= 3]
-                arrivals.append(Arrival(steps, len(set(masks)) < len(masks)))
-        self._walk(frontier, padded, arrive)
-        return arrivals
+    def pop(self) -> None:
+        del self.stack[-1]
 
-    def _walk(self, frontier: tuple, padded: str, arrive) -> None:
-        """Continue each entry's DFS over padded until its branches first
-        reach cut n = len(padded); each arrival there is passed to `arrive`
-        in DFS order.
+    def close(self, letter: str) -> list[Arrival]:
+        """The runs on the current prefix, letter and -|, in canonical DFS
+        order."""
+        key = (self.stack[-1][0], letter)
+        if key not in self.ends:
+            # Each (q, m, p, m2, r): ids at this cut, the next and the last,
+            # with the pairings between.
+            live, back = self._step(key[0], letter)
+            final, last = self._step(live, RIGHT_END)
+            self.ends[key] = [(q, m, p, m2, r) for r in sorted(final)
+                              for p, m2 in last[r] for q, m in back[p]]
+        k, memo, link = len(self.stack) - 1, self.stack[-1][2], self._link
+        paths = [link(link(before, p, m), r, m2)
+                 for q, m, p, m2, r in self.ends[key]
+                 for before in memo.get(q) or self._paths(k, q)]
+        if len(paths) > self.cap_runs:
+            raise CapExceeded(f"run cap {self.cap_runs} exceeded")
+        if len(paths) == 1:
+            return [Arrival(self, paths[0])]
+        runs = [Arrival(self, path, self.walk(path)) for path in paths]
+        return sorted(runs, key=lambda a: [s.transition for s in a.walked])
 
-        The search prunes any extension that would repeat a (state, level
-        parity) pair at one position, which both enforces normalization and
-        bounds the depth, so it always terminates: once a cut has a visit
-        for every bit of its mask, each arrival there is pruned."""
-        n = len(padded)
-        moves, bits = self.t.moves, self.bits
-        for state, steps, levels, seen in frontier:
-            m = len(levels) - 1     # the entry sits at (m, 0)
-            steps = steps.copy()
-            levels = levels + [0] * (n - m)
-            seen = seen + [0] * (n - m)
-            # Each frame is (location, iterator over moves, read index).
-            stack = [((m, 0), iter(moves(state, padded[m])), m)]
-            while stack:
-                loc, it, ri = stack[-1]
-                for tr, out_enc in it:
-                    x2 = _advance(loc, tr.direction)
-                    if x2 < 0:
-                        continue
-                    y2 = levels[x2]
-                    parity = y2 % 2
-                    # Rightward steps land on even levels, leftward on odd.
-                    if parity != (0 if tr.direction == RIGHT else 1):
-                        raise InternalInconsistencyError(
-                            f"a step in direction {tr.direction} lands on "
-                            f"level {y2} at cut {x2}")
-                    bit = bits[tr.target][parity]
-                    if seen[x2] & bit:
-                        continue    # normalization pruning
-                    target = (x2, y2)
-                    step = Step(loc, target, tr, ri, out_enc)
-                    if x2 == n:
-                        arrive(tr.target, steps + [step], levels, seen)
-                        continue
-                    steps.append(step)
-                    levels[x2] += 1
-                    seen[x2] |= bit
-                    ri2 = x2 if parity == 0 else x2 - 1
-                    stack.append((target, iter(moves(tr.target, padded[ri2])),
-                                  ri2))
-                    break
-                else:
-                    stack.pop()
-                    if stack:
-                        s = steps.pop()
-                        x, y = s.target
-                        levels[x] -= 1
-                        seen[x] ^= bits[s.transition.target][y % 2]
+    def _link(self, link: tuple, c: int, pairing: tuple) -> tuple:
+        """A path grown by one cell: (the path before, the id c it reaches,
+        the cell's pairing, skeleton id, the ids of length >= 3 on it,
+        whether one of those repeats)."""
+        key = (link[3], pairing[1])
+        skeleton = self.skeletons.setdefault(key, len(self.skeletons) + 1)
+        if len(self.crossings[c]) < 3:
+            return (link, c, pairing, skeleton, link[4], link[5])
+        return (link, c, pairing, skeleton, link[4] | {c},
+                link[5] or c in link[4])
+
+    def _paths(self, k: int, c: int) -> list[tuple]:
+        """The paths from cut 0 to id c at cut k of the current prefix, each
+        memoized until its prefix is popped.  A path traced back from a
+        final crossing is part of a run, so more than the run cap of them
+        exceed it."""
+        todo = [(k, c)]
+        while todo:
+            j, r = todo.pop()
+            memo, prev = self.stack[j][2], self.stack[j - 1][2]
+            preds = self.stack[j][1][r]
+            missing = [(j - 1, p) for p, _ in preds if p not in prev]
+            if missing:
+                todo += [(j, r), *missing]
+            elif r not in memo:
+                memo[r] = [self._link(link, r, pairing)
+                           for p, pairing in preds for link in prev[p]]
+                if len(memo[r]) > self.cap_runs:
+                    raise CapExceeded(f"run cap {self.cap_runs} exceeded")
+        return self.stack[k][2][c]
+
+    def walk(self, path: tuple) -> list[Step]:
+        """The steps of a path: the walk from (0, 0) makes, on its k-th
+        entry into a cell, the cell's k-th move."""
+        links = []
+        while path is not None:
+            links.append(path)
+            path = path[0]
+        links.reverse()
+        levels = [1] + [0] * (len(links) - 1)
+        entries = [0] * len(links)
+        steps: list[Step] = []
+        loc: Location = (0, 0)
+        while loc[0] < len(links) - 1:
+            ri = _read_index(loc)
+            tr, out = links[ri + 1][2][0][entries[ri]]
+            entries[ri] += 1
+            x2 = _advance(loc, tr.direction)
+            y2 = levels[x2]
+            # Rightward steps land on even levels, leftward on odd.
+            if y2 % 2 != (tr.direction != RIGHT):
+                raise InternalInconsistencyError(
+                    f"a step in direction {tr.direction} lands on "
+                    f"level {y2} at cut {x2}")
+            levels[x2] += 1
+            steps.append(Step(loc, (x2, y2), tr, ri, out))
+            loc = (x2, y2)
+        if levels != [len(self.crossings[link[1]]) for link in links]:
+            raise InternalInconsistencyError(
+                "a walk missed a location of its crossings")
+        return steps
 
 
 def enumerate_runs(t: Transducer, raw: str, *,
                    cap_runs: int = 10**5) -> list[Run]:
     """All normalized successful runs on |-raw-|, in canonical DFS order."""
     word = DelimitedInput.of(raw)
-    search = _PrefixSearch(t, cap_runs)
-    return [Run(t, word, a.steps)
-            for a in search.close(search.start, word.padded)]
+    search = _CrossingSearch(t, cap_runs)
+    for letter in word.padded[:-2]:
+        search.push(letter)
+    return [Run(t, word, a.steps) for a in search.close(word.padded[-2])]
 
 
 def arrivals_upto(t: Transducer, max_len: int, *, cap_runs: int = 10**5
-                  ) -> Iterator[tuple[str, list[Arrival]]]:
-    """Every word of `words_upto(t, max_len)`, in that order, with the
-    arrivals of its runs in the order `enumerate_runs` gives the runs, or
-    the CapExceeded it raises.
-
-    The words of each length are visited depth first, so only the frontiers
-    of the current word's proper prefixes are held.  Each is grown from its
-    parent's once for each length of the words that extend it, and each
-    word's runs are grown from its parent's frontier; a prefix no partial
-    run survives (None) is not extended, and its extensions have no runs."""
-    search = _PrefixSearch(t, cap_runs)
+                  ) -> Iterator[tuple[str, list[Arrival], int]]:
+    """Each word of `words_upto(t, max_len)`, in that order, as (word, the
+    arrivals of its runs in the order `enumerate_runs` gives the runs, 1),
+    or the CapExceeded it raises; a prefix u at whose cut no crossing is
+    live stands for its extensions of each length n, which have no run, as
+    one (u, [], |Σ|^(n - |u|)).  The prefixes of each length are visited
+    depth first, each pushed on its parent."""
+    search = _CrossingSearch(t, cap_runs)
     alphabet = sorted(t.table.encode_symbol(s) for s in t.input_symbols)
 
-    def extensions(u: str, frontier: Optional[tuple], n: int):
-        """The words of length n > len(u) that extend u, given the frontier
-        of LEFT_END + u."""
-        for a in alphabet:
-            w = u + a
-            if len(w) == n:
-                yield w, (search.close(frontier, LEFT_END + w + RIGHT_END)
-                          if frontier else [])
-            else:
-                yield from extensions(
-                    w, frontier and search.extend(frontier, LEFT_END + w), n)
+    def words(u: str, n: int):
+        if not search.stack[-1][0]:
+            yield u, [], len(alphabet) ** (n - len(u))
+        elif len(u) == n - 1:
+            for a in alphabet:
+                yield u + a, search.close(a), 1
+        else:
+            for a in alphabet:
+                search.push(a)
+                yield from words(u + a, n)
+                search.pop()
 
-    if max_len < 0:
-        return
-    root = search.extend(search.start, LEFT_END)
-    yield "", search.close(root, LEFT_END + RIGHT_END) if root else []
+    if max_len >= 0:
+        yield "", search.close(LEFT_END), 1
+    search.push(LEFT_END)
     for n in range(1, max_len + 1):
-        yield from extensions("", root, n)
+        yield from words("", n)
 
 
 def output_conflict(runs) -> Optional[tuple[str, str]]:

@@ -417,7 +417,8 @@ def check_functional_bounded(t: Transducer, max_len: int, *,
     """
     from . import runs as _runs  # local import: runs depends on this module
 
-    for word, arrivals in _runs.arrivals_upto(t, max_len, cap_runs=cap_runs):
+    for word, arrivals, _ in _runs.arrivals_upto(t, max_len,
+                                                 cap_runs=cap_runs):
         conflict = _runs.output_conflict(arrivals)
         if conflict is not None:
             return ("witness", t.table.render(word),

@@ -9,15 +9,17 @@ the flow oracle joins four clauses of edge relations where the library
 follows each path, the inversion oracle tests every pair of anchored
 components, the chain oracle tries every member at every depth, and the
 decider oracle scans every run of every word and judges each chain member
-by its word's period report.  The per-run search oracle is the deciders'
-shared enumeration without their skeleton set and early stop.
+by its word's period report.  The prefix-sharing oracle is the canonical
+DFS over partial runs, cut at input prefixes, that the library's search
+over crossing sequences replaced; the per-run search oracle is the
+deciders' scan over its runs, without their skeleton set and early stop.
 
 The list versions of the periodicity check and the coverage classes scan
 the run's inversion list, pair by pair, where the library answers from
 per-component aggregates without listing the pairs.
 
 The helpers at the end serve the tests where the library has no use for
-them: `runs_upto` builds a `Run` from each arrival of the shared
+them: `runs_upto` builds a `Run` from each arrival of the library's shared
 enumeration, and the others check properties of the library's objects:
 powers of an effect, the factor pattern of a loop component, the
 trace-based prediction of a pumped output, output-minimality, and a full
@@ -26,7 +28,8 @@ re-check of a decomposition.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Iterator, Optional
+from itertools import islice
+from typing import Iterator, NamedTuple, Optional
 
 from untwist.bounds import PeriodBound
 from untwist.decomposition import (BLOCK, DIAGONAL, CoverageClass,
@@ -40,9 +43,11 @@ from untwist.inversions import (CO_INVERSION, INVERSION, AnchoredComponent,
 from untwist.loops import (Component, Loop, components_of, enumerate_loops,
                            trace_of)
 from untwist.oneway import _check_functional
-from untwist.runs import (CapExceeded, DelimitedInput, Factor, Run, Step,
+from untwist.runs import (CapExceeded, DelimitedInput, Factor,
+                          InternalInconsistencyError, Run, Step, _advance,
                           arrivals_upto)
-from untwist.transducer import RIGHT, Transducer, words_upto
+from untwist.transducer import (LEFT_END, RIGHT, RIGHT_END, Transducer,
+                                words_upto)
 
 
 def naive_runs(t: Transducer, raw: str) -> set[tuple]:
@@ -494,14 +499,15 @@ def brute_decide(t: Transducer, k: int, max_len: int, bound: PeriodBound):
 def per_run_first_unsafe_run(t: Transducer, max_len: int, cap_runs: int,
                              k: int, bound: PeriodBound, cap_chains: float,
                              counter: str):
-    """`oneway._first_unsafe_run` without its two shortcuts: it builds a
+    """`oneway._first_unsafe_run` without its shortcuts, on the runs of
+    the `_PrefixSearch` oracle: it counts every input one by one, builds a
     `Run` and searches its chains for every flagged arrival, skeletons
     seen chain-free before included, and after a refutation or a chain-cap
     CapExceeded it checks the functionality of every later input up to
     max_len, on deterministic machines too."""
     stats = {"inputs": 0, "runs": 0, counter: 0}
     found = held = None
-    for raw, arrivals in arrivals_upto(t, max_len, cap_runs=cap_runs):
+    for raw, arrivals in prefix_arrivals_upto(t, max_len, cap_runs=cap_runs):
         _check_functional(t, raw, arrivals)
         if found is not None or held is not None:
             continue
@@ -530,10 +536,184 @@ def runs_upto(t: Transducer, max_len: int, *, cap_runs: int = 10**5
               ) -> Iterator[tuple[str, list[Run]]]:
     """Every word of `words_upto(t, max_len)`, in that order, with a `Run`
     built from each of its `arrivals_upto` arrivals: the runs
-    `enumerate_runs` gives, or the CapExceeded it raises."""
-    for raw, arrivals in arrivals_upto(t, max_len, cap_runs=cap_runs):
-        word = DelimitedInput.of(raw)
-        yield raw, [Run(t, word, a.steps) for a in arrivals]
+    `enumerate_runs` gives, or the CapExceeded it raises.  A dead prefix's
+    words, which `arrivals_upto` stands for by one item, come with no
+    runs."""
+    words = words_upto(t, max_len)
+    for raw, arrivals, count in arrivals_upto(t, max_len, cap_runs=cap_runs):
+        for word in islice(words, count):
+            assert word.startswith(raw) and (count == 1 or not arrivals)
+            yield word, [Run(t, DelimitedInput.of(word), a.steps)
+                         for a in arrivals]
+
+
+# -- the prefix-sharing DFS oracle -----------------------------------------
+
+class PrefixArrival(NamedTuple):
+    """A run as `_PrefixSearch` finds it."""
+
+    steps: list[Step]
+    may_invert: bool    # by (state, level parity) masks, which may over-flag
+
+    @property
+    def output(self) -> str:
+        return "".join(s.output for s in self.steps)
+
+
+class _PrefixSearch:
+    """The canonical DFS over normalized runs, cut at input prefixes.
+
+    The head crosses one cut per step (Shepherdson's crossing-sequence
+    picture), so until a partial run first reaches cut n it has read only
+    the padded prefix of length n, and its DFS subtree up to there is the
+    same on every word with that prefix.  The DFS on a word visits the
+    frontier entries of each prefix in order and, between two of them, only
+    nodes left of the prefix's cut; the runs of a word are therefore the
+    runs grown from each entry in turn, in the order of a DFS over the whole
+    word, and the run cap fires at the same run.
+
+    The frontier of a padded prefix p is the tuple of the partial runs on p
+    that have just reached cut |p| for the first time, in canonical DFS
+    order.  An entry is (state, steps, levels, seen): levels[x] is the next
+    free level at cut x and seen[x] the bitmask of the (state, level parity)
+    pairs there.
+    """
+
+    def __init__(self, t: Transducer, cap_runs: int):
+        if cap_runs < 0:
+            raise ValueError(f"run cap {cap_runs} is negative")
+        self.t = t
+        self.cap_runs = cap_runs
+        names = sorted({*t.states, t.initial,
+                        *(tr.target for tr in t.transitions)})
+        self.bits = {q: (1 << 2 * i, 2 << 2 * i) for i, q in enumerate(names)}
+        # The frontier of the empty prefix: the initial location (0, 0).
+        self.start = ((t.initial, [], [1], [self.bits[t.initial][0]]),)
+
+    def extend(self, frontier: tuple, padded: str) -> Optional[tuple]:
+        """The frontier of padded, grown from the frontier of a shorter
+        prefix of it; None when no run on any extension of padded exists."""
+        entries = []
+        bits = self.bits
+
+        def arrive(state, steps, levels, seen):
+            levels, seen = levels.copy(), seen.copy()
+            levels[-1], seen[-1] = 1, bits[state][0]
+            entries.append((state, steps, levels, seen))
+        self._walk(frontier, padded, arrive)
+        return tuple(entries) or None
+
+    def close(self, frontier: tuple, padded: str) -> list[PrefixArrival]:
+        """The runs on padded, grown from the frontier of a prefix of it.
+
+        An arrival may invert when two inner cuts 1 <= x < omega have a
+        crossing of length >= 3 with the same (state, level parity) pairs.
+        Every inversion needs two such cuts with one crossing sequence (the
+        single-pass lemma in `inversions.multi_pass_components`); a cut's
+        visits set distinct bits of its mask, which therefore also fixes the
+        length."""
+        t, cap_runs = self.t, self.cap_runs
+        n = len(padded)
+        arrivals: list[PrefixArrival] = []
+
+        def arrive(state, steps, levels, seen):
+            if state in t.finals:
+                if len(arrivals) >= cap_runs:
+                    raise CapExceeded(f"run cap {cap_runs} exceeded")
+                masks = [s for c, s in zip(levels[1:n], seen[1:n]) if c >= 3]
+                arrivals.append(PrefixArrival(
+                    steps, len(set(masks)) < len(masks)))
+        self._walk(frontier, padded, arrive)
+        return arrivals
+
+    def _walk(self, frontier: tuple, padded: str, arrive) -> None:
+        """Continue each entry's DFS over padded until its branches first
+        reach cut n = len(padded); each arrival there is passed to `arrive`
+        in DFS order.
+
+        The search prunes any extension that would repeat a (state, level
+        parity) pair at one position, which both enforces normalization and
+        bounds the depth, so it always terminates: once a cut has a visit
+        for every bit of its mask, each arrival there is pruned."""
+        n = len(padded)
+        moves, bits = self.t.moves, self.bits
+        for state, steps, levels, seen in frontier:
+            m = len(levels) - 1     # the entry sits at (m, 0)
+            steps = steps.copy()
+            levels = levels + [0] * (n - m)
+            seen = seen + [0] * (n - m)
+            # Each frame is (location, iterator over moves, read index).
+            stack = [((m, 0), iter(moves(state, padded[m])), m)]
+            while stack:
+                loc, it, ri = stack[-1]
+                for tr, out_enc in it:
+                    x2 = _advance(loc, tr.direction)
+                    if x2 < 0:
+                        continue
+                    y2 = levels[x2]
+                    parity = y2 % 2
+                    # Rightward steps land on even levels, leftward on odd.
+                    if parity != (0 if tr.direction == RIGHT else 1):
+                        raise InternalInconsistencyError(
+                            f"a step in direction {tr.direction} lands on "
+                            f"level {y2} at cut {x2}")
+                    bit = bits[tr.target][parity]
+                    if seen[x2] & bit:
+                        continue    # normalization pruning
+                    target = (x2, y2)
+                    step = Step(loc, target, tr, ri, out_enc)
+                    if x2 == n:
+                        arrive(tr.target, steps + [step], levels, seen)
+                        continue
+                    steps.append(step)
+                    levels[x2] += 1
+                    seen[x2] |= bit
+                    ri2 = x2 if parity == 0 else x2 - 1
+                    stack.append((target, iter(moves(tr.target, padded[ri2])),
+                                  ri2))
+                    break
+                else:
+                    stack.pop()
+                    if stack:
+                        s = steps.pop()
+                        x, y = s.target
+                        levels[x] -= 1
+                        seen[x] ^= bits[s.transition.target][y % 2]
+
+
+def prefix_arrivals_upto(t: Transducer, max_len: int, *,
+                         cap_runs: int = 10**5
+                         ) -> Iterator[tuple[str, list[PrefixArrival]]]:
+    """Every word of `words_upto(t, max_len)`, in that order, with the
+    arrivals of its runs in canonical DFS order, or the CapExceeded that
+    the DFS raises.
+
+    The words of each length are visited depth first, so only the frontiers
+    of the current word's proper prefixes are held.  Each is grown from its
+    parent's once for each length of the words that extend it, and each
+    word's runs are grown from its parent's frontier; a prefix no partial
+    run survives (None) is not extended, and its extensions have no runs."""
+    search = _PrefixSearch(t, cap_runs)
+    alphabet = sorted(t.table.encode_symbol(s) for s in t.input_symbols)
+
+    def extensions(u: str, frontier: Optional[tuple], n: int):
+        """The words of length n > len(u) that extend u, given the frontier
+        of LEFT_END + u."""
+        for a in alphabet:
+            w = u + a
+            if len(w) == n:
+                yield w, (search.close(frontier, LEFT_END + w + RIGHT_END)
+                          if frontier else [])
+            else:
+                yield from extensions(
+                    w, frontier and search.extend(frontier, LEFT_END + w), n)
+
+    if max_len < 0:
+        return
+    root = search.extend(search.start, LEFT_END)
+    yield "", search.close(root, LEFT_END + RIGHT_END) if root else []
+    for n in range(1, max_len + 1):
+        yield from extensions("", root, n)
 
 
 def effect_power(e, n: int):

@@ -477,9 +477,9 @@ def _drawn_inputs(monkeypatch, t: Transducer, decide) -> tuple:
         recorded, inputs = untwist.oneway.arrivals_upto, []
 
         def draining(*args, **kwargs):
-            for raw, arrivals in recorded(*args, **kwargs):
+            for raw, arrivals, count in recorded(*args, **kwargs):
                 inputs.append(raw)
-                yield raw, arrivals
+                yield raw, arrivals, count
         m.setattr(untwist.oneway, "arrivals_upto", draining)
         v = decide(t)
     return v, inputs, [args[1] for args in shared]
@@ -512,8 +512,8 @@ def test_deciders_enumerate_each_input_once(t_copy_ab, monkeypatch):
 def test_deciders_build_runs_only_where_an_inversion_can_be(
         name, max_len, inputs, built, monkeypatch):
     # No fixture word has two runs, so one Run is built per arrival that
-    # may invert (see `_PrefixSearch.close`) and whose skeleton has not
-    # been found chain-free before, and none for the others.
+    # may invert (see `Arrival.may_invert`) and whose skeleton has not been
+    # found chain-free before, and none for the others.
     runs, init = [], untwist.runs.Run.__init__
 
     def counted(run, *args):
@@ -569,7 +569,7 @@ def test_deterministic_machines():
 def test_deterministic_machines_have_one_run_per_word(t):
     if t.deterministic:
         assert all(len(arrivals) <= 1
-                   for _, arrivals in untwist.runs.arrivals_upto(t, 4))
+                   for _, arrivals, _ in untwist.runs.arrivals_upto(t, 4))
 
 
 # (decider, max_len) at the golden corpus's lengths: k = 1 through the
@@ -636,9 +636,9 @@ def _assert_skeletons_fix_chain_freeness(t: Transducer, max_len: int) -> int:
     """Check that flagged arrivals with one skeleton agree, for k = 1..3,
     on whether any k-inversion chain exists; return how many arrivals
     shared a skeleton with an earlier one."""
-    seen: dict[tuple, tuple[bool, ...]] = {}
+    seen: dict[int, tuple[bool, ...]] = {}
     repeats = 0
-    for raw, arrivals in untwist.runs.arrivals_upto(t, max_len):
+    for raw, arrivals, _ in untwist.runs.arrivals_upto(t, max_len):
         for arrival in arrivals:
             if not arrival.may_invert:
                 continue

@@ -1,17 +1,21 @@
+from itertools import islice
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import untwist.runs
+from untwist.oneway import decide_oneway_bounded
 from untwist.runs import (CapExceeded, DelimitedInput,
-                          InternalInconsistencyError, Run, _PrefixSearch,
+                          InternalInconsistencyError, Run, _CrossingSearch,
                           arrivals_upto, dump_run, enumerate_runs,
                           parse_run_dump, replay, validate_run)
-from untwist.transducer import LEFT_END, parse_transducer, validate, words_upto
+from untwist.transducer import (LEFT_END, check_functional_bounded,
+                                parse_transducer, validate, words_upto)
 
 from .conftest import CORE_NAMES, FIXTURE_NAMES, domain_words, load_fixture
 from .oracles import (brute_intercepted_factors, brute_runs,
-                      brute_subrun_output, naive_runs, run_signature,
-                      runs_upto)
+                      brute_subrun_output, naive_runs, prefix_arrivals_upto,
+                      run_signature, runs_upto)
 from .test_transducer import transducers
 
 # Nine-state machine reproducing the crossing-sequence presentation figure:
@@ -363,25 +367,26 @@ def test_shared_enumeration_matches_per_word_dfs_random(t):
 
 
 def _calls_by_rule(t, max_len) -> tuple[int, int]:
-    """(extends, closes) of one drained `arrivals_upto` pass, by its rule:
-    the empty prefix's frontier is grown once; a prefix whose parent is
-    live has its frontier grown once for each longer length; and a word is
-    closed when its parent prefix is live, the empty word when the empty
-    prefix is.  A prefix is live when some partial run reaches its end,
-    found here by a search over the whole prefix from the start."""
-    search = _PrefixSearch(t, 10**5)
-
+    """(pushes, closes) of one drained `arrivals_upto` pass, by its rule:
+    the empty prefix is pushed once; a prefix whose parent is live is
+    pushed once for each longer length; and a word is closed when its
+    parent prefix is live, the empty word always.  A prefix is live when
+    some crossing is live at its cut, found here by a search over the
+    whole prefix from the start."""
     def live(u):
-        return search.extend(search.start, LEFT_END + u) is not None
+        search = _CrossingSearch(t, 10**5)
+        for letter in LEFT_END + u:
+            search.push(letter)
+        return bool(search.stack[-1][0])
     alphabet = list(words_upto(t, 1))[1:]
     parents = [""] if live("") else []      # the live prefixes of length k-1
-    extends, closes = 1, len(parents)
+    pushes, closes = 1, 1
     for k in range(1, max_len + 1):
         children = [u + a for u in parents for a in alphabet]
         closes += len(children)
-        extends += len(children) * (max_len - k)
+        pushes += len(children) * (max_len - k)
         parents = [u for u in children if live(u)]
-    return extends, closes
+    return pushes, closes
 
 
 @pytest.mark.parametrize("name,max_len,calls", [
@@ -389,21 +394,36 @@ def _calls_by_rule(t, max_len) -> tuple[int, int]:
     ("T_COPY_ABC", 9, (109, 28)), ("T_THREECOMP", 8, (29, 9)),
 ])
 def test_prefix_frontiers_are_shared(monkeypatch, name, max_len, calls):
-    # Only the current word's prefixes hold a frontier, so a prefix's is
-    # grown again for each length of the words that extend it, never once
-    # per word, and a dead prefix is never extended.
+    # Only the current word's prefixes are on the search's stack, so a
+    # prefix is pushed again for each length of the words that extend it,
+    # never once per word, and a dead prefix is never extended.
     t = load_fixture(name)
     assert _calls_by_rule(t, max_len) == calls
-    counts = {"extend": 0, "close": 0}
+    counts = {"push": 0, "close": 0}
     for method in counts:
-        def counted(self, *args, _orig=getattr(_PrefixSearch, method),
+        def counted(self, *args, _orig=getattr(_CrossingSearch, method),
                     _method=method):
             counts[_method] += 1
             return _orig(self, *args)
-        monkeypatch.setattr(_PrefixSearch, method, counted)
+        monkeypatch.setattr(_CrossingSearch, method, counted)
     for _ in arrivals_upto(t, max_len):
         pass
-    assert (counts["extend"], counts["close"]) == calls
+    assert (counts["push"], counts["close"]) == calls
+
+
+@pytest.mark.parametrize("name,max_len,items", [
+    ("T_COPY_ABC", 9, 100), ("T_RUNNING", 6, 5461), ("T_ID", 9, 1023)])
+def test_dead_prefixes_stand_for_their_words(name, max_len, items):
+    # A prefix at whose cut no crossing is live has no run on any
+    # extension: it comes once for all its extensions of a length, which
+    # the one-way decider counts at once, and exactly.
+    t = load_fixture(name)
+    got = list(arrivals_upto(t, max_len))
+    words = len(list(words_upto(t, max_len)))
+    assert len(got) == items
+    assert sum(count for _, _, count in got) == words
+    assert all(not arrivals for _, arrivals, count in got if count > 1)
+    assert decide_oneway_bounded(t, max_len).searched["inputs"] == words
 
 
 # Two paths leave |-. q may switch to r at any letter, which gives a word
@@ -478,25 +498,36 @@ def test_caps_fire_at_the_same_input_random(t, caps):
 
 # -- the inversion filter against crossing sequences ------------------------
 
+def _has_repeated_crossing(run: Run) -> bool:
+    """Whether two inner cuts 1 <= x < omega share a crossing sequence of
+    length >= 3, which every inversion needs."""
+    multi = [run.crossing(x) for x in range(1, run.word.omega)
+             if len(run.crossing(x)) >= 3]
+    return len(set(multi)) < len(multi)
+
+
 def _filter_census(t, max_len) -> tuple[int, int, int]:
     """(runs, arrivals that may invert, runs with a repeated crossing) up to
-    max_len.  A run has a repeated crossing when two inner cuts
-    1 <= x < omega share a crossing sequence of length >= 3, which every
-    inversion needs; each such run must be flagged, or its inversions would
-    be dropped unseen."""
+    max_len; an arrival is flagged exactly when its run has a repeated
+    crossing, so no run's inversions are dropped unseen and no run without
+    one is analysed.  Two arrivals have one skeleton id exactly when they
+    reach the same (location, state, output length) at each step."""
     runs = flagged = repeated = 0
-    for raw, arrivals in arrivals_upto(t, max_len):
+    skeletons: dict[int, tuple] = {}
+    for raw, arrivals, _ in arrivals_upto(t, max_len):
         word = DelimitedInput.of(raw)
         for arrival in arrivals:
             run = Run(t, word, arrival.steps)
-            multi = [run.crossing(x) for x in range(1, word.omega)
-                     if len(run.crossing(x)) >= 3]
-            has_repeat = len(set(multi)) < len(multi)
-            assert arrival.may_invert or not has_repeat, (raw, run.steps)
+            has_repeat = _has_repeated_crossing(run)
+            assert arrival.may_invert == has_repeat, (raw, run.steps)
             assert arrival.output == run.output
+            reached = tuple((s.target, s.transition.target, len(s.output))
+                            for s in run.steps)
+            assert skeletons.setdefault(arrival.skeleton, reached) == reached
             runs += 1
             flagged += arrival.may_invert
             repeated += has_repeat
+    assert len(set(skeletons.values())) == len(skeletons)
     return runs, flagged, repeated
 
 
@@ -515,3 +546,104 @@ def test_filter_flags_every_repeated_crossing(name, counts):
 @settings(max_examples=60, deadline=None)
 def test_filter_flags_every_repeated_crossing_random(t):
     _filter_census(t, 4)
+
+
+# -- the crossing-id search against the prefix-sharing DFS -------------------
+
+# Two ways to rewind after the first copy pass: one copies the word again,
+# the other reads it silently.  Every word has two runs, each run of a
+# non-empty word repeats a crossing, and every word but the empty one has
+# two outputs.
+COPY_OR_NOT = parse_transducer("""
+transducer COPY_OR_NOT
+input a b
+output a b
+states p1 rw p2 rw2 q2 fin
+initial p1
+final fin
+t p1 |- R p1 ""
+t p1 a R p1 "a"
+t p1 b R p1 "b"
+t p1 -| L rw ""
+t p1 -| L rw2 ""
+t rw a L rw ""
+t rw b L rw ""
+t rw |- R p2 ""
+t rw2 a L rw2 ""
+t rw2 b L rw2 ""
+t rw2 |- R q2 ""
+t p2 a R p2 "a"
+t p2 b R p2 "b"
+t p2 -| R fin ""
+t q2 a R q2 ""
+t q2 b R q2 ""
+t q2 -| R fin ""
+""")
+
+
+def _by_word(t, max_len, items) -> list[tuple]:
+    """(word, [(steps, flag), ...]) for each word of `words_upto(t,
+    max_len)` that `items`, (word or dead prefix, arrivals, words it stands
+    for) triples, reach, ending with (word, message) at a CapExceeded."""
+    out, words = [], words_upto(t, max_len)
+    try:
+        for _, arrivals, count in items:
+            for word in islice(words, count):
+                out.append((word, [(a.steps, a.may_invert) for a in arrivals]))
+    except CapExceeded as exc:
+        out.append((next(words), str(exc)))
+    return out
+
+
+def _assert_same_as_prefix_search(t, max_len, **caps):
+    """The arrivals of each word, their steps and order, and the word at
+    which the run cap fires, against the `_PrefixSearch` oracle; its flag
+    reads (state, level parity) masks and so may be set where ours, which
+    is exact, is not."""
+    ours = _by_word(t, max_len, arrivals_upto(t, max_len, **caps))
+    oracle = _by_word(t, max_len, (
+        (raw, arrivals, 1)
+        for raw, arrivals in prefix_arrivals_upto(t, max_len, **caps)))
+    assert len(ours) == len(oracle)
+    for (word, got), (word2, expected) in zip(ours, oracle):
+        assert word == word2
+        if isinstance(got, str) or isinstance(expected, str):
+            assert got == expected, word
+            continue
+        assert [steps for steps, _ in got] == [steps for steps, _ in expected]
+        for (steps, flag), (_, mask) in zip(got, expected):
+            run = Run(t, DelimitedInput.of(word), steps)
+            assert flag == _has_repeated_crossing(run) and (mask or not flag)
+    return ours
+
+
+_CAPS = [{}, {"cap_runs": 0}, {"cap_runs": 1}, {"cap_runs": 2}]
+
+
+@pytest.mark.parametrize("caps", _CAPS)
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_crossing_search_matches_prefix_search(name, caps):
+    _assert_same_as_prefix_search(
+        load_fixture(name), 6 if name == "T_RUNNING" else 8, **caps)
+
+
+@pytest.mark.parametrize("caps", _CAPS)
+def test_crossing_search_matches_prefix_search_named(caps):
+    for t in (TWO_PATHS, COPY_OR_NOT):
+        _assert_same_as_prefix_search(t, 6, **caps)
+
+
+@given(transducers(max_transitions=12), st.sampled_from(_CAPS))
+@settings(max_examples=60, deadline=None)
+def test_crossing_search_matches_prefix_search_random(t, caps):
+    _assert_same_as_prefix_search(t, 4, **caps)
+
+
+def test_census_of_a_machine_with_two_runs_per_word():
+    # The fixtures are deterministic; this machine is not, nor functional.
+    t = COPY_OR_NOT
+    assert not t.deterministic
+    assert _filter_census(t, 6) == (254, 252, 252)
+    assert check_functional_bounded(t, 6) == ("witness", "a", "aa", "a")
+    assert _assert_same_as_prefix_search(t, 6, cap_runs=1)[-1] == \
+        ("", "run cap 1 exceeded")
