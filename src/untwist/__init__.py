@@ -10,8 +10,7 @@ _EXPORTS = {
     "bounds": ("BoundFactored", "PeriodBound", "bound_admits"),
     "transducer": ("Transducer", "Transition", "ValidationReport",
                    "constants", "check_functional_bounded",
-                   "parse_transducer", "serialize_transducer", "validate",
-                   "words_upto"),
+                   "parse_transducer", "serialize_transducer", "validate"),
     "runs": ("CapExceeded", "Run", "dump_run", "enumerate_runs",
              "validate_run"),
     "effects": ("BOTTOM", "Effect", "Flow", "effect_of_interval",
@@ -22,8 +21,8 @@ _EXPORTS = {
                "ramsey_extract", "verify_forest"),
     "inversions": ("Inversion", "enumerate_inversions",
                    "enumerate_k_inversions", "fine_wilf_check",
-                   "has_dividing_period", "inversion_safe", "inversion_word",
-                   "inversions_of", "k_inversion_safe", "smallest_period"),
+                   "inversion_safe", "inversion_word", "inversions_of",
+                   "k_inversion_safe", "smallest_period"),
     "decomposition": ("Decomposition", "build_decomposition",
                       "block_interval", "coverage_classes", "is_block",
                       "is_diagonal"),

@@ -261,40 +261,6 @@ def smallest_period(word) -> int:
     return n
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def has_dividing_period(word, len1: int, len2: int,
-                        bound: PeriodBound) -> Optional[int]:
-    """Smallest period of `word` dividing gcd(len1, len2) and <= bound."""
-    if len1 < 1 or len2 < 1:
-        raise ValueError("both trace lengths must be positive")
-    g = math.gcd(len1, len2)
-    n = len(word)
-    for p in _divisors(g):
-        if not bound_admits(bound, p):
-            break
-        if p >= n or word[p:] == word[:-p]:
-            return p
-    return None
-
-
-def period_report(run: Run, inv: Inversion, bound: PeriodBound) -> PeriodReport:
-    w = inversion_word(run, inv)
-    l1, l2 = len(inv.first.trace_output), len(inv.second.trace_output)
-    return PeriodReport(w, l1, l2, math.gcd(l1, l2),
-                        has_dividing_period(w, l1, l2, bound))
-
-
 def _side(run: Run, a: AnchoredComponent) -> tuple:
     """(root length r of a's trace, the root, output offset of a's anchor,
     whether the output continues with the root there, whether it ends with
@@ -318,7 +284,8 @@ def _sides_safe(run: Run, bound: PeriodBound, sa: tuple, sb: tuple) -> bool:
 
 
 def inversion_safe(run: Run, bound: PeriodBound, inv: Inversion) -> bool:
-    """`period_report(run, inv, bound).safe`, without building the word.
+    """Whether the inversion word has a period that divides both trace
+    lengths and that the bound admits, decided without building the word.
 
     Let w = tr1 · out[s:e] · tr2, and r1, r2 the lengths of the primitive
     roots of tr1 and tr2 (a word u has a period p dividing |u| exactly when
@@ -327,7 +294,7 @@ def inversion_safe(run: Run, bound: PeriodBound, inv: Inversion) -> bool:
     same argument from the right it has period r2, and then each trace has
     the other's root length as a period dividing its length, so r1 == r2.
     Hence the word is safe exactly when r1 == r2 == r, the bound admits r
-    and w has period r, and r is then the period `period_report` finds.
+    and w has period r, and r is then the least such period.
 
     Every two letters r apart in w lie in tr1, in tr2 or in the window
     tr1[-r:] · out[s:e] · tr2[:r].  When e - s >= r, the window has period
@@ -336,6 +303,17 @@ def inversion_safe(run: Run, bound: PeriodBound, inv: Inversion) -> bool:
     """
     return _sides_safe(run, bound, _side(run, inv.first),
                        _side(run, inv.second))
+
+
+def period_report(run: Run, inv: Inversion, bound: PeriodBound) -> PeriodReport:
+    """The inversion word, its trace lengths and their gcd, and the period
+    found: the traces' root length when `inversion_safe` holds, else None
+    (see there why no other period can be found)."""
+    l1, l2 = len(inv.first.trace_output), len(inv.second.trace_output)
+    side = _side(run, inv.first)
+    safe = _sides_safe(run, bound, side, _side(run, inv.second))
+    return PeriodReport(inversion_word(run, inv), l1, l2, math.gcd(l1, l2),
+                        side[0] if safe else None)
 
 
 def first_unsafe_inversion(run: Run, bound: PeriodBound,

@@ -18,9 +18,8 @@ from typing import Mapping, NamedTuple, Optional
 from .bounds import PeriodBound, bound_admits, compare_on
 from .decomposition import BLOCK, DIAGONAL, Decomposition, build_decomposition
 from .inversions import (CO_INVERSION, INVERSION, AnchoredComponent,
-                         Inversion, _divisors, _pair_matches,
-                         enumerate_k_inversions, inversion_word,
-                         k_inversion_safe)
+                         Inversion, _pair_matches, enumerate_k_inversions,
+                         inversion_safe, inversion_word, k_inversion_safe)
 from .runs import (CapExceeded, DelimitedInput, InternalInconsistencyError,
                    Run, arrivals_upto, dump_run, dump_transitions,
                    enumerate_runs, is_normalized, output_conflict, replay)
@@ -186,17 +185,19 @@ class RefutationCertificate(NamedTuple):
 
 def _member_record(run: Run, inv: Inversion, bound: PeriodBound
                    ) -> MemberRecord:
+    """The certificate record of an unsafe inversion: its members, its word,
+    and the first mismatch of the word for each divisor p of both trace
+    lengths that the bound admits, in increasing p."""
     table = run.transducer.table
     w = inversion_word(run, inv)
-    l1 = len(inv.first.trace_output)
-    l2 = len(inv.second.trace_output)
-    g = math.gcd(l1, l2)
+    g = math.gcd(len(inv.first.trace_output), len(inv.second.trace_output))
     mismatches = []
-    for p in _divisors(g):
+    for p in range(1, g + 1):
         if not bound_admits(bound, p):
             break
-        bad = next(i for i in range(len(w) - p) if w[i] != w[i + p])
-        mismatches.append((p, bad))
+        if g % p == 0:
+            bad = next(i for i in range(len(w) - p) if w[i] != w[i + p])
+            mismatches.append((p, bad))
     return MemberRecord(
         inv.kind,
         inv.first.loop.interval,
@@ -307,7 +308,10 @@ def verify_certificate(t: Transducer, cert: RefutationCertificate, *,
     """Full independent replay of a refutation certificate.
 
     A certificate whose digest or machine name is not `t`'s, or whose run
-    or members do not check out, is invalid (False); an input word or run
+    or members do not check out, is invalid (False).  Each member's loops
+    and components are re-derived from the replayed run, must form an
+    unsafe inversion (or co-inversion) in chain order, and must then be
+    recorded exactly as `_member_record` records it.  An input word or run
     dump that does not parse against `t` raises ValueError.  Only the replay
     of the dumped run may fail into "invalid": any other exception is a
     fault of the checker and propagates."""
@@ -323,20 +327,13 @@ def verify_certificate(t: Transducer, cert: RefutationCertificate, *,
     # The dump must be the replayed run's own, and the run normalized.
     if dump_run(run) != cert.run_dump or not is_normalized(run):
         return False
-    table = t.table
     prev_second = None
     for m, rec in enumerate(cert.members):
-        expect_kind = INVERSION if m % 2 == 0 else CO_INVERSION
-        if rec.kind != expect_kind:
-            return False
         sides = []
-        for loop_iv, levels, anchor, trace in (
-                (rec.loop1, rec.levels1, rec.anchor1, rec.trace1),
-                (rec.loop2, rec.levels2, rec.anchor2, rec.trace2)):
-            x1, x2 = loop_iv
-            if not (1 <= x1 < x2 <= run.word.omega - 1):
-                return False
-            if run.crossing(x1) != run.crossing(x2):
+        for (x1, x2), levels in ((rec.loop1, rec.levels1),
+                                 (rec.loop2, rec.levels2)):
+            if not (1 <= x1 < x2 <= run.word.omega - 1) \
+                    or run.crossing(x1) != run.crossing(x2):
                 return False
             e = effect_of_interval(run, x1, x2)
             if not is_idempotent(e):
@@ -346,30 +343,24 @@ def verify_certificate(t: Transducer, cert: RefutationCertificate, *,
             # otherwise), so the two ends name the component.
             comp = next((c for c in components_of(run, loop)
                          if (c.min_node, c.max_node) == levels), None)
-            if comp is None or comp.anchor != anchor:
+            if comp is None:
                 return False
             output = trace_of(run, comp)
-            if table.render(output) != trace or not output:
+            if not output:
                 return False
             sides.append(AnchoredComponent(loop, comp, output))
-        first, second = sides
-        if not _pair_matches(run, rec.kind, first, second):
+        inv = Inversion(INVERSION if m % 2 == 0 else CO_INVERSION, *sides)
+        if not _pair_matches(run, inv.kind, *sides):
             return False
         if prev_second is not None \
-                and run.index_of(first.anchor) < prev_second:
+                and run.index_of(inv.first.anchor) < prev_second:
             return False
-        prev_second = run.index_of(second.anchor)
-        w = inversion_word(run, Inversion(rec.kind, first, second))
-        if table.render(w) != rec.word:
+        prev_second = run.index_of(inv.second.anchor)
+        # A safe member has a period and so no mismatch to record; an
+        # unsafe one must be recorded exactly as `decide` records it.
+        if inversion_safe(run, bound, inv) \
+                or _member_record(run, inv, bound) != rec:
             return False
-        l1, l2 = len(first.trace_output), len(second.trace_output)
-        g = math.gcd(l1, l2)
-        expected = [p for p in _divisors(g) if bound_admits(bound, p)]
-        if [p for p, _ in rec.mismatches] != expected:
-            return False
-        for p, i in rec.mismatches:
-            if not (0 <= i < len(w) - p) or w[i] == w[i + p]:
-                return False
     return len(cert.members) == (1 if cert.kind == "oneway" else cert.passes)
 
 

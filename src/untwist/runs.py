@@ -401,12 +401,13 @@ def enumerate_runs(t: Transducer, raw: str, *,
 
 def arrivals_upto(t: Transducer, max_len: int, *, cap_runs: int = 10**5
                   ) -> Iterator[tuple[str, list[Arrival], int]]:
-    """Each word of `words_upto(t, max_len)`, in that order, as (word, the
-    arrivals of its runs in the order `enumerate_runs` gives the runs, 1),
-    or the CapExceeded it raises; a prefix u at whose cut no crossing is
-    live stands for its extensions of each length n, which have no run, as
-    one (u, [], |Σ|^(n - |u|)).  The prefixes of each length are visited
-    depth first, each pushed on its parent."""
+    """Each encoded input word of length <= max_len, shorter words first,
+    words of one length in lexicographic order of their encoded symbols, as
+    (word, the arrivals of its runs in the order `enumerate_runs` gives the
+    runs, 1), or the CapExceeded it raises; a prefix u at whose cut no
+    crossing is live stands for its extensions of each length n, which have
+    no run, as one (u, [], |Σ|^(n - |u|)).  The prefixes of each length are
+    visited depth first, each pushed on its parent."""
     search = _CrossingSearch(t, cap_runs)
     alphabet = sorted(t.table.encode_symbol(s) for s in t.input_symbols)
 

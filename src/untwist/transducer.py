@@ -3,12 +3,12 @@
 Words are handled internally as plain Python strings over a per-transducer
 single-character encoding (identity for single-character alphabets, private
 use area characters otherwise).  The two reserved delimiters get the control
-characters STX/ETX so they can never collide with user symbols.
+characters STX/ETX, which no symbol may contain, so they never collide with
+user symbols.
 """
 from __future__ import annotations
 
-from itertools import product
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .bounds import BoundFactored, compare_on
 
@@ -196,6 +196,13 @@ def _strip_comment(line: str) -> str:
     return "".join(out)
 
 
+def _reserved(symbol: str) -> bool:
+    """A delimiter token, or a symbol containing a delimiter's encoding
+    (a one-character alphabet encodes each symbol as itself)."""
+    return symbol in (LEFT_TOKEN, RIGHT_TOKEN) or LEFT_END in symbol \
+        or RIGHT_END in symbol
+
+
 def _escape_token(tok: str) -> str:
     return tok.replace("#", "\\#")
 
@@ -247,7 +254,7 @@ def parse_transducer(text: str) -> Transducer:
 
     def check_symbols(syms: list[str], lineno: int) -> None:
         for s in syms:
-            if s in (LEFT_TOKEN, RIGHT_TOKEN):
+            if _reserved(s):
                 raise ParseError(f"symbol {s!r} is reserved for a delimiter",
                                  lineno)
             # Words over multi-character symbols are written comma-separated,
@@ -322,17 +329,20 @@ def parse_transducer(text: str) -> Transducer:
 
 def serialize_transducer(t: Transducer) -> str:
     """Canonical text form: sections fixed, symbol/state lists sorted."""
-    lines = [f"transducer {t.name}"]
-    lines.append("input " + " ".join(_escape_token(s) for s in t.input_symbols))
-    lines.append("output " + " ".join(_escape_token(s) for s in t.output_symbols))
-    lines.append("states " + " ".join(t.states))
-    lines.append(f"initial {t.initial}")
-    lines.append("final " + " ".join(sorted(t.finals)))
+    def joined(tokens) -> str:
+        return " ".join(map(_escape_token, tokens))
+
+    lines = [f"transducer {_escape_token(t.name)}",
+             "input " + joined(t.input_symbols),
+             "output " + joined(t.output_symbols),
+             "states " + joined(t.states),
+             f"initial {_escape_token(t.initial)}",
+             "final " + joined(sorted(t.finals))]
     multi = any(len(s) > 1 for s in t.output_symbols)
     for tr in t.transitions:
         out = ",".join(tr.output) if multi else "".join(tr.output)
-        lines.append(f"t {tr.source} {_escape_token(tr.symbol)} {tr.direction}"
-                     f" {tr.target} \"{out}\"")
+        fields = joined((tr.source, tr.symbol, tr.direction, tr.target))
+        lines.append(f"t {fields} \"{out}\"")
     return "\n".join(lines) + "\n"
 
 
@@ -353,9 +363,9 @@ def validate(t: Transducer) -> ValidationReport:
     for f in t.finals:
         if f not in t.states:
             err(f"final state {f!r} not declared")
-    reserved = set(t.input_symbols) & {LEFT_TOKEN, RIGHT_TOKEN}
+    reserved = {s for s in t.input_symbols + t.output_symbols if _reserved(s)}
     if reserved:
-        err(f"reserved delimiter token declared as input symbol: {reserved}")
+        err(f"symbols reserved for a delimiter: {sorted(reserved)}")
 
     for tr in t.transitions:
         where = f"t {tr.source} {tr.symbol} {tr.direction} {tr.target}"
@@ -397,15 +407,6 @@ def validate(t: Transducer) -> ValidationReport:
         warn("no final states: the domain is empty")
 
     return ValidationReport(tuple(issues))
-
-
-def words_upto(t: Transducer, max_len: int) -> Iterator[str]:
-    """Every encoded input word of length <= max_len: shorter words first,
-    words of one length in lexicographic order of their encoded symbols."""
-    alphabet = sorted(t.table.encode_symbol(s) for s in t.input_symbols)
-    for n in range(max_len + 1):
-        for tup in product(alphabet, repeat=n):
-            yield "".join(tup)
 
 
 def check_functional_bounded(t: Transducer, max_len: int, *,

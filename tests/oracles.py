@@ -3,13 +3,15 @@
 These deliberately avoid the library's own search and bookkeeping: the run
 oracle walks raw configurations and filters afterwards, the DFS oracle
 searches each word on its own, from scratch, the period oracle tries every
-shift, the factor oracle scans every step of the run where the library reads
+shift, the dividing-period oracle tries each common divisor of the two trace
+lengths on the built word where the library compares the traces' primitive
+roots, the factor oracle scans every step of the run where the library reads
 the visits to the two borders, the subrun oracle filters steps one by one,
 the flow oracle joins four clauses of edge relations where the library
 follows each path, the inversion oracle tests every pair of anchored
 components, the chain oracle tries every member at every depth, and the
 decider oracle scans every run of every word and judges each chain member
-by its word's period report.  The prefix-sharing oracle is the canonical
+on its built word.  The prefix-sharing oracle is the canonical
 DFS over partial runs, cut at input prefixes, that the library's search
 over crossing sequences replaced; the per-run search oracle is the
 deciders' scan over its runs, without their skeleton set and early stop.
@@ -19,35 +21,37 @@ the run's inversion list, pair by pair, where the library answers from
 per-component aggregates without listing the pairs.
 
 The helpers at the end serve the tests where the library has no use for
-them: `runs_upto` builds a `Run` from each arrival of the library's shared
-enumeration, and the others check properties of the library's objects:
+them: `words_upto` lists the words the shared enumeration visits, in its
+order, `runs_upto` builds a `Run` from each arrival of that enumeration, and
+the others check properties of the library's objects:
 powers of an effect, the factor pattern of a loop component, the
 trace-based prediction of a pumped output, output-minimality, and a full
 re-check of a decomposition.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
-from itertools import islice
+from itertools import islice, product
 from typing import Iterator, NamedTuple, Optional
 
-from untwist.bounds import PeriodBound
+from untwist.bounds import PeriodBound, bound_admits
 from untwist.decomposition import (BLOCK, DIAGONAL, CoverageClass,
                                    Decomposition, is_block, is_diagonal)
 from untwist.effects import BOTTOM, Edge, Flow, effect_product
 from untwist.inversions import (CO_INVERSION, INVERSION, AnchoredComponent,
                                 Inversion, PeriodReport, _pair_matches,
                                 _side, _sides_safe, anchored_components,
-                                enumerate_k_inversions, inversions_of,
-                                k_inversion_safe, period_report)
+                                enumerate_k_inversions, inversion_word,
+                                inversions_of, k_inversion_safe,
+                                period_report)
 from untwist.loops import (Component, Loop, components_of, enumerate_loops,
                            trace_of)
 from untwist.oneway import _check_functional
 from untwist.runs import (CapExceeded, DelimitedInput, Factor,
                           InternalInconsistencyError, Run, Step, _advance,
                           arrivals_upto)
-from untwist.transducer import (LEFT_END, RIGHT, RIGHT_END, Transducer,
-                                words_upto)
+from untwist.transducer import LEFT_END, RIGHT, RIGHT_END, Transducer
 
 
 def naive_runs(t: Transducer, raw: str) -> set[tuple]:
@@ -191,6 +195,28 @@ def brute_smallest_period(word: str) -> int:
         if all(word[i] == word[i + p] for i in range(len(word) - p)):
             return p
     raise AssertionError("unreachable for non-empty words")
+
+
+def has_dividing_period(word, len1: int, len2: int,
+                        bound: PeriodBound) -> Optional[int]:
+    """Smallest period of `word` dividing gcd(len1, len2) and <= bound, by
+    trying each divisor in turn: the library's `inversion_safe` decides the
+    same from the traces' root lengths."""
+    if len1 < 1 or len2 < 1:
+        raise ValueError("both trace lengths must be positive")
+    g = math.gcd(len1, len2)
+    for p in range(1, g + 1):
+        if g % p == 0 and bound_admits(bound, p) \
+                and (p >= len(word) or word[p:] == word[:-p]):
+            return p
+    return None
+
+
+def word_safe(run: Run, inv: Inversion, bound: PeriodBound) -> bool:
+    """Whether the inversion's built word has a dividing period."""
+    return has_dividing_period(
+        inversion_word(run, inv), len(inv.first.trace_output),
+        len(inv.second.trace_output), bound) is not None
 
 
 def brute_intercepted_factors(run: Run, x1: int, x2: int) -> list[Factor]:
@@ -479,8 +505,8 @@ def brute_decide(t: Transducer, k: int, max_len: int, bound: PeriodBound):
     search counters; (None, None, counters) when there is none.
 
     Each word's runs come from `brute_runs`, each run's chains from
-    `brute_k_inversions`, and each member is judged by its word's
-    `period_report`: what the deciders must find, and count, without
+    `brute_k_inversions`, and each member is judged on its built word by
+    `has_dividing_period`: what the deciders must find, and count, without
     building a word.  The counters are named as the deciders name them."""
     counter = "inversions" if k == 1 else "chains"
     searched = {"inputs": 0, "runs": 0, counter: 0}
@@ -490,8 +516,7 @@ def brute_decide(t: Transducer, k: int, max_len: int, bound: PeriodBound):
             searched["runs"] += 1
             for chain in brute_k_inversions(run, k):
                 searched[counter] += 1
-                if not any(period_report(run, inv, bound).safe
-                           for inv in chain):
+                if not any(word_safe(run, inv, bound) for inv in chain):
                     return chain, raw, searched
     return None, None, searched
 
@@ -530,6 +555,16 @@ def per_run_first_unsafe_run(t: Transducer, max_len: int, cap_runs: int,
     if held is not None:
         raise held
     return found, stats
+
+
+def words_upto(t: Transducer, max_len: int) -> Iterator[str]:
+    """Every encoded input word of length <= max_len, in the order
+    `arrivals_upto` gives them: shorter words first, words of one length in
+    lexicographic order of their encoded symbols."""
+    alphabet = sorted(t.table.encode_symbol(s) for s in t.input_symbols)
+    for n in range(max_len + 1):
+        for tup in product(alphabet, repeat=n):
+            yield "".join(tup)
 
 
 def runs_upto(t: Transducer, max_len: int, *, cap_runs: int = 10**5

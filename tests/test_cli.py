@@ -169,6 +169,25 @@ def test_comma_in_symbol_exit_65(tmp_path, capsys, alphabets, lineno):
         f"error: line {lineno}: symbol 'x,y' contains ','\n"
 
 
+@pytest.mark.parametrize("alphabets,lineno,symbol", [
+    ("input a \x02\noutput a", 2, "\x02"),
+    ("input a\noutput a \x03", 3, "\x03"),
+    ("input a x\x02y\noutput a", 2, "x\x02y")],
+    ids=["input-stx", "output-etx", "stx-inside"])
+def test_delimiter_character_in_symbol_exit_65(tmp_path, capsys, alphabets,
+                                               lineno, symbol):
+    # A one-character alphabet encodes each symbol as itself, and the end
+    # markers are encoded as STX and ETX, so a symbol may contain neither.
+    path = tmp_path / "delimiter.tdx"
+    path.write_text(f"transducer C\n{alphabets}\nstates q\ninitial q\n"
+                    'final q\nt q |- R q ""\nt q a R q "a"\n'
+                    't q -| R q ""\n')
+    assert run_cli(["parse", str(path)]) == 65
+    assert capsys.readouterr().err == (f"error: line {lineno}: symbol "
+                                       f"{symbol!r} is reserved for a "
+                                       "delimiter\n")
+
+
 @pytest.mark.parametrize("alphabets,lineno", [
     ('input b"\\#" b\noutput b', 2), ('input b\noutput b"\\#" b', 3)])
 def test_quote_in_symbol_exit_65(tmp_path, capsys, alphabets, lineno):
@@ -326,6 +345,21 @@ def test_verify_cert_cli(tmp_path, capsys):
     # Tamper: flip one mismatch line.
     text = cert_path.read_text().replace("fail-at=1", "fail-at=0")
     cert_path.write_text(text)
+    code, out = invoke(capsys, "verify-cert", fx("T_COPY_AB"),
+                       "--cert", str(cert_path))
+    assert code == 1 and out.strip() == "invalid"
+
+
+def test_later_mismatch_is_invalid(tmp_path, capsys):
+    # Each recorded mismatch is the first one for its divisor, as `decide`
+    # writes it: the word "aaba" also breaks period 1 at index 2, but a
+    # certificate that records that mismatch is not the one `decide` writes.
+    cert_path = tmp_path / "cert.txt"
+    invoke(capsys, "decide", "oneway", fx("T_COPY_AB"), "--max-len", "6",
+           "--cert", str(cert_path))
+    text = cert_path.read_text()
+    assert '  word: "aaba"\n  mismatches:\n    p=1 fail-at=1\n' in text
+    cert_path.write_text(text.replace("p=1 fail-at=1", "p=1 fail-at=2"))
     code, out = invoke(capsys, "verify-cert", fx("T_COPY_AB"),
                        "--cert", str(cert_path))
     assert code == 1 and out.strip() == "invalid"

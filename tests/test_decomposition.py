@@ -5,13 +5,13 @@ from untwist.bounds import BoundFactored
 from untwist.decomposition import (BLOCK, DIAGONAL, Decomposition, Piece,
                                    block_interval, build_decomposition,
                                    coverage_classes, is_block, is_diagonal)
-from untwist.inversions import (has_dividing_period, inversions_of,
-                                multi_pass_components, smallest_period)
+from untwist.inversions import (inversions_of, multi_pass_components,
+                                smallest_period)
 from untwist.runs import enumerate_runs
 from untwist.transducer import constants
 
 from .conftest import CORE_NAMES, domain_words, spy
-from .oracles import validate_decomposition
+from .oracles import has_dividing_period, validate_decomposition
 
 SYM = BoundFactored(1, 1, 10 ** 6)
 

@@ -10,11 +10,10 @@ from untwist.decomposition import coverage_classes
 from untwist.inversions import (CO_INVERSION, INVERSION, FineWilfPrecondition,
                                 anchored_components, enumerate_inversions,
                                 enumerate_k_inversions, fine_wilf_check,
-                                first_unsafe_inversion, has_dividing_period,
-                                has_period, inversion_safe, inversion_word,
-                                inversions_of, k_inversion_safe,
-                                multi_pass_components, period_report,
-                                smallest_period)
+                                first_unsafe_inversion, has_period,
+                                inversion_safe, inversion_word, inversions_of,
+                                k_inversion_safe, multi_pass_components,
+                                period_report, smallest_period)
 from untwist.loops import enumerate_loops
 from untwist.oneway import decide_oneway_bounded, decide_sweeping_bounded
 from untwist.runs import CapExceeded, enumerate_runs
@@ -23,7 +22,8 @@ from untwist.transducer import constants
 from .conftest import (CORE_NAMES, FIXTURE_NAMES, domain_words, load_fixture,
                        spy)
 from .oracles import (brute_coverage_classes, brute_inversions,
-                      brute_k_inversions, brute_smallest_period, check_p2)
+                      brute_k_inversions, brute_smallest_period, check_p2,
+                      has_dividing_period)
 
 SYM = BoundFactored(1, 1, 10 ** 6)    # effectively unbounded at desk scale
 
@@ -299,10 +299,9 @@ def _assert_index_matches_reports(run, bounds):
     for bound in bounds:
         for inv in invs:
             rep = period_report(run, inv, bound)
-            assert inversion_safe(run, bound, inv) == rep.safe, (inv, bound)
-            if rep.safe:    # the period found is the traces' root length
-                tr = inv.first.trace_output
-                assert rep.found_period == (tr + tr).find(tr, 1)
+            assert rep.found_period == has_dividing_period(
+                inversion_word(run, inv), rep.len1, rep.len2, bound), \
+                (inv, bound)
     return len(invs)
 
 

@@ -19,12 +19,12 @@ from untwist.runs import CapExceeded, InternalInconsistencyError, \
     dump_run, enumerate_runs, parse_run_dump, validate_run
 from untwist.transducer import (Transducer, Transition,
                                 check_functional_bounded, constants,
-                                parse_transducer, words_upto)
+                                parse_transducer)
 
 from .conftest import CORE_NAMES, FIXTURE_DIR, FIXTURE_NAMES, domain_words, \
     load_fixture, spy
 from .oracles import (brute_decide, per_run_first_unsafe_run,
-                      predicted_pump_output)
+                      predicted_pump_output, words_upto)
 from .test_transducer import transducers
 
 

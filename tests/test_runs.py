@@ -10,12 +10,12 @@ from untwist.runs import (CapExceeded, DelimitedInput,
                           arrivals_upto, dump_run, enumerate_runs,
                           parse_run_dump, replay, validate_run)
 from untwist.transducer import (LEFT_END, check_functional_bounded,
-                                parse_transducer, validate, words_upto)
+                                parse_transducer, validate)
 
 from .conftest import CORE_NAMES, FIXTURE_NAMES, domain_words, load_fixture
 from .oracles import (brute_intercepted_factors, brute_runs,
                       brute_subrun_output, naive_runs, prefix_arrivals_upto,
-                      run_signature, runs_upto)
+                      run_signature, runs_upto, words_upto)
 from .test_transducer import transducers
 
 # Nine-state machine reproducing the crossing-sequence presentation figure:

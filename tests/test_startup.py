@@ -20,8 +20,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # `untwist.__all__` before the package resolved its names lazily, plus
 # `inversions_of` and `inversion_safe`, exported since, less `check_p2`,
-# `is_output_minimal`, `validate_decomposition` and `predicted_pump_output`,
-# which only the tests use and which moved to `tests/oracles.py`, and less
+# `is_output_minimal`, `validate_decomposition`, `predicted_pump_output`,
+# `has_dividing_period` and `words_upto`, which only the tests use and which
+# moved to `tests/oracles.py`, and less
 # `PeriodIndex` and `KInversion`: safety is checked per inversion, and a
 # chain is a tuple of inversions.
 PUBLIC_NAMES = (
@@ -36,7 +37,7 @@ PUBLIC_NAMES = (
     "effect_of_interval", "effect_product", "effects", "enumerate_inversions",
     "enumerate_k_inversions", "enumerate_loops", "enumerate_runs",
     "fine_wilf_check", "flow_of_interval", "flow_product", "forest",
-    "has_dividing_period", "inversion_safe", "inversion_word", "inversions",
+    "inversion_safe", "inversion_word", "inversions",
     "inversions_of",
     "is_block",
     "is_diagonal", "is_idempotent", "k_inversion_safe",
@@ -44,7 +45,7 @@ PUBLIC_NAMES = (
     "ramsey_extract", "runs", "serialize_transducer",
     "simulate_oneway", "smallest_period", "trace_of", "transducer",
     "validate", "validate_run",
-    "verify_certificate", "verify_forest", "words_upto",
+    "verify_certificate", "verify_forest",
 )
 
 

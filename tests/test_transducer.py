@@ -79,6 +79,37 @@ def test_hash_symbol_escaping_roundtrip(t_running):
     assert parse_transducer(canon) == t_running
 
 
+def test_hash_in_name_and_state_roundtrip():
+    # `\#` is a literal hash in every token, so the canonical form escapes
+    # it in the name and the states as it does in the symbols.
+    t = parse_transducer('transducer x\\#y\ninput a\noutput a\n'
+                         'states q\\#1\ninitial q\\#1\nfinal q\\#1\n'
+                         't q\\#1 |- R q\\#1 ""\nt q\\#1 a R q\\#1 "a"\n'
+                         't q\\#1 -| R q\\#1 ""\n')
+    assert (t.name, t.states) == ("x#y", ("q#1",))
+    canon = serialize_transducer(t)
+    assert parse_transducer(canon) == t
+    assert serialize_transducer(parse_transducer(canon)) == canon
+
+
+@pytest.mark.parametrize("symbols", [("a", "\x02"), ("a", "\x03"),
+                                     ("a", "b\x02"), ("a", "|-")],
+                         ids=["stx", "etx", "stx-inside", "left-token"])
+def test_validate_rejects_delimiter_symbols(symbols):
+    # A symbol may not contain the character that encodes an end marker:
+    # over a one-character alphabet it would be read as that marker.
+    for inputs, outputs in ((symbols, ("a",)), (("a",), symbols)):
+        t = Transducer("bad", inputs, outputs, ["q"], "q", ["q"], [
+            Transition("q", "|-", "R", "q", ()),
+            Transition("q", "a", "R", "q", ("a",)),
+            Transition("q", "-|", "R", "q", ()),
+        ])
+        rep = validate(t)
+        assert not rep.ok
+        assert any("reserved for a delimiter" in i.message
+                   for i in rep.errors())
+
+
 def test_comment_stripping_respects_quotes():
     text = ('transducer c\ninput a \\#\noutput a \\#\nstates q f  # trailing\n'
             'initial q\nfinal f\n'
