@@ -9,21 +9,19 @@ factors, in run order (sorted by step range), follow the k*LL, 1*LR, k*RR
 pattern (mirrored for right-to-left components), the lone crossing factor
 starts at the anchor, and iterating the loop iterates each component's trace.
 
-Pumping follows the crossing-sequence picture (Shepherdson 1959): the loop's
-borders carry one crossing sequence, so the run pumped by repeating [x1, x2]
-has at each cut x the crossing of the original at phi(x).  phi is the
-identity up to x1, shifts x left by the (copies-1)(x2-x1) cuts added right of
-the last copy, and inside a copy reduces x modulo the loop; an inner copy
-border maps to x1 on an even level (the next move reads into a copy) and to
-x2 on an odd one.
+Pumping follows the crossing-sequence picture (Shepherdson 1959): a run is
+fixed by the moves each cell makes, in the order of its entries.  The loop's
+borders carry one crossing sequence, so repeating the cells of [x1, x2] with
+their moves gives a run on the pumped word; each of its cuts has the crossing
+of the cut it repeats, and each cell reads the letter of the cell it repeats.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
 
 from .effects import Effect, effect_of_interval, is_idempotent
-from .runs import Factor, InternalInconsistencyError, Location, Run, \
-    _advance, replay
+from .runs import DelimitedInput, Factor, InternalInconsistencyError, \
+    Location, Run, walk_cells
 from .transducer import Transducer
 
 
@@ -148,10 +146,8 @@ def pump(t: Transducer, run: Run, loop: Loop, copies: int
          ) -> tuple[str, Run]:
     """Replicate the loop `copies` times (copies = m+1 >= 1).
 
-    From each location (x, y) the pumped run makes the move the original
-    makes from (phi(x), y), phi being the module docstring's map from the
-    pumped cuts to the original's; walking it from (0, 0) collects the
-    transitions that `replay` materializes."""
+    Each cell of a copy makes the moves of the cell it repeats, and
+    `walk_cells` places them."""
     x1, x2 = loop.x1, loop.x2
     if copies < 1:
         raise ValueError("pump multiplicity must be at least 1")
@@ -159,26 +155,10 @@ def pump(t: Transducer, run: Run, loop: Loop, copies: int
             or run.crossing(x1) != run.crossing(x2):
         raise ValueError(f"{loop} is not a loop of the run: its borders are "
                          f"not inner cuts with equal crossings")
-    width, shift = x2 - x1, (copies - 1) * (x2 - x1)
-    end = run.word.omega + shift
-    # Each step that reads inside the loop is made once per copy.
-    total = len(run.steps) + (copies - 1) * sum(
-        x1 <= s.read_index < x2 for s in run.steps)
-    levels = [1] + [0] * end
-    x, y, out = 0, 0, []
-    while x != end and len(out) <= total:
-        if x1 < x < x2 + shift:     # strictly inside the copies
-            r = (x - x1) % width
-            fx = x1 + r if r else (x1 if y % 2 == 0 else x2)
-        else:
-            fx = x if x <= x1 else x - shift
-        out.append(run.steps[run.index_of((fx, y))].transition)
-        x = _advance((x, y), out[-1].direction)
-        y = levels[x]
-        levels[x] += 1
-    if len(out) != total:
-        raise InternalInconsistencyError(
-            f"pumping {loop} {copies} times took {len(out)} steps, not {total}")
+    cells: list[list] = [[] for _ in range(run.word.omega)]
+    for s in run.steps:
+        cells[s.read_index].append((s.transition, s.output))
     raw, a, b = run.word.raw, x1 - 1, x2 - 1   # cut x cuts raw at x-1
     word = raw[:a] + raw[a:b] * copies + raw[b:]
-    return word, replay(t, word, out)
+    cells[x1:x2] = cells[x1:x2] * copies
+    return word, Run(t, DelimitedInput.of(word), walk_cells(cells))

@@ -9,7 +9,9 @@ word.  Level y at cut x is the run's visit number y to cut x, so the run-order
 list of the visits to each cut indexes every location on it.  Enumeration
 follows Shepherdson (1959): a run is a path of interned crossing sequences,
 one per cut, each adjacent pair consistent with the letter between, and its
-steps are rebuilt from the path only where they are needed.
+steps are rebuilt from the path only where they are needed.  They are fixed
+by the moves each cell makes on its entries, in order; `walk_cells` places
+them, for the search, `replay` and pumping alike.
 """
 from __future__ import annotations
 
@@ -198,6 +200,39 @@ def _advance(loc: Location, direction: str) -> int:
     return x if direction == RIGHT else x - 1
 
 
+def walk_cells(cells: list) -> list[Step]:
+    """The steps of the run whose cell x makes, on its k-th entry, the move
+    cells[x][k], a (transition, encoded output) pair: the walk from (0, 0)
+    until the head reaches the last cut.  A walk that enters a cell more
+    often than it has moves, or ends with a move unmade, is a bug."""
+    levels = [1] + [0] * len(cells)
+    entries = [0] * len(cells)
+    steps: list[Step] = []
+    loc: Location = (0, 0)
+    while loc[0] < len(cells):
+        ri = _read_index(loc)
+        if ri < 0 or entries[ri] == len(cells[ri]):
+            raise InternalInconsistencyError(
+                f"a walk entered cell {ri} more often than it has moves")
+        tr, out = cells[ri][entries[ri]]
+        entries[ri] += 1
+        x2 = _advance(loc, tr.direction)
+        y2 = levels[x2]
+        # Rightward steps land on even levels, leftward on odd.
+        if y2 % 2 != (tr.direction != RIGHT):
+            raise InternalInconsistencyError(
+                f"a step in direction {tr.direction} lands on "
+                f"level {y2} at cut {x2}")
+        levels[x2] += 1
+        steps.append(Step(loc, (x2, y2), tr, ri, out))
+        loc = (x2, y2)
+    for x, moves in enumerate(cells):
+        if entries[x] < len(moves):
+            raise InternalInconsistencyError(
+                f"a walk left a move of cell {x} unmade")
+    return steps
+
+
 @lru_cache(maxsize=8)
 def _relation(t: Transducer) -> tuple:
     """A machine's crossing ids (both ways) and the memos of its consistency
@@ -358,35 +393,12 @@ class _CrossingSearch:
         return self.stack[k][2][c]
 
     def walk(self, path: tuple) -> list[Step]:
-        """The steps of a path: the walk from (0, 0) makes, on its k-th
-        entry into a cell, the cell's k-th move."""
-        links = []
-        while path is not None:
-            links.append(path)
+        """The steps of a path: each cell makes the moves of its pairing."""
+        cells = []
+        while path[0] is not None:
+            cells.append(path[2][0])
             path = path[0]
-        links.reverse()
-        levels = [1] + [0] * (len(links) - 1)
-        entries = [0] * len(links)
-        steps: list[Step] = []
-        loc: Location = (0, 0)
-        while loc[0] < len(links) - 1:
-            ri = _read_index(loc)
-            tr, out = links[ri + 1][2][0][entries[ri]]
-            entries[ri] += 1
-            x2 = _advance(loc, tr.direction)
-            y2 = levels[x2]
-            # Rightward steps land on even levels, leftward on odd.
-            if y2 % 2 != (tr.direction != RIGHT):
-                raise InternalInconsistencyError(
-                    f"a step in direction {tr.direction} lands on "
-                    f"level {y2} at cut {x2}")
-            levels[x2] += 1
-            steps.append(Step(loc, (x2, y2), tr, ri, out))
-            loc = (x2, y2)
-        if levels != [len(self.crossings[link[1]]) for link in links]:
-            raise InternalInconsistencyError(
-                "a walk missed a location of its crossings")
-        return steps
+        return walk_cells(cells[::-1])
 
 
 def enumerate_runs(t: Transducer, raw: str, *,
@@ -444,36 +456,28 @@ def replay(t: Transducer, raw: str,
     """Materialize a run from a transition sequence, deriving all locations.
 
     Each transition must be a move of `t` from the current state on the
-    letter under the head.  Raises ValueError if the sequence is not a
+    letter under the head; it is filed under the head's cell, and
+    `walk_cells` places it.  Raises ValueError if the sequence is not a
     successful run of `t` on |-raw-|.
     """
     word = DelimitedInput.of(raw)
-    padded = word.padded
-    levels = [0] * (word.omega + 1)
-    levels[0] = 1
-    loc: Location = (0, 0)
-    state = t.initial
-    steps: list[Step] = []
-    for tr in transitions:
-        ri = _read_index(loc)
-        if not (0 <= ri < word.omega):
-            raise ValueError(f"step {len(steps)}: head out of range")
-        out_enc = dict(t.moves(state, padded[ri])).get(tr)
+    cells: list[list] = [[] for _ in range(word.omega)]
+    cell, state = 0, t.initial
+    for i, tr in enumerate(transitions):
+        if not 0 <= cell < word.omega:
+            raise ValueError(f"step {i}: head out of range")
+        out_enc = dict(t.moves(state, word.padded[cell])).get(tr)
         if out_enc is None:
-            raise ValueError(f"step {len(steps)}: the machine has no such "
-                             f"move in state {state!r} reading index {ri}")
-        x2 = _advance(loc, tr.direction)
-        if x2 < 0 or x2 > word.omega:
-            raise ValueError(f"step {len(steps)}: move out of range")
-        target = (x2, levels[x2])
-        levels[x2] += 1
-        steps.append(Step(loc, target, tr, ri, out_enc))
-        loc, state = target, tr.target
-    if loc[0] != word.omega:
+            raise ValueError(f"step {i}: the machine has no such "
+                             f"move in state {state!r} reading index {cell}")
+        cells[cell].append((tr, out_enc))
+        cell += 1 if tr.direction == RIGHT else -1
+        state = tr.target
+    if cell != word.omega:
         raise ValueError("run does not end past the right delimiter")
     if state not in t.finals:
         raise ValueError("run does not end in a final state")
-    return Run(t, word, steps)
+    return Run(t, word, walk_cells(cells))
 
 
 def validate_run(t: Transducer, raw: str, run: Run) -> bool:

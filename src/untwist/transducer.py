@@ -247,7 +247,15 @@ def parse_transducer(text: str) -> Transducer:
             raise ParseError(f"expected '{keyword}', got {parts[0]!r}", lineno)
         return lineno, parts[1:]
 
+    def check_quotes(kind: str, tokens: list[str], lineno: int) -> None:
+        # A quote opens an output for `_strip_comment`, so a quote in any
+        # other token would hide the line's comment.
+        for tok in tokens:
+            if '"' in tok:
+                raise ParseError(f"{kind} {tok!r} contains '\"'", lineno)
+
     lineno, rest = expect(0, "transducer")
+    check_quotes("name", rest, lineno)
     if len(rest) != 1:
         raise ParseError("expected 'transducer <name>'", lineno)
     name = rest[0]
@@ -274,6 +282,7 @@ def parse_transducer(text: str) -> Transducer:
     check_symbols(out_syms, lineno)
 
     lineno, states = expect(3, "states")
+    check_quotes("state", states, lineno)
     if not states:
         raise ParseError("no states", lineno)
     if len(set(states)) != len(states):
@@ -366,6 +375,9 @@ def validate(t: Transducer) -> ValidationReport:
     reserved = {s for s in t.input_symbols + t.output_symbols if _reserved(s)}
     if reserved:
         err(f"symbols reserved for a delimiter: {sorted(reserved)}")
+    quoted = [tok for tok in (t.name, *t.states) if '"' in tok]
+    if quoted:
+        err(f"name or states contain '\"': {sorted(quoted)}")
 
     for tr in t.transitions:
         where = f"t {tr.source} {tr.symbol} {tr.direction} {tr.target}"

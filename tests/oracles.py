@@ -15,6 +15,8 @@ on its built word.  The prefix-sharing oracle is the canonical
 DFS over partial runs, cut at input prefixes, that the library's search
 over crossing sequences replaced; the per-run search oracle is the
 deciders' scan over its runs, without their skeleton set and early stop.
+The located replay and the location-map pump walk locations, step by step,
+where the library files each move under its cell and walks the cells.
 
 The list versions of the periodicity check and the coverage classes scan
 the run's inversion list, pair by pair, where the library answers from
@@ -49,9 +51,10 @@ from untwist.loops import (Component, Loop, components_of, enumerate_loops,
                            trace_of)
 from untwist.oneway import _check_functional
 from untwist.runs import (CapExceeded, DelimitedInput, Factor,
-                          InternalInconsistencyError, Run, Step, _advance,
-                          arrivals_upto)
-from untwist.transducer import LEFT_END, RIGHT, RIGHT_END, Transducer
+                          InternalInconsistencyError, Location, Run, Step,
+                          _advance, _read_index, arrivals_upto)
+from untwist.transducer import (LEFT_END, RIGHT, RIGHT_END, Transducer,
+                                Transition)
 
 
 def naive_runs(t: Transducer, raw: str) -> set[tuple]:
@@ -580,6 +583,85 @@ def runs_upto(t: Transducer, max_len: int, *, cap_runs: int = 10**5
             assert word.startswith(raw) and (count == 1 or not arrivals)
             yield word, [Run(t, DelimitedInput.of(word), a.steps)
                          for a in arrivals]
+
+
+# -- replay and pumping by locations ----------------------------------------
+
+def located_replay(t: Transducer, raw: str,
+                   transitions: list[Transition]) -> Run:
+    """`replay` by walking locations: each transition must be a move of `t`
+    from the current state on the letter under the head, and its target is
+    the next free level at the cut it crosses.  Raises ValueError, with
+    `replay`'s messages, if the sequence is not a successful run of `t` on
+    |-raw-|."""
+    word = DelimitedInput.of(raw)
+    padded = word.padded
+    levels = [0] * (word.omega + 1)
+    levels[0] = 1
+    loc: Location = (0, 0)
+    state = t.initial
+    steps: list[Step] = []
+    for tr in transitions:
+        ri = _read_index(loc)
+        if not (0 <= ri < word.omega):
+            raise ValueError(f"step {len(steps)}: head out of range")
+        out_enc = dict(t.moves(state, padded[ri])).get(tr)
+        if out_enc is None:
+            raise ValueError(f"step {len(steps)}: the machine has no such "
+                             f"move in state {state!r} reading index {ri}")
+        x2 = _advance(loc, tr.direction)
+        if x2 < 0 or x2 > word.omega:
+            raise ValueError(f"step {len(steps)}: move out of range")
+        target = (x2, levels[x2])
+        levels[x2] += 1
+        steps.append(Step(loc, target, tr, ri, out_enc))
+        loc, state = target, tr.target
+    if loc[0] != word.omega:
+        raise ValueError("run does not end past the right delimiter")
+    if state not in t.finals:
+        raise ValueError("run does not end in a final state")
+    return Run(t, word, steps)
+
+
+def location_map_pump(t: Transducer, run: Run, loop: Loop, copies: int
+                      ) -> tuple[str, Run]:
+    """`pump` by a location map: from each location (x, y) the pumped run
+    makes the move the original makes from (phi(x), y).  phi is the
+    identity up to x1, shifts x left by the (copies-1)(x2-x1) cuts added
+    right of the last copy, and inside a copy reduces x modulo the loop; an
+    inner copy border maps to x1 on an even level (the next move reads into
+    a copy) and to x2 on an odd one.  The walk's transitions are replayed
+    by `located_replay`, after a check that it made each step that reads
+    inside the loop once per copy."""
+    x1, x2 = loop.x1, loop.x2
+    if copies < 1:
+        raise ValueError("pump multiplicity must be at least 1")
+    if not 1 <= x1 < x2 < run.word.omega \
+            or run.crossing(x1) != run.crossing(x2):
+        raise ValueError(f"{loop} is not a loop of the run: its borders are "
+                         f"not inner cuts with equal crossings")
+    width, shift = x2 - x1, (copies - 1) * (x2 - x1)
+    end = run.word.omega + shift
+    total = len(run.steps) + (copies - 1) * sum(
+        x1 <= s.read_index < x2 for s in run.steps)
+    levels = [1] + [0] * end
+    x, y, out = 0, 0, []
+    while x != end and len(out) <= total:
+        if x1 < x < x2 + shift:     # strictly inside the copies
+            r = (x - x1) % width
+            fx = x1 + r if r else (x1 if y % 2 == 0 else x2)
+        else:
+            fx = x if x <= x1 else x - shift
+        out.append(run.steps[run.index_of((fx, y))].transition)
+        x = _advance((x, y), out[-1].direction)
+        y = levels[x]
+        levels[x] += 1
+    if len(out) != total:
+        raise InternalInconsistencyError(
+            f"pumping {loop} {copies} times took {len(out)} steps, not {total}")
+    raw, a, b = run.word.raw, x1 - 1, x2 - 1   # cut x cuts raw at x-1
+    word = raw[:a] + raw[a:b] * copies + raw[b:]
+    return word, located_replay(t, word, out)
 
 
 # -- the prefix-sharing DFS oracle -----------------------------------------

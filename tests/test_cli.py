@@ -169,6 +169,17 @@ def test_comma_in_symbol_exit_65(tmp_path, capsys, alphabets, lineno):
         f"error: line {lineno}: symbol 'x,y' contains ','\n"
 
 
+def test_quote_in_state_exit_65(tmp_path, capsys):
+    # A quote outside an output would hide the rest of its line's comment
+    # from the comment stripper, so states may not contain one.
+    path = tmp_path / "quote.tdx"
+    path.write_text('transducer C\ninput a\noutput a\n'
+                    'states q" f  # two states\ninitial f\nfinal f\n')
+    assert run_cli(["parse", str(path)]) == 65
+    assert capsys.readouterr().err == \
+        "error: line 4: state 'q\"' contains '\"'\n"
+
+
 @pytest.mark.parametrize("alphabets,lineno,symbol", [
     ("input a \x02\noutput a", 2, "\x02"),
     ("input a\noutput a \x03", 3, "\x03"),

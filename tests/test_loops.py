@@ -12,8 +12,8 @@ from untwist.transducer import validate
 
 from .conftest import CORE_NAMES, FIXTURE_NAMES, domain_words
 from .oracles import (brute_intercepted_factors, component_factor_pattern,
-                      is_output_minimal, predicted_pump_output, runs_upto,
-                      subloops)
+                      is_output_minimal, location_map_pump,
+                      predicted_pump_output, runs_upto, subloops)
 from .test_runs import FIG_RUN
 from .test_transducer import transducers
 
@@ -302,20 +302,63 @@ def test_pump_rejects_a_non_loop(word, x1, x2):
         pump(FIG_RUN, run, Loop(x1, x2, None, False), 2)
 
 
-@pytest.mark.parametrize("read_index,message", [
-    (-1, "took 17 steps, not 16"),    # no step reads inside the loop
-    (1, "took 19 steps, not 32"),     # every step does
+@pytest.mark.parametrize("misstate,message", [
+    # No step reads inside the loop, or every step does: cell 0 has none.
+    pytest.param(lambda steps: [s._replace(read_index=-1) for s in steps],
+                 "a walk entered cell 0 more often than it has moves",
+                 id="none-inside"),
+    pytest.param(lambda steps: [s._replace(read_index=1) for s in steps],
+                 "a walk entered cell 0 more often than it has moves",
+                 id="all-inside"),
+    # The last move twice: the walk is past the last cut after the first,
+    # on the pumped word's last cell.
+    pytest.param(lambda steps: steps + steps[-1:],
+                 "a walk left a move of cell 6 unmade", id="extra-move"),
 ])
-def test_pump_step_count_check_raises(t_copy_ab, read_index, message):
-    # A run whose steps misstate what they read: the walk passes or falls
-    # short of the step count.  Raised, not asserted, so the check also
-    # holds under python -O.
+def test_pump_walk_checks_raise(t_copy_ab, misstate, message):
+    # A run whose steps misstate what they read, or make a move twice: the
+    # walk of its pumped cells runs out of moves in a cell, or leaves one
+    # unmade.  Raised, not asserted, so the checks also hold under
+    # python -O.
     run = enumerate_runs(t_copy_ab, t_copy_ab.parse_input_text("abab"))[0]
     loop = next(l for l in enumerate_loops(run) if l.interval == (1, 2))
-    wrong = Run(t_copy_ab, run.word,
-                [s._replace(read_index=read_index) for s in run.steps])
+    wrong = Run(t_copy_ab, run.word, misstate(list(run.steps)))
     with pytest.raises(InternalInconsistencyError, match=message):
         pump(t_copy_ab, wrong, loop, 2)
+
+
+def _assert_pumps_match(t, run) -> int:
+    """Pump every loop of the run 1 to 4 times, by its cells and by the
+    location map: the two give one word and one run.  Returns the pumps
+    made."""
+    pumps = 0
+    for loop in enumerate_loops(run):
+        for copies in (1, 2, 3, 4):
+            word, pumped = pump(t, run, loop, copies)
+            expected_word, expected = location_map_pump(t, run, loop, copies)
+            assert (word, pumped.steps) == (expected_word, expected.steps), \
+                (run, loop, copies)
+            pumps += 1
+    return pumps
+
+
+def test_pump_matches_location_map_on_fixtures(fixtures):
+    pumps = 0
+    for name in FIXTURE_NAMES:
+        t = fixtures[name]
+        for _, runs in domain_words(t, 4 if name == "T_RUNNING" else 6):
+            for run in runs:
+                pumps += _assert_pumps_match(t, run)
+    assert pumps == 28100
+
+
+@given(transducers(max_transitions=12))
+@settings(max_examples=200, deadline=None)
+def test_pump_matches_location_map_random(t):
+    assume(validate(t).ok)
+    for _, runs in runs_upto(t, 4):
+        for run in runs:
+            _assert_pumps_match(t, run)
 
 
 def test_component_interval_check_raises():

@@ -23,8 +23,8 @@ from untwist.transducer import (Transducer, Transition,
 
 from .conftest import CORE_NAMES, FIXTURE_DIR, FIXTURE_NAMES, domain_words, \
     load_fixture, spy
-from .oracles import (brute_decide, per_run_first_unsafe_run,
-                      predicted_pump_output, words_upto)
+from .oracles import (brute_decide, naive_runs, per_run_first_unsafe_run,
+                      predicted_pump_output, run_signature, words_upto)
 from .test_transducer import transducers
 
 
@@ -196,7 +196,9 @@ def test_certificate_round_trip_and_stability(t_copy_ab):
 def test_pumping_the_loops_a_certificate_names(fixtures):
     # Pumping an inversion's loop iterates each of its components' traces:
     # the paper's argument that a refutation is sound, checked on each
-    # certificate the deciders write at the golden lengths.
+    # certificate the deciders write at the golden lengths.  `pump` walks
+    # the repeated cells without the machine, so the pumped run must also
+    # be one that a search of the pumped word's configurations finds.
     pumps = 0
     for name in FIXTURE_NAMES:
         t = fixtures[name]
@@ -216,6 +218,8 @@ def test_pumping_the_loops_a_certificate_names(fixtures):
                         for copies in (2, 3):
                             word, pumped = pump(t, run, loop, copies)
                             assert validate_run(t, word, pumped)
+                            assert run_signature(pumped) in \
+                                naive_runs(t, word)
                             assert pumped.output == predicted_pump_output(
                                 run, loop, comps, copies - 1)
                             pumps += 1

@@ -9,13 +9,14 @@ from untwist.runs import (CapExceeded, DelimitedInput,
                           InternalInconsistencyError, Run, _CrossingSearch,
                           arrivals_upto, dump_run, enumerate_runs,
                           parse_run_dump, replay, validate_run)
-from untwist.transducer import (LEFT_END, check_functional_bounded,
+from untwist.transducer import (LEFT_END, RIGHT, check_functional_bounded,
                                 parse_transducer, validate)
 
 from .conftest import CORE_NAMES, FIXTURE_NAMES, domain_words, load_fixture
 from .oracles import (brute_intercepted_factors, brute_runs,
-                      brute_subrun_output, naive_runs, prefix_arrivals_upto,
-                      run_signature, runs_upto, words_upto)
+                      brute_subrun_output, located_replay, naive_runs,
+                      prefix_arrivals_upto, run_signature, runs_upto,
+                      words_upto)
 from .test_transducer import transducers
 
 # Nine-state machine reproducing the crossing-sequence presentation figure:
@@ -238,6 +239,53 @@ def test_replay_rejects_a_move_the_machine_lacks():
     with pytest.raises(ValueError, match="step 1: the machine has no such "
                                          "move in state 'p'"):
         replay(REVISIT, raw, moves)
+
+
+@st.composite
+def transition_sequences(draw):
+    """A machine (a fixture or a random one), a word, and a sequence of its
+    transitions that mostly follows the machine's moves from the head's
+    cell and state, and now and then takes any transition; so it is a run
+    of the machine, or fails one of `replay`'s checks."""
+    t = draw(st.one_of(st.sampled_from(FIXTURE_NAMES).map(load_fixture),
+                       transducers(max_transitions=12)))
+    alphabet = sorted(t.table.encode_symbol(s) for s in t.input_symbols)
+    raw = "".join(draw(st.lists(st.sampled_from(alphabet), max_size=4)))
+    padded = DelimitedInput.of(raw).padded
+    everything = sorted(t.transitions)
+    transitions, cell, state = [], 0, t.initial
+    for _ in range(draw(st.integers(0, 40))):
+        moves = [tr for tr, _ in t.moves(state, padded[cell])] \
+            if 0 <= cell < len(padded) else []
+        if moves and draw(st.integers(0, 9)):
+            tr = draw(st.sampled_from(moves))
+        elif everything:
+            tr = draw(st.sampled_from(everything))
+        else:
+            break
+        transitions.append(tr)
+        cell += 1 if tr.direction == RIGHT else -1
+        state = tr.target
+        if cell == len(padded) and draw(st.integers(0, 9)):
+            break
+    return t, raw, transitions
+
+
+def _replayed(replay_fn, t, raw, transitions):
+    """The word and steps of the replayed run, or the ValueError message."""
+    try:
+        run = replay_fn(t, raw, transitions)
+    except ValueError as e:
+        return str(e)
+    return run.word, run.steps
+
+
+@given(transition_sequences())
+@settings(max_examples=400, deadline=None)
+def test_replay_matches_located_replay(sequence):
+    # `replay` files each move under its cell and walks the cells; the
+    # oracle walks locations.  Both give one run, or one message.
+    assert _replayed(replay, *sequence) == _replayed(located_replay, *sequence)
 
 
 def test_validate_run_rejects_a_run_that_is_not_normalized():

@@ -114,11 +114,37 @@ def test_comment_stripping_respects_quotes():
     text = ('transducer c\ninput a \\#\noutput a \\#\nstates q f  # trailing\n'
             'initial q\nfinal f\n'
             't q |- R q ""\nt q \\# R q "#"  # emits a hash\n'
-            't q a R q "a"\nt q -| R f ""\n')
+            't q a R q "a"  # copies "a"\nt q -| R f ""\n')
     t = parse_transducer(text)
     assert "#" in t.input_symbols
     tr = next(x for x in t.transitions if x.symbol == "#")
     assert tr.output == ("#",)
+    tr = next(x for x in t.transitions if x.symbol == "a")
+    assert tr.output == ("a",)
+
+
+@pytest.mark.parametrize("header,lineno,message", [
+    ('transducer c\ninput a\noutput a\nstates q" f  # two states\n', 4,
+     "state 'q\"' contains '\"'"),
+    ('transducer x"y\ninput a\noutput a\nstates f\n', 1,
+     "name 'x\"y' contains '\"'"),
+], ids=["state", "name"])
+def test_quote_in_name_or_state_rejected(header, lineno, message):
+    # A quote opens an output for the comment stripper, so a quote in a
+    # state would turn the rest of its line, comment and all, into states.
+    with pytest.raises(ParseError, match=message) as e:
+        parse_transducer(header + 'initial f\nfinal f\n')
+    assert e.value.line == lineno
+
+
+def test_validate_rejects_quotes_in_name_and_states():
+    t = Transducer('x"y', ["a"], ["a"], ["q", 'p"'], "q", ["q"], [
+        Transition("q", "|-", "R", "q", ()),
+        Transition("q", "-|", "R", "q", ()),
+    ])
+    rep = validate(t)
+    assert [i.message for i in rep.errors()] == \
+        ["name or states contain '\"': ['p\"', 'x\"y']"]
 
 
 def test_validate_fixtures_ok():
