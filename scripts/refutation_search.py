@@ -2,7 +2,9 @@
 """Search the shipped fixtures for one-way and two-pass sweeping
 definability counterexamples and print the canonical certificate for each
 refutation.  Exits 1 if a certificate, parsed back from its text, does not
-print as that same text or does not verify."""
+print as that same text or does not verify, or if its sha256 line is not
+hashlib's SHA-256 of the machine's canonical text."""
+import hashlib
 import pathlib
 import sys
 
@@ -11,7 +13,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from untwist.oneway import (certificate_text, decide_oneway_bounded,
                             decide_sweeping_bounded, parse_certificate,
                             verify_certificate)
-from untwist.transducer import parse_transducer
+from untwist.transducer import parse_transducer, serialize_transducer
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -36,6 +38,12 @@ def main(max_len: int = 6) -> int:
             except ValueError as exc:
                 print(f"{t.name} {label}: the certificate does not parse "
                       f"back: {exc}", file=sys.stderr)
+                return 1
+            # An independent check of the digest the library computes.
+            digest = hashlib.sha256(serialize_transducer(t).encode())
+            if cert.digest != digest.hexdigest():
+                print(f"{t.name} {label}: the certificate's sha256 is not "
+                      f"the machine text's", file=sys.stderr)
                 return 1
             if not verify_certificate(t, cert):
                 print(f"{t.name} {label}: the certificate does not verify",

@@ -12,6 +12,7 @@ no-counterexample verdict.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
@@ -65,13 +66,10 @@ def _replay_decomposition(run: Run, d: Decomposition
                           ) -> tuple[str, tuple[TranscriptEntry, ...]]:
     out: list[str] = []
     transcript: list[TranscriptEntry] = []
-    emitted = 0
 
     def emit(pos: int, text: str, note: str) -> None:
-        nonlocal emitted
         if text:
             out.append(text)
-            emitted += len(text)
             transcript.append(TranscriptEntry(pos, text, note))
 
     for piece in d.pieces:
@@ -115,8 +113,13 @@ def _replay_decomposition(run: Run, d: Decomposition
                     emit(x, w[done:target], note)
                     done = target
 
-            lens = {x: len(run.subrun_output(i1, i2, 0, x))
-                    for x in range(x1, x2 + 1)}
+            # lens[x] = len(run.subrun_output(i1, i2, 0, x)): a step counts
+            # from the greater of its two cuts on (x2 + 1 stands for beyond).
+            lens = [0] * (x2 + 2)
+            for s in run.steps[i1:i2]:
+                cut = max(s.source[0], s.target[0])
+                lens[min(cut, x2 + 1)] += len(s.output)
+            lens = list(accumulate(lens))
             emit_upto(x1, lens[x1], "block entry")
             for x in range(x1 + 1, x2 + 1):
                 emit_upto(x, lens[x], "block step")
@@ -155,8 +158,15 @@ def simulate_oneway(t: Transducer, raw: str, *, bound: PeriodBound = None,
 # ---------------------------------------------------------------------------
 
 def transducer_digest(t: Transducer) -> str:
-    import hashlib  # loads libcrypto; only certificates need it
-    return hashlib.sha256(serialize_transducer(t).encode()).hexdigest()
+    # hashlib loads libcrypto (3.6 MB of peak memory); try a built-in first.
+    try:
+        from _sha256 import sha256      # CPython up to 3.11
+    except ImportError:
+        try:
+            from _sha2 import sha256    # CPython 3.12 on
+        except ImportError:
+            from hashlib import sha256
+    return sha256(serialize_transducer(t).encode()).hexdigest()
 
 
 class MemberRecord(NamedTuple):

@@ -236,10 +236,11 @@ def walk_cells(cells: list) -> list[Step]:
 @lru_cache(maxsize=8)
 def _relation(t: Transducer) -> tuple:
     """A machine's crossing ids (both ways) and the memos of its consistency
-    relation: (id, letter) -> {id: pairings}, (ids, letter) -> (ids,
-    predecessors), (ids, letter) -> the paths over two cuts and -|, and its
-    fragment ids.  They grow only up to the machine's crossings, and the
-    searches on the machine in one process share them."""
+    relation: (id, letter, returns) -> {id: pairings}, (ids, letter,
+    returns) -> (ids, predecessors), (ids, letter) -> the paths over two
+    cuts and -|, and its fragment ids, where returns are the states a run
+    may return in (see `_step`).  They grow only up to the machine's
+    crossings, and the searches on the machine in one process share them."""
     return {(t.initial,): 0}, [(t.initial,)], {}, {}, {}, {}
 
 
@@ -261,8 +262,9 @@ class _CrossingSearch:
     local: no crossing repeats a (state, level parity).
 
     The stack holds, for each cut of the current prefix, the ids of the
-    crossings that some path from (0, 0) reaches (memoized on the cut before
-    and the letter), each one's predecessors, and the paths traced so far.
+    crossings that some path from (0, 0) reaches (memoized on the cut before,
+    the letter and the returns the next letter allows), each one's
+    predecessors, and the paths traced so far.
     A word's runs are traced back from its final crossings, never into a
     dead end.  The canonical DFS order is the lexicographic order of the
     runs' move indices in `Transducer.moves`, as no run extends another,
@@ -276,20 +278,24 @@ class _CrossingSearch:
         if cap_runs < 0:
             raise ValueError(f"run cap {cap_runs} is negative")
         self.t, self.cap_runs = t, cap_runs
-        # A run crosses a cut leftwards in the target of a left move.
-        self.returns = sorted({tr.target for tr in t.transitions
-                               if tr.direction != RIGHT})
+        # returns[a]: the targets of the left moves on a (None: on any).
+        left = [(t.table.encode_symbol(tr.symbol), tr.target)
+                for tr in t.transitions if tr.direction != RIGHT]
+        self.returns = {a: tuple(sorted({q for b, q in left
+                                         if a in (b, None)}))
+                        for a in {None, *(b for b, _ in left)}}
         (self.ids, self.crossings, self.edges, self.steps, self.ends,
          self.fragments) = _relation(t)
         self.skeletons: dict = {}   # (skeleton, fragment) -> skeleton
         self.stack = [(frozenset({0}), {},
                        {0: [(None, 0, None, 0, frozenset(), False)]})]
 
-    def _edges(self, c: int, letter: str) -> dict[int, list]:
-        """The ids consistent with c over letter, each with its pairings:
-        (the (transition, output) moves from the cell's entries in order,
-        fragment id).  Past -|, the crossing is one final state."""
-        key = (c, letter)
+    def _edges(self, c: int, letter: str, returns: tuple) -> dict[int, list]:
+        """The ids consistent with c over letter whose odd levels are all in
+        `returns`, each with its pairings: (the (transition, output) moves
+        from the cell's entries in order, fragment id).  Past -|, the
+        crossing is one final state."""
+        key = (c, letter, returns)
         if key in self.edges:
             return self.edges[key]
         cut, last = self.crossings[c], letter == RIGHT_END
@@ -304,7 +310,7 @@ class _CrossingSearch:
                     r = right + (tr.target,)
                     if i == len(cut) and (not last or tr.target in finals):
                         found.setdefault(r, []).append(done + (move,))
-                    for q2 in () if last else self.returns:
+                    for q2 in returns:
                         if q2 not in r[1::2]:
                             pair(q2, i, r + (q2,), done + (move,))
                 elif tr.direction != RIGHT and i + 1 < len(cut) \
@@ -321,20 +327,24 @@ class _CrossingSearch:
                 len(self.fragments))) for m in pairings]
         return edges
 
-    def _step(self, live: frozenset, letter: str) -> tuple[frozenset, dict]:
-        """The ids live at the next cut, given those live at this one and
-        the letter between, with each one's (id, pairing) predecessors."""
-        key = (live, letter)
+    def _step(self, live: frozenset, letter: str, nxt: Optional[str] = None
+              ) -> tuple[frozenset, dict]:
+        """The ids live at the next cut, given those live at this one, the
+        letter between and the next (None: unknown), with each one's (id,
+        pairing) predecessors.  Runs return to the next cut in targets of
+        left moves on the next letter, and never past -|."""
+        returns = () if letter == RIGHT_END else self.returns.get(nxt, ())
+        key = (live, letter, returns)
         if key not in self.steps:
             back: dict[int, list] = {}
             for c in sorted(live):
-                for r, pairings in self._edges(c, letter).items():
+                for r, pairings in self._edges(c, letter, returns).items():
                     back.setdefault(r, []).extend((c, m) for m in pairings)
             self.steps[key] = (frozenset(back), back)
         return self.steps[key]
 
-    def push(self, letter: str) -> None:
-        self.stack.append((*self._step(self.stack[-1][0], letter), {}))
+    def push(self, letter: str, nxt: Optional[str] = None) -> None:
+        self.stack.append((*self._step(self.stack[-1][0], letter, nxt), {}))
 
     def pop(self) -> None:
         del self.stack[-1]
@@ -346,7 +356,7 @@ class _CrossingSearch:
         if key not in self.ends:
             # Each (q, m, p, m2, r): ids at this cut, the next and the last,
             # with the pairings between.
-            live, back = self._step(key[0], letter)
+            live, back = self._step(key[0], letter, RIGHT_END)
             final, last = self._step(live, RIGHT_END)
             self.ends[key] = [(q, m, p, m2, r) for r in sorted(final)
                               for p, m2 in last[r] for q, m in back[p]]
@@ -406,8 +416,8 @@ def enumerate_runs(t: Transducer, raw: str, *,
     """All normalized successful runs on |-raw-|, in canonical DFS order."""
     word = DelimitedInput.of(raw)
     search = _CrossingSearch(t, cap_runs)
-    for letter in word.padded[:-2]:
-        search.push(letter)
+    for letter, nxt in zip(word.padded[:-2], word.padded[1:]):
+        search.push(letter, nxt)
     return [Run(t, word, a.steps) for a in search.close(word.padded[-2])]
 
 

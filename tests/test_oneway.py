@@ -1,4 +1,6 @@
+import hashlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +21,7 @@ from untwist.runs import CapExceeded, InternalInconsistencyError, \
     dump_run, enumerate_runs, parse_run_dump, validate_run
 from untwist.transducer import (Transducer, Transition,
                                 check_functional_bounded, constants,
-                                parse_transducer)
+                                parse_transducer, serialize_transducer)
 
 from .conftest import CORE_NAMES, FIXTURE_DIR, FIXTURE_NAMES, domain_words, \
     load_fixture, spy
@@ -72,6 +74,41 @@ def test_replay_checks_raise(t_running, t_id):
     short = Decomposition((Piece(DIAGONAL, start, end, witness),), 10 ** 6)
     with pytest.raises(InternalInconsistencyError, match="diverged"):
         _replay_decomposition(run, short)
+
+
+def _block_entries_by_subrun(run, piece):
+    """A block piece's transcript entries, each cut's prefix length taken
+    as the length of `subrun_output` up to that cut."""
+    i1, i2 = run.index_of(piece.start), run.index_of(piece.end)
+    x1, x2 = piece.start[0], piece.end[0]
+    w = run.output_between(i1, i2)
+    marks = [(x1, len(run.subrun_output(i1, i2, 0, x1)), "block entry")]
+    marks += [(x, len(run.subrun_output(i1, i2, 0, x)), "block step")
+              for x in range(x1 + 1, x2 + 1)]
+    entries, done = [], 0
+    for x, target, note in marks + [(x2, len(w), "block exit")]:
+        if target > done:
+            entries.append((x, w[done:target], note))
+            done = target
+    return entries
+
+
+@pytest.mark.parametrize("name,word", [
+    *(("T_COPY_ABC", "abc" * n) for n in (2, 3, 7, 40)),
+    ("T_RUNNING", "b#abcabc#ca#abcabc"), ("T_RUNNING", "abcabc#ab#abc"),
+    # T_MIRROR writes on its left moves.
+    ("T_MIRROR", "aa"), ("T_MIRROR", "a" * 9),
+])
+def test_block_transcript_matches_subrun_lengths(name, word):
+    # The replay sums each cut's block prefix in one pass over the steps.
+    t = load_fixture(name)
+    res = simulate_oneway(t, t.parse_input_text(word))
+    run = enumerate_runs(t, t.parse_input_text(word))[res.run_index]
+    expected = [e for p in res.decomposition.pieces if p.block
+                for e in _block_entries_by_subrun(run, p)]
+    assert expected
+    assert [tuple(e) for e in res.transcript
+            if e.note.startswith("block")] == expected
 
 
 def test_simulate_copy_ab_witness_absent(t_copy_ab):
@@ -296,6 +333,19 @@ def test_certificate_fails_after_state_renaming(t_copy_ab):
     renamed = parse_transducer(
         open("fixtures/T_COPY_AB.tdx").read().replace("p1", "z9"))
     assert not verify_certificate(renamed, cert)
+
+
+@pytest.mark.parametrize("lean", [True, False])
+def test_digest_is_sha256_of_the_machine_text(fixtures, monkeypatch, lean):
+    # Computed by the interpreter's built-in module where one imports, and
+    # by hashlib where none does; the digest is the same either way.
+    if not lean:
+        for name in ("_sha256", "_sha2"):
+            monkeypatch.setitem(sys.modules, name, None)
+    for t in fixtures.values():
+        text = serialize_transducer(t).encode()
+        assert untwist.oneway.transducer_digest(t) == \
+            hashlib.sha256(text).hexdigest()
 
 
 def test_certificate_fails_under_another_name(t_copy_ab):

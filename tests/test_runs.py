@@ -526,6 +526,47 @@ def test_negative_caps_are_rejected(caps):
         next(runs_upto(t, 2, **caps))
 
 
+# s copies each letter and peeks at the next one: look steps left onto it
+# and returns as ba after an a, as bb after a b, so the left moves on the
+# two letters have different targets.
+PEEK = parse_transducer("""
+transducer PEEK
+input a b
+output a b
+states s look ba bb f
+initial s
+final f
+t s |- R s ""
+t s -| R f ""
+t s a R look "a"
+t s b R look "b"
+t look a L ba ""
+t look b L bb ""
+t look -| R f ""
+t ba a R s ""
+t ba b R s ""
+t bb a R s ""
+t bb b R s ""
+""")
+
+
+def test_pruned_edges_stay_apart_from_unpruned_ones():
+    # `enumerate_runs` knows each cell's next letter and keeps only the
+    # returns that a left move on it can make; `arrivals_upto` does not.
+    # Both fill the memos of one machine, and the searches after the
+    # pruned ones still find every run.
+    untwist.runs._relation.cache_clear()
+    expected = _assert_same_as_brute(PEEK, 4)
+    assert all(dumps for _, dumps in expected)
+    # The pruning is real: on |-ab, no run returns to the cut after a as ba.
+    pruned, full = _CrossingSearch(PEEK, 10), _CrossingSearch(PEEK, 10)
+    for letter, nxt in zip(LEFT_END + "a", "ab"):
+        pruned.push(letter, nxt)
+        full.push(letter)
+    assert {full.crossings[c] for c in full.stack[-1][0]
+            - pruned.stack[-1][0]} == {("look", "ba", "s")}
+
+
 def test_level_parity_break_raises(t_id, monkeypatch):
     # A rightward step must land on an even level.  A stub that keeps every
     # move on its own cut lands the first step, from (0, 0), on level 1, and

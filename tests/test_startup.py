@@ -1,5 +1,6 @@
 """Start-up cost of a CLI process: which modules it loads, the records that
 every subcommand defines on import, and the module-level state they keep."""
+import importlib.util
 import json
 import os
 import pathlib
@@ -70,6 +71,27 @@ def test_cli_loads_no_dataclasses_hashlib_or_forest(argv):
         "print(json.dumps([code, sorted(sys.modules)]))\n")
     assert code == 0
     assert not {"dataclasses", "hashlib", "untwist.forest"} & set(loaded)
+
+
+@pytest.mark.skipif(not any(map(importlib.util.find_spec,
+                               ("_sha256", "_sha2"))),
+                    reason="the interpreter has no built-in SHA-256 module")
+@pytest.mark.parametrize("argv,expected", [
+    (["decide", "oneway", "fixtures/T_COPY_AB.tdx", "--max-len", "3",
+      "--cert", "{cert}"], 1),
+    (["verify-cert", "fixtures/T_COPY_AB.tdx", "--cert",
+      "tests/golden/certs/T_COPY_AB.oneway.cert"], 0),
+])
+def test_certificate_commands_load_no_hashlib(argv, expected, tmp_path):
+    # hashlib loads libcrypto; the digest uses the built-in module instead.
+    argv = [a.format(cert=tmp_path / "out.cert") for a in argv]
+    code, loaded = fresh(
+        "import json, sys\n"
+        "from untwist.cli import run_cli\n"
+        f"code = run_cli({argv!r})\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n")
+    assert code == expected
+    assert not {"hashlib", "_hashlib"} & set(loaded)
 
 
 def test_bare_package_import_loads_no_submodule():
